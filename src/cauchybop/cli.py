@@ -167,19 +167,15 @@ class Runner:
             "elapsed": round(elapsed, 6),
         })
 
-    def record(self, name: str, residual, tol: float = FLOAT_RTOL):
-        if isinstance(residual, bool):
-            ok, mag = residual, 0 if residual else 1
-        else:
-            mag = abs(residual)
-            ok = (mag == 0) if self.mode == "exact" else (mag <= tol)
-        self._push(name, "pass" if ok else "fail", mag, 0.0)
-        return ok
-
-    def run(self, name: str, fn, tol: float = FLOAT_RTOL):
+    def run(self, name, fn, tol: float = FLOAT_RTOL):
+        """Time fn() and judge what it returns: a bool verdict, or a
+        residual that must vanish (exact) or stay within tol (float).  A
+        callable name is called once fn has run."""
         t0 = time.perf_counter()
         residual = fn()
         elapsed = time.perf_counter() - t0
+        if callable(name):
+            name = name()
         if isinstance(residual, bool):
             ok, mag = residual, 0 if residual else 1
         else:
@@ -210,42 +206,46 @@ def _suite_tp(r: Runner, app: Apparatus, kmax: int):
     else:
         scale = max(abs(v) for row in app.I.entries for v in row)
         tp_tol = 1e-12 * (kmax * float(scale)) ** kmax
-    cert = check_total_positivity(app.I, kmax, tol=tp_tol)
     label = ("consecutive minors positive" if app.exact
              else "no negative consecutive minor")
-    r.record(f"{label} through {cert.kmax}x{cert.kmax}", cert.passed)
+    cert = None
+
+    def tp():
+        nonlocal cert
+        cert = check_total_positivity(app.I, kmax, tol=tp_tol)
+        return cert.passed
+    r.run(lambda: f"{label} through {cert.kmax}x{cert.kmax}", tp)
     D = leading_minors(app.I)
     # the tuple-sum oracle enumerates C(atoms, n)^2 index pairs; only
     # worthwhile at desk-scale atom counts
     if max(len(app.alpha), len(app.beta)) <= 16:
-        for n in range(1, min(4, len(app.alpha), len(app.beta)) + 1):
-            oracle = oracle_dn(app.alpha, app.beta, n)
+        for n in range(1, min(4, len(app.alpha), len(app.beta), len(D)) + 1):
             r.run(f"leading minor D_{n} equals tuple-sum oracle",
-                  lambda o=oracle, d=D[n - 1]: abs(d - o) / abs(float(D[n - 1])),
-                  1e-8)
-    res = rank_one_shift_residual(app.I, app.alpha, app.beta)
+                  lambda: abs(D[n - 1] - oracle_dn(app.alpha, app.beta, n))
+                  / abs(float(D[n - 1])), 1e-8)
     scale = max(abs(v) for row in app.I.entries for v in row)
-    r.run("rank-one shift identity on bimoments",
-          lambda: max(abs(v) for row in res for v in row) / max(1, scale),
-          1e-12)
+
+    def shift():
+        res = rank_one_shift_residual(app.I, app.alpha, app.beta)
+        return max(abs(v) for row in res for v in row) / max(1, scale)
+    r.run("rank-one shift identity on bimoments", shift, 1e-12)
 
 
 def _suite_recurrence(r: Runner, app: Apparatus):
     from .recurrence import BandOperator, rank_one_XY_residual
     cap = float_degree_cap(app)
     win = app.N + 1 if app.exact else min(cap + 2, app.N + 1)
-    res = rank_one_XY_residual(app.X, app.Y, app.family)
-    worst = 0
-    for i in range(win):
-        for j in range(win):
-            scale = max(1, abs(app.X[i, j]), abs(app.Y[j, i]))
-            worst = max(worst, abs(res[i][j]) / scale)
-    r.run(f"rank-one identity X + Y^T = pi eta^T (window {win})",
-          lambda: worst)
+
+    def rank_one():
+        res = rank_one_XY_residual(app.X, app.Y, app.family)
+        return max(0, *(abs(res[i][j])
+                        / max(1, abs(app.X[i, j]), abs(app.Y[j, i]))
+                        for i in range(win) for j in range(win)))
+    r.run(f"rank-one identity X + Y^T = pi eta^T (window {win})", rank_one)
     if app.exact:
-        r.record("band support A in [-1,2]", not app.A.band_violations())
-        r.record("band support Ahat in [-2,1]",
-                 not app.Ahat.band_violations())
+        r.run("band support A in [-1,2]", lambda: not app.A.band_violations())
+        r.run("band support Ahat in [-2,1]",
+              lambda: not app.Ahat.band_violations())
     else:
         sub_a = BandOperator(app.A.entries, app.A.support, app.A.basis,
                              min(win, app.A.valid_rows), win)
@@ -255,32 +255,31 @@ def _suite_recurrence(r: Runner, app: Apparatus):
         scale = max(abs(v) for row in app.X.entries[:win]
                     for v in row[:win])
         band_tol = 1e-8 * float(scale)
-        r.record(f"band support A in [-1,2] (window {win})",
-                 not sub_a.band_violations(band_tol))
-        r.record(f"band support Ahat in [-2,1] (window {win})",
-                 not sub_ah.band_violations(band_tol))
+        r.run(f"band support A in [-1,2] (window {win})",
+              lambda: not sub_a.band_violations(band_tol))
+        r.run(f"band support Ahat in [-2,1] (window {win})",
+              lambda: not sub_ah.band_violations(band_tol))
     pts = _sample_points([app.alpha, app.beta], 5)
     for n in range(1, min(4, app.N - 1) + 1):
         if n > cap:
             r.skip(f"four-term recurrence residual, degree {n}",
                    "float conditioning")
             continue
-        worst = 0
-        for pt in pts:
-            rp, rq = four_term_residual(app.family, app.A, app.Bhat, n, pt,
-                                        relative=True)
-            worst = max(worst, rp, rq)
-        r.run(f"four-term recurrence residual, degree {n}", lambda w=worst: w)
+        r.run(f"four-term recurrence residual, degree {n}",
+              lambda: max(0, *(v for pt in pts for v in four_term_residual(
+                  app.family, app.A, app.Bhat, n, pt, relative=True))))
     if app.exact:
-        cert = tn_oscillatory_certificate(app.X, kmax=min(4, app.N + 1))
+        r.run("X totally nonnegative + oscillatory",
+              lambda: tn_oscillatory_certificate(
+                  app.X, kmax=min(4, app.N + 1)).oscillatory)
     else:
         sub = BandOperator(tuple(row[:win] for row in app.X.entries[:win]),
                            app.X.support, app.X.basis, win, win)
         scale = max(abs(v) for row in sub.entries for v in row)
-        cert = tn_oscillatory_certificate(
-            sub, kmax=min(2, win), exact=False,
-            tol=1e-9 * max(1.0, float(scale)) ** 2)
-    r.record("X totally nonnegative + oscillatory", cert.oscillatory)
+        r.run("X totally nonnegative + oscillatory",
+              lambda: tn_oscillatory_certificate(
+                  sub, kmax=min(2, win), exact=False,
+                  tol=1e-9 * max(1.0, float(scale)) ** 2).oscillatory)
 
 
 def _suite_cdi(r: Runner, app: Apparatus):
@@ -291,30 +290,34 @@ def _suite_cdi(r: Runner, app: Apparatus):
         if n > cap:
             r.skip(f"CD identities, n={n}", "float conditioning")
             continue
-        try:
-            verify_block_against_dense(app, n, pts[0],
-                                       rtol=0.0 if app.exact else 1e-6)
-            r.record(f"commutator block equals dense commutator, n={n}", True)
-        except TheoryViolationError:
-            r.record(f"commutator block equals dense commutator, n={n}", False)
-        worst_p = max(cd_residual_plain(app, n, x, y, relative=True)
-                      for x, y in pairs)
-        worst_h = max(cd_residual_hat(app, n, x, y, relative=True)
-                      for x, y in pairs)
-        r.run(f"plain CD identity residual, n={n}", lambda w=worst_p: w)
-        r.run(f"hatted CD identity residual, n={n}", lambda w=worst_h: w)
+
+        def block():
+            try:
+                verify_block_against_dense(app, n, pts[0],
+                                           rtol=0.0 if app.exact else 1e-6)
+                return True
+            except TheoryViolationError:
+                return False
+        r.run(f"commutator block equals dense commutator, n={n}", block)
+        r.run(f"plain CD identity residual, n={n}",
+              lambda: max(cd_residual_plain(app, n, x, y, relative=True)
+                          for x, y in pairs))
+        r.run(f"hatted CD identity residual, n={n}",
+              lambda: max(cd_residual_hat(app, n, x, y, relative=True)
+                          for x, y in pairs))
 
 
 def _suite_pade(r: Runner, app: Apparatus):
     pts = _sample_points([app.alpha, app.beta], 10)
-    worst = max(abs(plucker_residual(app.alpha, app.beta, z)) for z in pts)
-    r.run("product identity of the two Nikishin chains", lambda: worst, 1e-12)
+    r.run("product identity of the two Nikishin chains",
+          lambda: max(abs(plucker_residual(app.alpha, app.beta, z))
+                      for z in pts), 1e-12)
     cap = min(4, app.N) if app.exact else float_degree_cap(app)
     for problem in ("q", "p", "switched"):
         for n in range(0, cap + 1):
-            cert = order_check(pade_solve(app, n, problem), rtol=1e-6)
-            r.record(f"approximation orders, problem={problem}, n={n}",
-                     cert.passed)
+            r.run(f"approximation orders, problem={problem}, n={n}",
+                  lambda: order_check(
+                      pade_solve(app, n, problem), rtol=1e-6).passed)
 
 
 def _suite_duality(r: Runner, app: Apparatus):
@@ -327,20 +330,21 @@ def _suite_duality(r: Runner, app: Apparatus):
             r.skip(f"extended CD, n={n}", "float conditioning")
             continue
         w, z = pts[0], pts[1]
-        aux = aux_vectors(app, n, w, z)
-        worst = max(ecd_residual(app, a, b, n, w, z, aux, relative=True)
-                    for a in range(3) for b in range(3))
-        r.run(f"extended CD residual, all 9 windows, n={n}",
-              lambda v=worst: v)
+
+        def ecd():
+            aux = aux_vectors(app, n, w, z)
+            return max(ecd_residual(app, a, b, n, w, z, aux, relative=True)
+                       for a in range(3) for b in range(3))
+        r.run(f"extended CD residual, all 9 windows, n={n}", ecd)
     for n in (2, 3, 4):
         if n > app.N - 1:
             continue
         if n > cap:
             r.skip(f"perfect duality pairing, n={n}", "float conditioning")
             continue
-        worst = max(abs(duality_check(app, a, b, n, pts[2]))
-                    for a in range(3) for b in range(3))
-        r.run(f"perfect duality pairing, n={n}", lambda v=worst: v)
+        r.run(f"perfect duality pairing, n={n}",
+              lambda: max(abs(duality_check(app, a, b, n, pts[2]))
+                          for a in range(3) for b in range(3)))
 
 
 def _suite_rhp(r: Runner, app: Apparatus, eps_list):
@@ -348,29 +352,38 @@ def _suite_rhp(r: Runner, app: Apparatus, eps_list):
     n = min(3, app.N - 1) if app.exact else min(2, app.N - 1)
     det_tol = 1e-12 if app.exact else 1e-8
     for w in pts:
-        g = assemble_gamma(app, n, w)
-        r.run(f"det Gamma(w={w}) = 1", lambda d=g.determinant: d - 1, det_tol)
-        gh = assemble_gamma_hat(app, n, w)
-        r.run(f"det Gammahat(z={w}) = 1", lambda d=gh.determinant: d - 1,
+        r.run(f"det Gamma(w={w}) = 1",
+              lambda: assemble_gamma(app, n, w).determinant - 1, det_tol)
+        r.run(f"det Gammahat(z={w}) = 1",
+              lambda: assemble_gamma_hat(app, n, w).determinant - 1,
               det_tol)
     rtol = 1e-8 if app.exact else 1e-5
-    r.record("asymptotic powers of Gamma",
-             asymptotic_check(app, n, "gamma", rtol=rtol).passed)
-    r.record("asymptotic powers of Gammahat",
-             asymptotic_check(app, n, "gamma_hat", rtol=rtol).passed)
-    c_sq, eta_sq = extract_constants(app, n)
+    r.run("asymptotic powers of Gamma",
+          lambda: asymptotic_check(app, n, "gamma", rtol=rtol).passed)
+    r.run("asymptotic powers of Gammahat",
+          lambda: asymptotic_check(app, n, "gamma_hat", rtol=rtol).passed)
     h = app.family.h[n - 1]
-    r.run("recovered c^2 matches family norm",
-          lambda: (c_sq - h) / h, 1e-6)
+    eta_sq = None
+
+    def recovered_c():
+        nonlocal eta_sq
+        c_sq, eta_sq = extract_constants(app, n)
+        return (c_sq - h) / h
+    r.run("recovered c^2 matches family norm", recovered_c, 1e-6)
     eta_ref = app.family.eta_monic[n - 1] ** 2 / h
     r.run("recovered eta^2 matches family average",
           lambda: (eta_sq - eta_ref) / eta_ref, 1e-6)
     if app.beta_density is not None:
         a, b = app.beta_density.support
         w0 = (a + b) / 2.0
-        residuals, slope = jump_slope_study(app, min(2, n), w0, eps_list)
-        r.record(f"jump residual slope {slope:.3f} within factor 2 of linear",
-                 0.5 <= slope <= 2.0)
+        slope = None
+
+        def jump():
+            nonlocal slope
+            slope = jump_slope_study(app, min(2, n), w0, eps_list)[1]
+            return 0.5 <= slope <= 2.0
+        r.run(lambda: f"jump residual slope {slope:.3f} within factor 2 of "
+              "linear", jump)
 
 
 SUITES = {
@@ -598,6 +611,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_orders(args) -> None:
+    """Reject order arguments below their minimum before anything is built."""
+    for flag, attr, low in (("-N", "order", 1), ("-n", "degree", 0),
+                            ("--kmax", "kmax", 1)):
+        value = getattr(args, attr, None)
+        if value is not None and value < low:
+            raise UsageError(f"{flag} must be at least {low}, got {value}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -605,6 +627,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        _check_orders(args)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

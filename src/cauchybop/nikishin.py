@@ -36,6 +36,18 @@ Asymptotic claims are checked as coefficient streams with explicit order
 tracking: O(1/z**k) means "coefficients through z**(-k+1) vanish", which
 is a finite exact statement.
 
+The auxiliary vectors have one evaluator, :func:`aux_columns`: for each
+degree the polynomial (q*_j or p_j), its transform against the first
+measure (db, resp. da), the transform of that against the reflected
+second measure (da*, resp. db*), and the hatted combinations.  A backend
+with ``poly(coeffs)`` and ``transform(app, which, g, reflected)`` says
+what evaluating means: :class:`PointBackend` sums over the atoms at one
+point (exact at rational points), :class:`SeriesBackend` turns the sums
+into moment streams at infinity, and ``rhp.DensityBackend`` takes the
+split Cauchy transform of a density near its cut.  The extended
+identities, the duality pairing and both boundary-value matrices read
+windows of these columns.
+
 The extended identities pair the auxiliary vector windows of both families
 against the 3x3 commutator block.  The constant matrix in
 
@@ -70,10 +82,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .bop import pair
 from .bundle import Apparatus
-from .cdkernel import commutator_block
+from .cdkernel import _window_product
 from .errors import OrderUnderflowError, PoleEvaluationError
 from .measure import DiscreteMeasure
 from .polys import peval, preflect
@@ -325,75 +338,88 @@ class AuxVectors:
     qhat: tuple     # qhat[a][j]
 
 
-def _q_aux(app: Apparatus, top: int, w):
-    """q_a[j](w) for a = 0, 1, 2 and j = 0..top, plus the hatted combination."""
+def _weighted(app: Apparatus, which: str, g, reflected: bool = False
+              ) -> MarkovFunction:
+    """Transform of app.alpha or app.beta (which = "alpha" | "beta") with
+    each atom t reweighted by g(t), on the reflected copy if asked."""
+    m = getattr(app, which)
+    ts = m.signed_positions()
+    return MarkovFunction(f"{which}{'*' if reflected else ''}[weighted]",
+                          tuple(-t for t in ts) if reflected else ts,
+                          tuple(w * g(t) for t, w in zip(ts, m.weights())))
+
+
+@dataclass(frozen=True)
+class PointBackend:
+    """Values at one point s: finite Stieltjes sums over the atoms, exact
+    at rational s; a pole raises PoleEvaluationError."""
+    s: object
+
+    def poly(self, coeffs):
+        return peval(coeffs, self.s)
+
+    def transform(self, app: Apparatus, which: str, g, reflected: bool):
+        return _weighted(app, which, g, reflected)(self.s)
+
+
+@dataclass(frozen=True)
+class SeriesBackend:
+    """Expansions at infinity as PowerTails, known through z**(-depth)."""
+    depth: int
+
+    def poly(self, coeffs):
+        return PowerTail.from_poly(coeffs)
+
+    def transform(self, app: Apparatus, which: str, g, reflected: bool):
+        return _weighted(app, which, g, reflected).series(self.depth)
+
+
+def aux_columns(app: Apparatus, side: str, top: int, backend):
+    """The three auxiliary columns of one side for degrees 0..top, and
+    their hatted form, as values of ``backend``.
+
+    side "q": q*_j, its transform against db, and the transform against
+    da* of that first transform; hatted qhat_j = -q_j/eta*_j +
+    q_{j+1}/eta*_{j+1} for j < top.  side "p": the same with p_j, da and
+    db*; hatted phat_j = -sum_{i<=j} eta*_i p_i - (0, 1, W_beta_star) for
+    j <= top.  Returns (cols, hatted), each indexed [component][degree].
+    """
     fam = app.family
-    w_beta = markov(app.alpha, app.beta, "W_beta")
-    q0 = tuple(peval(fam.q_star(j), w) for j in range(top + 1))
-    q1 = tuple(w_beta.weighted(lambda t, j=j: peval(fam.q_star(j), t))(w)
-               for j in range(top + 1))
-
-    def q2_value(j):
-        # - sum_{a,b} wa wb q*_j(y_b) / ((w + x_a)(x_a + y_b))
-        qs = fam.q_star(j)
-        out = 0
-        for x, wa in zip(app.alpha.signed_positions(), app.alpha.weights()):
-            if w + x == 0:
-                raise PoleEvaluationError(f"pole/cut evaluation at w = {w}")
-            inner = sum(wb * peval(qs, y) / (x + y)
-                        for y, wb in zip(app.beta.signed_positions(),
-                                         app.beta.weights()))
-            out -= wa * inner / (w + x)
-        return out
-
-    q2 = tuple(q2_value(j) for j in range(top + 1))
-    q_all = (q0, q1, q2)
-    qhat = tuple(tuple(-q_all[a][j] / fam.eta_star(j)
-                       + q_all[a][j + 1] / fam.eta_star(j + 1)
-                       for j in range(top))
-                 for a in range(3))
-    return q_all, qhat
-
-
-def _p_aux(app: Apparatus, top: int, z):
-    """p_b[j](z) and phat_b[j](z) for b = 0, 1, 2 and j = 0..top."""
-    fam = app.family
-    w_alpha = markov(app.alpha, app.beta, "W_alpha")
-    p0 = tuple(peval(fam.p_monic[j], z) for j in range(top + 1))
-    p1 = tuple(w_alpha.weighted(lambda t, j=j: peval(fam.p_monic[j], t))(z)
-               for j in range(top + 1))
-
-    def p2_value(j):
-        pm = fam.p_monic[j]
-        out = 0
-        for y, wb in zip(app.beta.signed_positions(), app.beta.weights()):
-            if z + y == 0:
-                raise PoleEvaluationError(f"pole/cut evaluation at z = {z}")
-            inner = sum(wa * peval(pm, x) / (x + y)
-                        for x, wa in zip(app.alpha.signed_positions(),
-                                         app.alpha.weights()))
-            out -= wb * inner / (z + y)
-        return out
-
-    p2 = tuple(p2_value(j) for j in range(top + 1))
-    phat0 = tuple(peval(app.hatted.p_hat[j], z) for j in range(top + 1))
-    wbs = markov(app.alpha, app.beta, "W_beta_star")(z)
-    phat1, phat2 = [], []
-    acc1 = 0
-    acc2 = 0
-    for j in range(top + 1):
-        acc1 += fam.eta_star(j) * p1[j]
-        acc2 += fam.eta_star(j) * p2[j]
-        phat1.append(-acc1 - 1)
-        phat2.append(-acc2 - wbs)
-    return (p0, p1, p2), (phat0, tuple(phat1), tuple(phat2))
+    if side == "q":
+        first, second = "beta", "alpha"
+        polys = [fam.q_star(j) for j in range(top + 1)]
+    else:
+        first, second = "alpha", "beta"
+        polys = fam.p_monic[: top + 1]
+    cols = ([], [], [])
+    for P in polys:
+        def poly(t, P=P):
+            return peval(P, t)
+        # the second transform weights each reflected atom -t by the first
+        # transform there, summed over the discrete atoms
+        inner = _weighted(app, first, poly)
+        cols[0].append(backend.poly(P))
+        cols[1].append(backend.transform(app, first, poly, False))
+        cols[2].append(backend.transform(app, second,
+                                         lambda t, f=inner: f(-t), True))
+    es = [fam.eta_star(j) for j in range(top + 1)]
+    if side == "q":
+        hatted = tuple(tuple(-c[j] / es[j] + c[j + 1] / es[j + 1]
+                             for j in range(top)) for c in cols)
+    else:
+        shifts = (backend.poly(()), backend.poly((1,)),
+                  backend.transform(app, "beta", lambda t: 1, True))
+        hatted = tuple(tuple(-acc - k for acc in
+                             accumulate(e * v for e, v in zip(es, c)))
+                       for c, k in zip(cols, shifts))
+    return tuple(map(tuple, cols)), hatted
 
 
 def aux_vectors(app: Apparatus, n: int, w, z) -> AuxVectors:
     if not 0 <= n <= app.N - 1:
         raise OrderUnderflowError(f"aux window needs 0 <= n <= {app.N - 1}")
-    q_all, qhat = _q_aux(app, n + 1, w)
-    p_all, phat = _p_aux(app, n + 1, z)
+    q_all, qhat = aux_columns(app, "q", n + 1, PointBackend(w))
+    p_all, phat = aux_columns(app, "p", n + 1, PointBackend(z))
     return AuxVectors(n, w, z, q_all, p_all, phat, qhat)
 
 
@@ -402,7 +428,7 @@ def verify_phat1_both_ways(app: Apparatus, n: int, z):
     forward substitution applied to p1 + <p|1>/beta_0 (the constant vector
     collapses to -1 in every component).  Returns the maximum componentwise
     difference, exact 0 on exact data."""
-    p_all, phat = _p_aux(app, n + 1, z)
+    p_all, phat = aux_columns(app, "p", n + 1, PointBackend(z))
     beta0 = app.beta_moment(0)
     fam = app.family
     v = [p_all[1][k] + pair(app.I, fam.p_monic[k], (1,)) / beta0
@@ -461,12 +487,6 @@ def f_hat_matrix(app: Apparatus, w, z, correction: str = "derived"):
     scale = (w + z) / app.beta_moment(0)
     return tuple(tuple(F[i][j] - scale * C[i][j] for j in range(3))
                  for i in range(3))
-
-
-def _window_product(app: Apparatus, n: int, s, q_values, phat_values):
-    block = commutator_block(app, n).at(s)
-    return sum(q_values[n - 1 + i] * block[i][j] * phat_values[n - 2 + j]
-               for i in range(3) for j in range(3))
 
 
 def ecd_residual(app: Apparatus, a: int, b: int, n: int, w, z,

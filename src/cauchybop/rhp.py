@@ -13,6 +13,8 @@ Two matrices are assembled from windows of the auxiliary vectors:
 * Gammahat(z), built from the p-chain windows (p_n, phat_{n-1}, p_{n-1}),
   with diag(z^n, 1, z^-n) asymptotics.
 
+Each matrix has one row combiner, fed by ``nikishin.aux_columns`` with
+point values, series at infinity or :class:`DensityBackend` values.
 Every entry is a square-root-free combination of monic data, so at
 rational points of discrete-rational input the matrices are exactly
 rational and det = 1 is asserted as literal equality.
@@ -28,7 +30,8 @@ and Gamma(w0 - i eps) by a singularity-aware Cauchy transform: the
 integrand is split at x0 = Re w into a subtracted part (smooth, handled by
 the quadrature rule) plus the exactly integrated log term
 F(x0) (log(w-a) - log(w-b)), whose complex branch carries the principal
-value and the +-i pi density term on the two sides of the cut.  The
+value and the +-i pi density term on the two sides of the cut; the
+reflected cut uses -T(g, -w), so one log branch serves both cuts.  The
 residual Gamma_+ - Gamma_- J(w0) is then O(eps) up to quadrature error,
 and is expected to fall linearly as eps shrinks.
 """
@@ -44,10 +47,9 @@ from .bimoment import det
 from .bundle import Apparatus
 from .errors import OrderUnderflowError
 from .measure import DensityMeasure
-from .nikishin import MarkovFunction, _p_aux, _q_aux, markov
+from .nikishin import PointBackend, SeriesBackend, aux_columns, markov
 from .polys import peval
 from .scalars import is_exact
-from .series import PowerTail
 
 
 @dataclass(frozen=True)
@@ -62,22 +64,19 @@ class RHMatrix:
 # -- assembly from exact window values ------------------------------------------
 
 
-def _combine_gamma_rows(app: Apparatus, n: int, q):
-    """Rows of Gamma from q[a][j] values at j = n-2, n-1, n.
+def _combine_gamma_rows(app: Apparatus, n: int, q, qhat):
+    """Rows of Gamma from the q-side columns at j = n-2, n-1 (scalars or
+    series alike).
 
     row 1 = eta~_n qhat_{a,n-1}; row 2 = q_{a,n-1}/eta*_{n-1};
     row 3 = (-1)^n eta*_{n-2} qhat_{a,n-2}.
     """
     fam = app.family
-    sigma = (-1) ** n
-
-    def qhat(a, j):
-        return -q[a][j] / fam.eta_star(j) + q[a][j + 1] / fam.eta_star(j + 1)
-
     return (
-        tuple(fam.eta_monic[n] * qhat(a, n - 1) for a in range(3)),
+        tuple(fam.eta_monic[n] * qhat[a][n - 1] for a in range(3)),
         tuple(q[a][n - 1] / fam.eta_star(n - 1) for a in range(3)),
-        tuple(sigma * fam.eta_star(n - 2) * qhat(a, n - 2) for a in range(3)),
+        tuple((-1) ** n * fam.eta_star(n - 2) * qhat[a][n - 2]
+              for a in range(3)),
     )
 
 
@@ -136,8 +135,8 @@ def _assert_rows_agree(r1, r2, exact: bool, what: str):
 def assemble_gamma(app: Apparatus, n: int, w) -> RHMatrix:
     """Gamma(w) for discrete measures; w off supp(db) and supp(da*)."""
     app.require_window(n)
-    q, _ = _q_aux(app, n, w)
-    rows = _combine_gamma_rows(app, n, q)
+    q, qhat = aux_columns(app, "q", n, PointBackend(w))
+    rows = _combine_gamma_rows(app, n, q, qhat)
     _assert_rows_agree(rows, _prefactor_gamma_rows(app, n, q), app.exact,
                        "gamma")
     d = det([list(r) for r in rows], app.exact and is_exact(w))
@@ -148,7 +147,7 @@ def assemble_gamma_hat(app: Apparatus, n: int, z) -> RHMatrix:
     """Gammahat(z) for discrete measures; z off supp(da) and supp(db*)."""
     if not 1 <= n <= app.N - 1:
         raise OrderUnderflowError(f"need 1 <= n <= {app.N - 1}, got {n}")
-    p, phat = _p_aux(app, n, z)
+    p, phat = aux_columns(app, "p", n, PointBackend(z))
     rows = _combine_gamma_hat_rows(app, n, p, phat)
     wbs = markov(app.alpha, app.beta, "W_beta_star")(z)
     _assert_rows_agree(rows, _prefactor_gamma_hat_rows(app, n, phat, wbs),
@@ -160,89 +159,18 @@ def assemble_gamma_hat(app: Apparatus, n: int, z) -> RHMatrix:
 # -- exact expansions at infinity -------------------------------------------------
 
 
-def _q_series(app: Apparatus, j: int, depth: int):
-    """PowerTails of q*_j, its first transform, its second transform."""
-    fam = app.family
-    qs = fam.q_star(j)
-    w_beta = markov(app.alpha, app.beta, "W_beta")
-    m1 = w_beta.weighted(lambda t: peval(qs, t))
-    xs, ws_a = app.alpha.signed_positions(), app.alpha.weights()
-    ys, ws_b = app.beta.signed_positions(), app.beta.weights()
-    masses = tuple(-wa * sum(wb * peval(qs, y) / (x + y)
-                             for y, wb in zip(ys, ws_b))
-                   for x, wa in zip(xs, ws_a))
-    m2 = MarkovFunction("q2", tuple(-x for x in xs), masses)
-    return (PowerTail.from_poly(qs), m1.series(depth), m2.series(depth))
-
-
-def _p_series(app: Apparatus, j_top: int, depth: int):
-    """PowerTails of p_j, phat_j and their transforms for j <= j_top."""
-    fam = app.family
-    xs, ws_a = app.alpha.signed_positions(), app.alpha.weights()
-    ys, ws_b = app.beta.signed_positions(), app.beta.weights()
-    p0 = [PowerTail.from_poly(fam.p_monic[j]) for j in range(j_top + 1)]
-    p1 = []
-    p2 = []
-    for j in range(j_top + 1):
-        pm = fam.p_monic[j]
-        m1 = MarkovFunction("p1", xs,
-                            tuple(wa * peval(pm, x) for x, wa in zip(xs, ws_a)))
-        masses = tuple(-wb * sum(wa * peval(pm, x) / (x + y)
-                                 for x, wa in zip(xs, ws_a))
-                       for y, wb in zip(ys, ws_b))
-        m2 = MarkovFunction("p2", tuple(-y for y in ys), masses)
-        p1.append(m1.series(depth))
-        p2.append(m2.series(depth))
-    phat0 = [PowerTail.from_poly(app.hatted.p_hat[j]) for j in range(j_top + 1)]
-    wbs_series = markov(app.alpha, app.beta, "W_beta_star").series(depth)
-    one = PowerTail.from_poly((1,))
-    phat1 = []
-    phat2 = []
-    acc1 = PowerTail.zero()
-    acc2 = PowerTail.zero()
-    for j in range(j_top + 1):
-        acc1 = acc1 + p1[j].scale(fam.eta_star(j))
-        acc2 = acc2 + p2[j].scale(fam.eta_star(j))
-        phat1.append((-acc1) - one)
-        phat2.append((-acc2) - wbs_series)
-    return (p0, p1, p2), (phat0, phat1, phat2)
-
-
 def gamma_series(app: Apparatus, n: int, depth: int | None = None):
     """3x3 grid of PowerTails for Gamma's expansion at infinity."""
     app.require_window(n)
-    depth = depth or 2 * n + 4
-    cols = [_q_series(app, j, depth) for j in (n - 2, n - 1, n)]
-    q = [[cols[j][a] for j in range(3)] for a in range(3)]
-    fam = app.family
-
-    def qs(a, j):
-        return q[a][j - (n - 2)]
-
-    def qhat(a, j):
-        return (qs(a, j).scale(-1 / fam.eta_star(j))
-                + qs(a, j + 1).scale(1 / fam.eta_star(j + 1)))
-
-    sigma = (-1) ** n
-    return (
-        tuple(qhat(a, n - 1).scale(fam.eta_monic[n]) for a in range(3)),
-        tuple(qs(a, n - 1).scale(1 / fam.eta_star(n - 1)) for a in range(3)),
-        tuple(qhat(a, n - 2).scale(sigma * fam.eta_star(n - 2))
-              for a in range(3)),
-    )
+    return _combine_gamma_rows(
+        app, n, *aux_columns(app, "q", n, SeriesBackend(depth or 2 * n + 4)))
 
 
 def gamma_hat_series(app: Apparatus, n: int, depth: int | None = None):
     if not 1 <= n <= app.N - 1:
         raise OrderUnderflowError(f"need 1 <= n <= {app.N - 1}, got {n}")
-    depth = depth or 2 * n + 4
-    p, phat = _p_series(app, n, depth)
-    fam = app.family
-    return (
-        tuple(p[b][n] for b in range(3)),
-        tuple(phat[b][n - 1].scale(-1) for b in range(3)),
-        tuple(p[b][n - 1].scale((-1) ** n / fam.h[n - 1]) for b in range(3)),
-    )
+    return _combine_gamma_hat_rows(
+        app, n, *aux_columns(app, "p", n, SeriesBackend(depth or 2 * n + 4)))
 
 
 @dataclass(frozen=True)
@@ -353,86 +281,28 @@ def cauchy_transform_density(dm: DensityMeasure, g, w,
     return complex(np.sum(wts * fvals / (w - ys)))
 
 
-def cauchy_transform_reflected(dm: DensityMeasure, g, w,
-                               near_width: float = 0.05):
-    """The same transform against the reflected measure dm*: poles on
-    [-b, -a].  Reduction: T*(w) = -T[t -> g(-t)](-w); the complex log in
-    the unreflected evaluator keeps the boundary sides straight."""
-    return -cauchy_transform_density(dm, lambda t: g(-t), -w, near_width)
+class DensityBackend(PointBackend):
+    """Values at a (possibly complex) point near either cut of
+    density-backed measures, by the split Cauchy transform; the reflected
+    transform is -T(g, -s)."""
 
-
-def _gamma_columns_density(app: Apparatus, n: int, w):
-    """q-window values q[a][j], j = n-2..n, for density-backed measures at
-    a (possibly complex) point near either cut."""
-    if app.alpha_density is None or app.beta_density is None:
-        raise ValueError("jump check requires density measure")
-    fam = app.family
-    xs, ws_a = app.alpha.signed_positions(), app.alpha.weights()
-
-    q = {}
-    for j in range(n - 2, n + 1):
-        qs = [float(c) for c in fam.q_star(j)]
-        q[(0, j)] = peval(qs, w)
-        q[(1, j)] = cauchy_transform_density(app.beta_density,
-                                             lambda y, qs=qs: peval(qs, y), w)
-
-        def q1_at(x, qs=qs):
-            # first transform at a real point far from supp(db)
-            return sum(wb * peval(qs, y) / (x - y)
-                       for y, wb in zip(app.beta.signed_positions(),
-                                        app.beta.weights()))
-
-        q[(2, j)] = cauchy_transform_reflected(app.alpha_density, q1_at, w)
-    return [[q[(a, j)] for j in range(n - 2, n + 1)] for a in range(3)]
-
-
-def _gamma_hat_columns_density(app: Apparatus, n: int, z):
-    if app.alpha_density is None or app.beta_density is None:
-        raise ValueError("jump check requires density measure")
-    fam = app.family
-    p0 = {}
-    p1 = {}
-    p2 = {}
-    for j in range(n + 1):
-        pm = [float(c) for c in fam.p_monic[j]]
-        p0[j] = peval(pm, z)
-        p1[j] = cauchy_transform_density(app.alpha_density,
-                                         lambda x, pm=pm: peval(pm, x), z)
-
-        def p1_at(y, pm=pm):
-            return sum(wa * peval(pm, x) / (y - x)
-                       for x, wa in zip(app.alpha.signed_positions(),
-                                        app.alpha.weights()))
-
-        p2[j] = cauchy_transform_reflected(app.beta_density, p1_at, z)
-    wbs = cauchy_transform_reflected(app.beta_density, lambda t: 1.0, z)
-    phat = {0: {}, 1: {}, 2: {}}
-    acc1 = 0
-    acc2 = 0
-    acc0 = 0
-    for j in range(n + 1):
-        es = float(fam.eta_star(j))
-        acc0 += es * p0[j]
-        acc1 += es * p1[j]
-        acc2 += es * p2[j]
-        phat[0][j] = -acc0
-        phat[1][j] = -acc1 - 1
-        phat[2][j] = -acc2 - wbs
-    p = [[p0[j] for j in range(n + 1)], [p1[j] for j in range(n + 1)],
-         [p2[j] for j in range(n + 1)]]
-    ph = [[phat[b][j] for j in range(n + 1)] for b in range(3)]
-    return p, ph
+    def transform(self, app: Apparatus, which: str, g, reflected: bool):
+        dm = app.alpha_density if which == "alpha" else app.beta_density
+        if reflected:
+            return -cauchy_transform_density(dm, g, -self.s)
+        return cauchy_transform_density(dm, g, self.s)
 
 
 def boundary_matrix(app: Apparatus, n: int, point, which: str = "gamma"):
     """Gamma or Gammahat at a complex point for density-backed input, with
     singularity-aware column evaluation."""
+    if app.alpha_density is None or app.beta_density is None:
+        raise ValueError("jump check requires density measure")
     if which == "gamma":
-        q = _gamma_columns_density(app, n, point)
-        qq = [{n - 2: q[a][0], n - 1: q[a][1], n: q[a][2]} for a in range(3)]
-        return _combine_gamma_rows(app, n, qq)
-    p, ph = _gamma_hat_columns_density(app, n, point)
-    return _combine_gamma_hat_rows(app, n, p, ph)
+        return _combine_gamma_rows(
+            app, n, *aux_columns(app, "q", n, DensityBackend(point)))
+    return _combine_gamma_hat_rows(
+        app, n, *aux_columns(app, "p", n, DensityBackend(point)))
 
 
 def jump_matrix(app: Apparatus, w0: float, which: str = "gamma"):

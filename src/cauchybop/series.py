@@ -123,6 +123,13 @@ class PowerTail:
             return PowerTail.zero(self.valid_lo)
         return PowerTail(tuple((p, c * s) for p, c in self.coeffs), self.valid_lo)
 
+    # scalar * tail and tail / scalar, so that row combiners written for
+    # point values also combine series
+    __rmul__ = scale
+
+    def __truediv__(self, s) -> "PowerTail":
+        return self.scale(1 / s)
+
     def __mul__(self, other: "PowerTail") -> "PowerTail":
         out: dict = {}
         for p, c in self.coeffs:

@@ -236,3 +236,39 @@ def test_theory_violation_exit_code(monkeypatch, spec_file, capsys):
 def test_usage_error_on_bad_flags(capsys):
     assert main(["bimoments"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_verify_elapsed_times_the_check(monkeypatch, spec_file, capsys):
+    # each suite hands the runner the computation, so a slow oracle shows
+    # up in the elapsed time of its own check
+    import time
+
+    import cauchybop.cli as cli_mod
+    oracle = cli_mod.oracle_dn
+
+    def slow_oracle(*args, **kwargs):
+        time.sleep(0.05)
+        return oracle(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "oracle_dn", slow_oracle)
+    code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "3",
+                                 "--suite", "tp"])
+    assert code == 0
+    timed = [c for c in payload["checks"] if "tuple-sum oracle" in c["name"]]
+    assert timed and all(c["elapsed"] >= 0.05 for c in timed)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-N", "1"], ["verify", "-N", "0"], ["verify", "-N", "-1"],
+    ["bimoments", "-N", "0"], ["bop", "-n", "-1"],
+    ["recurrence", "-N", "-1"], ["bimoments", "-N", "3", "--kmax", "0"],
+    ["verify", "-N", "3", "--kmax", "0"],
+], ids=" ".join)
+def test_bad_order_arguments_exit_2(argv, spec_file, capsys):
+    code = main([argv[0], spec_file(SIX_ATOM)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1

@@ -8,7 +8,8 @@ from cauchybop import (DensityMeasure, OrderUnderflowError, assemble_gamma,
                        assemble_gamma_hat, asymptotic_check, build_apparatus,
                        constant_jump_postfactor, extract_constants,
                        jump_residual, jump_slope_study, two_sided_difference)
-from cauchybop.rhp import gamma_hat_series, gamma_series, jump_matrix
+from cauchybop.rhp import (boundary_matrix, gamma_hat_series, gamma_series,
+                          jump_matrix)
 
 from .conftest import rational_points_off
 
@@ -104,6 +105,19 @@ def test_window_underflow(app6):
 def test_det_gamma_float_density(appd):
     g = assemble_gamma(appd, 2, 10.0)
     assert abs(g.determinant - 1) < 1e-9
+
+
+@pytest.mark.parametrize("which, assemble", [("gamma", assemble_gamma),
+                                              ("gamma_hat", assemble_gamma_hat)])
+def test_density_backend_matches_point_backend_off_the_cuts(appd, which,
+                                                            assemble):
+    # off both cuts the split transform is the plain quadrature sum, which
+    # the point backend takes over the discretized atoms
+    dens = boundary_matrix(appd, 2, 10.0, which)
+    point = assemble(appd, 2, 10.0).entries
+    for i in range(3):
+        for j in range(3):
+            assert abs(dens[i][j] - point[i][j]) <= 1e-9 * abs(point[i][j])
 
 
 def test_jump_matrix_selection(appd):
