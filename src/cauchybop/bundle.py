@@ -42,9 +42,6 @@ class Apparatus:
     def exact(self) -> bool:
         return self.family.exact
 
-    def alpha_moment(self, j: int):
-        return moment(self.alpha, j)
-
     def beta_moment(self, j: int):
         return moment(self.beta, j)
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from .bundle import Apparatus
 from .errors import TheoryViolationError
 from .polys import peval
+from .scalars import residual
 
 
 @dataclass(frozen=True)
@@ -122,9 +123,7 @@ def cd_residual_plain(app: Apparatus, n: int, x, y, relative: bool = False):
     kernel_sum = sum(q_values[j] * peval(fam.p_monic[j], x) for j in range(n))
     lhs = (x + y) * kernel_sum
     rhs = _window_product(app, n, -y, q_values, phat_values)
-    if relative:
-        return abs(lhs - rhs) / max(1, abs(lhs), abs(rhs))
-    return lhs - rhs
+    return residual(lhs, rhs, relative)
 
 
 def cd_residual_hat(app: Apparatus, n: int, x, y, relative: bool = False):
@@ -138,6 +137,4 @@ def cd_residual_hat(app: Apparatus, n: int, x, y, relative: bool = False):
                      for j in range(n))
     lhs = (x + y) * kernel_sum
     rhs = _window_product(app, n, x, q_values, phat_values)
-    if relative:
-        return abs(lhs - rhs) / max(1, abs(lhs), abs(rhs))
-    return lhs - rhs
+    return residual(lhs, rhs, relative)

@@ -18,7 +18,10 @@ class CauchybopError(Exception):
 
 
 class PrecisionExhaustedError(CauchybopError):
-    """Exact arithmetic exceeded the configured bit bound."""
+    """The arithmetic ran out of precision: exact values exceeded the
+    configured bit bound, or float data lost too many digits to give a
+    result that holds for valid input (e.g. non-real eigenvalues of an
+    oscillatory truncation)."""
 
 
 class KernelSingularityError(CauchybopError):

@@ -93,10 +93,6 @@ class DiscreteMeasure:
     def total_mass(self):
         return sum(self.weights())
 
-    def integrate(self, f: Callable):
-        """Integrate a callable against the measure (orientation applied)."""
-        return sum(a.weight * f(self.orientation * a.position) for a in self.atoms)
-
 
 @dataclass(frozen=True)
 class DensityMeasure:

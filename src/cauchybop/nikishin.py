@@ -90,7 +90,7 @@ from .cdkernel import _window_product
 from .errors import OrderUnderflowError, PoleEvaluationError
 from .measure import DiscreteMeasure
 from .polys import peval, preflect
-from .scalars import is_exact
+from .scalars import is_exact, residual
 from .series import PowerTail
 
 MARKOV_TAGS = ("W_beta", "W_alpha_star", "W_beta_alpha_star", "W_alpha_star_beta",
@@ -497,9 +497,7 @@ def ecd_residual(app: Apparatus, a: int, b: int, n: int, w, z,
     lhs = (w + z) * sum(aux.q[a][j] * aux.p[b][j] for j in range(n))
     rhs = _window_product(app, n, -w, aux.q[a], aux.phat[b]) \
         - f_matrix(app, w, z)[a][b]
-    if relative:
-        return abs(lhs - rhs) / max(1, abs(lhs), abs(rhs))
-    return lhs - rhs
+    return residual(lhs, rhs, relative)
 
 
 def ecd_hat_residual(app: Apparatus, a: int, b: int, n: int, w, z,
@@ -511,9 +509,7 @@ def ecd_hat_residual(app: Apparatus, a: int, b: int, n: int, w, z,
     lhs = (w + z) * sum(aux.qhat[a][j] * aux.phat[b][j] for j in range(n))
     rhs = _window_product(app, n, z, aux.q[a], aux.phat[b]) \
         - f_hat_matrix(app, w, z, correction)[a][b]
-    if relative:
-        return abs(lhs - rhs) / max(1, abs(lhs), abs(rhs))
-    return lhs - rhs
+    return residual(lhs, rhs, relative)
 
 
 def transcription_diagnostic(app: Apparatus, n: int, w, z):

@@ -8,30 +8,12 @@ complex values.  Nothing here knows about measures or pairings.
 from __future__ import annotations
 
 
-def trim(coeffs):
-    """Drop trailing zero coefficients (never below the constant term)."""
-    coeffs = list(coeffs)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def degree(coeffs) -> int:
-    return len(trim(coeffs)) - 1
-
-
 def peval(coeffs, x):
     """Horner evaluation."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def padd(a, b):
-    n = max(len(a), len(b))
-    return tuple((a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0)
-                 for k in range(n))
 
 
 def psub(a, b):
@@ -44,25 +26,6 @@ def pscale(a, s):
     return tuple(c * s for c in a)
 
 
-def pmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return tuple(out)
-
-
-def pshift(a, k: int):
-    """Multiply by x**k."""
-    return tuple([0] * k) + tuple(a)
-
-
 def preflect(a):
     """p(x) -> p(-x)."""
     return tuple(c if k % 2 == 0 else -c for k, c in enumerate(a))
-
-
-def to_floats(a):
-    return tuple(float(c) for c in a)

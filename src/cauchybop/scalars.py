@@ -67,6 +67,14 @@ def format_scalar(x) -> str:
     return repr(float(x))
 
 
+def residual(lhs, rhs, relative: bool = False):
+    """lhs - rhs, or with relative=True |lhs - rhs| / max(1, |lhs|, |rhs|):
+    the scaling every float identity check shares."""
+    if relative:
+        return abs(lhs - rhs) / max(1, abs(lhs), abs(rhs))
+    return lhs - rhs
+
+
 def scalar_sqrt(x) -> float:
     """Positive square root as a float (normalized quantities live in the
     float layer only)."""

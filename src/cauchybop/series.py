@@ -63,9 +63,6 @@ class PowerTail:
                 return c
         return 0
 
-    def known(self, power: int) -> bool:
-        return self.valid_lo is None or power >= self.valid_lo
-
     def leading(self):
         """(power, coefficient) of the top nonzero known term, or None."""
         return self.coeffs[0] if self.coeffs else None

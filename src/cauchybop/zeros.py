@@ -27,7 +27,7 @@ import numpy as np
 
 from .bimoment import det
 from .bundle import Apparatus
-from .errors import OrderUnderflowError
+from .errors import OrderUnderflowError, PrecisionExhaustedError
 from .polys import peval
 
 #: Zeros closer than this fraction of the span are flagged as numerically
@@ -54,12 +54,14 @@ def _eigs_real_sorted(block) -> np.ndarray:
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:   # pragma: no cover - defensive
-        raise RuntimeError(
-            f"eigenvalue iteration failed on {m.shape} truncation: {exc}") from exc
+        raise PrecisionExhaustedError(
+            f"eigenvalue iteration failed on the {len(m)}x{len(m)} "
+            "truncation") from exc
     if m.size and np.max(np.abs(vals.imag)) > 1e-8 * max(1.0, np.max(np.abs(vals))):
-        raise RuntimeError(
-            f"non-real eigenvalues {vals} from an operator that is "
-            "oscillatory for valid input; input data is suspect")
+        raise PrecisionExhaustedError(
+            f"non-real eigenvalues of the {len(m)}x{len(m)} truncation in "
+            "float arithmetic (it is oscillatory for valid input): too few "
+            "digits survive at this degree")
     return np.sort(vals.real)
 
 
@@ -150,8 +152,8 @@ def charpoly_identity_residual(app: Apparatus, which: str, n: int, point):
         rows = [[(point if i == j else 0) - op[i, j] for j in range(n)]
                 for i in range(n)]
         return peval(coeffs, point) - det(rows, True)
-    m = point * np.eye(n) - np.array([row[:n] for row in op.entries[:n]],
-                                     dtype=float)
+    m = float(point) * np.eye(n) - np.array(
+        [row[:n] for row in op.entries[:n]], dtype=float)
     return float(peval([float(c) for c in coeffs], float(point))
                  - np.linalg.det(m))
 

@@ -272,3 +272,33 @@ def test_bad_order_arguments_exit_2(argv, spec_file, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
+
+
+# ROADMAP sample spec D: exp(-x) on [0.5, 2] against
+# exp(-(0.5 y + 0.1 y^2)) on [0.25, 3], default 64-node quadrature
+D_SPEC = {
+    "alpha": {"type": "density", "support": [0.5, 2.0],
+              "potential": {"coeffs": [0.0, 1.0]}},
+    "beta": {"type": "density", "support": [0.25, 3.0],
+             "potential": {"coeffs": [0.0, 0.5, 0.1]}},
+}
+
+
+def test_zeros_float_matches_exact(spec_file, capsys):
+    path = spec_file(SIX_ATOM)
+    code, exact = run(capsys, ["zeros", path, "-n", "3"])
+    assert code == 0
+    code, flt = run(capsys, ["zeros", path, "-n", "3", "--mode", "float"])
+    assert code == 0
+    assert len(flt["p"]["zeros"]) == 3
+    for a, b in zip(exact["p"]["zeros"], flt["p"]["zeros"]):
+        assert abs(a - b) <= 1e-9
+
+
+def test_zeros_float_non_real_eigenvalues_exit_2(spec_file, capsys):
+    code = main(["zeros", spec_file(D_SPEC), "-n", "12", "--mode", "float"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
@@ -8,7 +9,7 @@ from cauchybop import (OrderUnderflowError, build_apparatus,
                        tn_oscillatory_certificate)
 from cauchybop.polys import peval
 
-from .conftest import rational_points_off
+from .conftest import random_rational_measure, rational_points_off
 
 
 def test_X_entries_worked_example(two_atom_pair):
@@ -35,6 +36,43 @@ def test_hessenberg_shape_and_positive_supradiagonal(app6):
 def test_rank_one_XY_exact(app6):
     res = rank_one_XY_residual(app6.X, app6.Y, app6.family)
     assert all(v == 0 for row in res for v in row)
+
+
+def _assert_XY_match_pairings(app):
+    # the triangular products against the pairing definitions
+    fam = app.family
+    size = app.N + 1
+    for i in range(size):
+        xp = (0,) + fam.p_monic[i]
+        yq = (0,) + fam.q_star(i)
+        for j in range(size):
+            assert app.X[i, j] == pair(app.I, xp, fam.q_star(j))
+            assert app.Y[i, j] == pair(app.I, fam.p_monic[j], yq)
+
+
+def test_XY_match_pairings(app6):
+    _assert_XY_match_pairings(app6)
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_XY_match_pairings_random_measures(seed):
+    rng = Random(seed)
+    alpha = random_rational_measure(rng, 6)
+    beta = random_rational_measure(rng, 6)
+    _assert_XY_match_pairings(build_apparatus(alpha, beta, N=4))
+
+
+def test_L_and_Lhat_annihilate_X_plus_Y_transpose(app6):
+    # L (X + Y^T) = 0 and (X + Y^T) Lhat = 0 pin the sign convention of L, Lhat
+    size = app6.N + 1
+    S = [[app6.X[i, j] + app6.Y[j, i] for j in range(size)]
+         for i in range(size)]
+    for i in range(app6.L.valid_rows):
+        for j in range(size):
+            assert sum(app6.L[i, k] * S[k][j] for k in range(size)) == 0
+    for i in range(size):
+        for j in range(size - 1):
+            assert sum(S[i][k] * app6.Lhat[k, j] for k in range(size)) == 0
 
 
 def test_normalized_float_view_supradiagonal_positive(app6):
