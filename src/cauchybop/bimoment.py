@@ -162,43 +162,38 @@ class BimomentMatrix:
 
 def compute_bimoments(alpha: DiscreteMeasure, beta: DiscreteMeasure,
                       kernel: Kernel = CAUCHY, N: int = 4) -> BimomentMatrix:
-    """Bimoment matrix of order N as a double sum over atom pairs."""
+    """Bimoment matrix of order N as the factored sum I = V_a^T (K V_b).
+
+    For each alpha atom x_a, in atom order, the weighted kernel row
+    K(x_a, y_b) w_a w_b is contracted with the beta powers,
+    inner_a[j] = sum_b K(x_a, y_b) w_a w_b y_b**j; then
+    I[i][j] = sum_a x_a**i inner_a[j].  Every sum runs in atom order, so
+    exact input gives the same rationals as the plain double sum over atom
+    pairs and float input has one fixed rounding order.  The work is
+    O(N |alpha| |beta| + N**2 |alpha|) in both lanes.
+    """
     xs = alpha.signed_positions()
-    ws_a = alpha.weights()
     ys = beta.signed_positions()
     ws_b = beta.weights()
     exact = (alpha.is_exact and beta.is_exact and kernel.tag == "Cauchy")
-
-    if not exact and kernel.tag == "Cauchy" and len(xs) * len(ys) > 4096:
-        x = np.array([float(v) for v in xs])
-        y = np.array([float(v) for v in ys])
-        kw = np.outer(np.array([float(w) for w in ws_a]),
-                      np.array([float(w) for w in ws_b]))
-        denom = x[:, None] + y[None, :]
-        if np.any(denom == 0):
-            raise KernelSingularityError("kernel singularity: x + y = 0")
-        kw = kw / denom
-        xp = np.vander(x, N, increasing=True)
-        yp = np.vander(y, N, increasing=True)
-        grid = np.einsum("ai,ab,bj->ij", xp, kw, yp)
-        entries = tuple(tuple(float(v) for v in row) for row in grid)
-        return BimomentMatrix(N, entries, kernel.tag, False)
-
-    kw = [[kernel.evaluate(x, y) * wa * wb for y, wb in zip(ys, ws_b)]
-          for x, wa in zip(xs, ws_a)]
-    xpow = [[x ** i for i in range(N)] for x in xs]
     ypow = [[y ** j for j in range(N)] for y in ys]
+    inner = []
+    for x, wa in zip(xs, alpha.weights()):
+        row = [0] * N
+        for y, wb, yp in zip(ys, ws_b, ypow):
+            kw = kernel.evaluate(x, y) * wa * wb
+            for j in range(N):
+                row[j] += kw * yp[j]
+        inner.append(([x ** i for i in range(N)], row))
     entries = []
     for i in range(N):
-        row = []
-        for j in range(N):
-            s = 0
-            for a in range(len(xs)):
-                for b in range(len(ys)):
-                    s += xpow[a][i] * ypow[b][j] * kw[a][b]
-            guard_precision(s)
-            row.append(s)
-        entries.append(tuple(row))
+        acc = [0] * N
+        for xp, row in inner:
+            for j in range(N):
+                acc[j] += xp[i] * row[j]
+        for v in acc:
+            guard_precision(v)
+        entries.append(tuple(acc))
     return BimomentMatrix(N, tuple(entries), kernel.tag, exact)
 
 

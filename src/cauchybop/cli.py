@@ -46,7 +46,7 @@ from .bundle import (Apparatus, build_apparatus,
                      reliable_degree_cap)
 from .cdkernel import (cd_residual_hat, cd_residual_plain,
                        verify_block_against_dense)
-from .errors import (CauchybopError, DegenerateMatrixError,
+from .errors import (CauchybopError, PrecisionExhaustedError,
                      TheoryViolationError)
 from .measure import (Atom, DensityMeasure, DiscreteMeasure, discretize,
                       measure_from_strings)
@@ -487,6 +487,11 @@ def cmd_zeros(args) -> int:
     alpha, beta = load_spec(args.spec, args.mode == "float")
     n = args.degree
     app = build_apparatus(alpha, beta, max(n, 1))
+    cap = reliable_degree_cap(app)
+    if n > cap + 1:
+        raise PrecisionExhaustedError(
+            f"degree {n} exceeds the float degree cap {cap + 1} set by the "
+            "biorthonormality defect ladder")
     payload = {"degree": n}
     ok = True
     for which in ("p", "q"):
@@ -635,9 +640,6 @@ def main(argv=None) -> int:
     except TheoryViolationError as exc:
         print(f"theory violation: {exc}", file=sys.stderr)
         return EXIT_THEORY
-    except DegenerateMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except CauchybopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -70,10 +70,6 @@ class BandOperator:
     valid_rows: int
     valid_cols: int
 
-    @property
-    def shape(self):
-        return (len(self.entries), len(self.entries[0]) if self.entries else 0)
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]

@@ -148,14 +148,11 @@ def charpoly_identity_residual(app: Apparatus, which: str, n: int, point):
     op = app.X if which == "p" else app.Y
     coeffs = (app.family.p_monic if which == "p" else app.family.q_monic)[n]
     exact = app.exact and isinstance(point, (int, Fraction))
-    if exact:
-        rows = [[(point if i == j else 0) - op[i, j] for j in range(n)]
-                for i in range(n)]
-        return peval(coeffs, point) - det(rows, True)
-    m = float(point) * np.eye(n) - np.array(
-        [row[:n] for row in op.entries[:n]], dtype=float)
-    return float(peval([float(c) for c in coeffs], float(point))
-                 - np.linalg.det(m))
+    if not exact:
+        point = float(point)
+    rows = [[(point if i == j else 0) - op[i, j] for j in range(n)]
+            for i in range(n)]
+    return peval(coeffs, point) - det(rows, exact)
 
 
 def certify_sign_changes(app: Apparatus, which: str, n: int) -> bool:

@@ -1,13 +1,16 @@
+import math
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchybop import (CAUCHY, KernelSingularityError, TheoryViolationError,
-                       cauchy_determinant_residual, check_total_positivity,
-                       compute_bimoments, leading_minors, measure_from_strings,
-                       moment, oracle_dn, rank_one_shift_residual, reflect)
+from cauchybop import (CAUCHY, DensityMeasure, KernelSingularityError,
+                       TheoryViolationError, cauchy_determinant_residual,
+                       check_total_positivity, compute_bimoments, discretize,
+                       leading_minors, measure_from_strings, moment, oracle_dn,
+                       rank_one_shift_residual, reflect)
 from cauchybop.bimoment import BimomentMatrix, bareiss_det
 
 from .conftest import random_rational_measure
@@ -122,6 +125,35 @@ def test_rank_one_shift_residual_random(seed):
     I = compute_bimoments(alpha, beta, CAUCHY, 4)
     res = rank_one_shift_residual(I, alpha, beta)
     assert all(v == 0 for row in res for v in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(1, 5),
+       st.integers(1, 5))
+def test_factored_sum_matches_brute_force(seed, atoms_a, atoms_b, N):
+    rng = Random(seed)
+    alpha = random_rational_measure(rng, atoms_a)
+    beta = random_rational_measure(rng, atoms_b)
+    I = compute_bimoments(alpha, beta, CAUCHY, N)
+    assert I.exact
+    assert all(I[i, j] == brute_force_bimoment(alpha, beta, i, j)
+               for i in range(N) for j in range(N))
+
+
+def test_float_bimoments_match_fsum_double_sum():
+    # 72 x 72 nodes: more atom pairs than any desk-scale exact input
+    alpha = discretize(DensityMeasure(support=(0.5, 2.0),
+                                      potential=[0.0, 1.0], order=72))
+    beta = discretize(DensityMeasure(support=(0.25, 3.0),
+                                     potential=[0.0, 0.5, 0.1], order=72))
+    I = compute_bimoments(alpha, beta, CAUCHY, 6)
+    assert not I.exact
+    for i in range(6):
+        for j in range(6):
+            ref = math.fsum(a.position ** i * b.position ** j * a.weight
+                            * b.weight / (a.position + b.position)
+                            for a in alpha.atoms for b in beta.atoms)
+            assert abs(I[i, j] - ref) <= 1e-13 * abs(ref)
 
 
 def test_kernel_singularity_detected():

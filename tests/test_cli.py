@@ -302,3 +302,13 @@ def test_zeros_float_non_real_eigenvalues_exit_2(spec_file, capsys):
     assert "Traceback" not in captured.out + captured.err
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
+
+
+def test_zeros_float_past_degree_cap_exit_2(spec_file, capsys):
+    # D's defect ladder is clean only through degree 3 (6.6e-7 at degree 4)
+    code = main(["zeros", spec_file(D_SPEC), "-n", "4", "--mode", "float"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1

@@ -8,7 +8,9 @@ from cauchybop import (DensityMeasure, OrderUnderflowError, assemble_gamma,
                        assemble_gamma_hat, asymptotic_check, build_apparatus,
                        constant_jump_postfactor, extract_constants,
                        jump_residual, jump_slope_study, two_sided_difference)
-from cauchybop.rhp import (boundary_matrix, gamma_hat_series, gamma_series,
+from cauchybop.nikishin import PointBackend, aux_columns, markov
+from cauchybop.rhp import (_prefactor_gamma_hat_rows, _prefactor_gamma_rows,
+                          boundary_matrix, gamma_hat_series, gamma_series,
                           jump_matrix)
 
 from .conftest import rational_points_off
@@ -42,6 +44,20 @@ def test_both_routes_agree_is_asserted_inside(app6):
     # route agreement check is built into assembly and raises on mismatch
     assemble_gamma(app6, 3, F(23, 2))
     assemble_gamma_hat(app6, 3, F(23, 2))
+
+
+def test_prefactor_route_agrees_with_assembly(app6, six_atom_pair):
+    # the normalization-prefactor route is the oracle for both matrices
+    for w in rational_points_off(six_atom_pair, 5):
+        for n in (2, 3, 4):
+            q, _ = aux_columns(app6, "q", n, PointBackend(w))
+            assert assemble_gamma(app6, n, w).entries == \
+                _prefactor_gamma_rows(app6, n, q)
+        wbs = markov(app6.alpha, app6.beta, "W_beta_star")(w)
+        for n in (1, 2, 3, 4):
+            _, phat = aux_columns(app6, "p", n, PointBackend(w))
+            assert assemble_gamma_hat(app6, n, w).entries == \
+                _prefactor_gamma_hat_rows(app6, n, phat, wbs)
 
 
 def test_gamma_rows_are_rational_combinations(app6):
