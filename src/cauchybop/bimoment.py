@@ -16,8 +16,9 @@ Two independent routes compute the leading principal minors D_n:
 
 * fraction-free (Bareiss) elimination on the matrix itself, and
 * :func:`oracle_dn`, the symmetrized sum over n-tuples of atoms
-  Delta(X) Delta(Y) det[K(x_i, y_j)] -- a brute-force formula that never
-  sees the matrix.
+  w_X w_Y Delta(X)**2 Delta(Y)**2 / prod (x_i + y_j), with the Cauchy
+  determinant in closed form -- a combinatorial formula that never sees
+  the matrix and never eliminates.
 
 Exact inputs make the agreement test literal equality.
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Callable
 
 import numpy as np
@@ -52,10 +53,16 @@ class Kernel:
     evaluate: Callable
 
 
-def _cauchy(x, y):
+def _cauchy_sum(x, y):
+    """x + y, a Fraction for exact input, refused where the Cauchy kernel
+    1/(x + y) is singular."""
     if x + y == 0:
         raise KernelSingularityError(f"kernel singularity: x + y = 0 at ({x}, {y})")
-    return 1 / (Fraction(x + y) if is_exact(x) and is_exact(y) else (x + y))
+    return Fraction(x + y) if is_exact(x) and is_exact(y) else x + y
+
+
+def _cauchy(x, y):
+    return 1 / _cauchy_sum(x, y)
 
 
 CAUCHY = Kernel("Cauchy", _cauchy)
@@ -249,38 +256,44 @@ def check_total_positivity(I: BimomentMatrix, kmax: int | None = None,
 # -- independent oracles and identities ----------------------------------------
 
 
-def oracle_dn(alpha: DiscreteMeasure, beta: DiscreteMeasure, n: int,
-              kernel: Kernel = CAUCHY):
-    """D_n by the symmetrized formula: sum over increasing n-tuples of atoms
-    of Delta(X) Delta(Y) det[K(x_i, y_j)] times the weights.
+def oracle_dn(alpha: DiscreteMeasure, beta: DiscreteMeasure, n: int):
+    """D_n of the Cauchy kernel by the symmetrized tuple sum over
+    increasing n-tuples X of alpha atoms and Y of beta atoms
 
-    Independent of the elimination path in :meth:`BimomentMatrix.leading_minors`.
-    Returns 0 when n exceeds an atom count (a repeated atom kills the
-    Vandermonde).
+        D_n = sum_{X, Y}  w_X w_Y Delta(X)**2 Delta(Y)**2 / prod (x_i + y_j),
+
+    the product running over i in X and j in Y.  This is the sum of
+    w_X w_Y Delta(X) Delta(Y) det[1/(x_i + y_j)] with the Cauchy
+    determinant in closed form.  No determinant is formed, so the value is
+    independent of the elimination path in
+    :meth:`BimomentMatrix.leading_minors`.
+
+    Both lanes sum the terms in tuple order; exact input gives one exact
+    Fraction.  Returns 0 when n exceeds an atom count (a repeated atom
+    kills the Vandermonde); raises KernelSingularityError when some
+    x_a + y_b = 0.
     """
-    if n == 0:
-        return Fraction(1) if alpha.is_exact and beta.is_exact else 1.0
-    if n > len(alpha) or n > len(beta):
-        return Fraction(0) if alpha.is_exact and beta.is_exact else 0.0
     exact = alpha.is_exact and beta.is_exact
-    xs = alpha.signed_positions()
-    ws_a = alpha.weights()
-    ys = beta.signed_positions()
-    ws_b = beta.weights()
+    if n == 0:
+        return Fraction(1) if exact else 1.0
+    if n > len(alpha) or n > len(beta):
+        return Fraction(0) if exact else 0.0
+    xs, ys = alpha.signed_positions(), beta.signed_positions()
+    sums = [[_cauchy_sum(x, y) for y in ys] for x in xs]
+
+    def tuple_factors(pts, ws):
+        # (T, w_T Delta(T)**2) for every increasing n-tuple T of indices
+        return [(T, vandermonde([pts[i] for i in T]) ** 2
+                 * prod(ws[i] for i in T))
+                for T in itertools.combinations(range(len(pts)), n)]
+
+    ys_tuples = tuple_factors(ys, beta.weights())
     total = 0
-    for rows in itertools.combinations(range(len(xs)), n):
-        xr = [xs[i] for i in rows]
-        vx = vandermonde(xr)
-        wx = 1
-        for i in rows:
-            wx *= ws_a[i]
-        for cols in itertools.combinations(range(len(ys)), n):
-            yc = [ys[j] for j in cols]
-            kmat = [[kernel.evaluate(x, y) for x in xr] for y in yc]
-            wy = 1
-            for j in cols:
-                wy *= ws_b[j]
-            total += vx * vandermonde(yc) * det(kmat, exact) * wx * wy
+    for rows, a in tuple_factors(xs, alpha.weights()):
+        # column products prod_{i in X} (x_i + y_b) for every beta atom b
+        col = [prod(sums[i][b] for i in rows) for b in range(len(ys))]
+        for cols, b in ys_tuples:
+            total += a * b / prod(col[j] for j in cols)
     return total
 
 

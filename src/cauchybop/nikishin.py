@@ -117,9 +117,19 @@ class MarkovFunction:
     def moment(self, j: int):
         return sum(m * t ** j for t, m in zip(self.points, self.masses))
 
+    def moments(self, depth: int) -> list:
+        """[moment(0), ..., moment(depth - 1)], one pass per atom with
+        running powers."""
+        out = [0] * depth
+        for t, m in zip(self.points, self.masses):
+            for j in range(depth):
+                out[j] += m
+                m *= t
+        return out
+
     def series(self, depth: int) -> PowerTail:
         """Expansion at infinity through z**(-depth)."""
-        return PowerTail.from_moment_stream([self.moment(j) for j in range(depth)])
+        return PowerTail.from_moment_stream(self.moments(depth))
 
     def weighted(self, fn, tag: str | None = None) -> "MarkovFunction":
         """Transform of the same measure reweighted by fn(t) -- the
@@ -184,7 +194,7 @@ def polynomial_part(Q, W: MarkovFunction):
     """Coefficients of the polynomial part of Q(z) W(z): degree deg(Q) - 1,
     with P_i = sum_{k>i} Q_k mom_{k-1-i}."""
     n = len(Q) - 1
-    moms = [W.moment(j) for j in range(n)]
+    moms = W.moments(n)
     return tuple(sum(Q[k] * moms[k - 1 - i] for k in range(i + 1, n + 1))
                  for i in range(n))
 
@@ -295,17 +305,24 @@ def order_check(sol: PadeSolution, depth: int | None = None,
             ok = float(worst) <= rtol * max(1.0, float(scale))
         checks.append((name, ok, worst))
 
+    # one moment stream per remainder; every expansion of it is a prefix
+    m1, m2, m3 = (R.moments(max(depth, n + 1))
+                  for R in (sol.R1, sol.R2, sol.R3))
+    r1, r2, r3 = (PowerTail.from_moment_stream(m[:depth])
+                  for m in (m1, m2, m3))
+    r3_lead = PowerTail.from_moment_stream(m3[:n + 1])
+
     f1 = sol.F1.series(depth)
-    d1 = sQ * f1 - sP1 - sol.R1.series(depth)
+    d1 = sQ * f1 - sP1 - r1
     judge("Q F1 - P1 = R1 (series)", d1, -depth + n + 1,
           (sQ * f1).max_abs_all())
-    judge("R1 = O(1/z)", sol.R1.series(2), 0, sol.R1.series(2).max_abs_all())
+    judge("R1 = O(1/z)", r1, 0, r1.max_abs_all())
 
     f2 = sol.F2.series(depth)
-    d2 = sQ * f2 - sP2 - sol.R2.series(depth)
+    d2 = sQ * f2 - sP2 - r2
     judge("Q F2 - P2 = R2 (series)", d2, -depth + n + 1,
           (sQ * f2).max_abs_all())
-    judge("R2 = O(1/z)", sol.R2.series(2), 0, sol.R2.series(2).max_abs_all())
+    judge("R2 = O(1/z)", r2, 0, r2.max_abs_all())
 
     g1 = sol.G1.series(depth)
     g2 = sol.G2.series(depth)
@@ -313,11 +330,10 @@ def order_check(sol: PadeSolution, depth: int | None = None,
     judge(f"Q G2 - P1 G1 + P2 = O(1/z^{n + 1})", third, -n,
           (sQ * g2).max_abs_all())
 
-    equiv = sol.R1.series(depth) * g1 - sol.R2.series(depth) - sol.R3.series(depth)
-    judge("R1 G1 - R2 = R3 (series)", equiv, -depth + n + 2,
-          (sol.R1.series(depth) * g1).max_abs_all())
-    judge(f"R3 = O(1/z^{n + 1})", sol.R3.series(n + 1), -n,
-          sol.R3.series(n + 1).max_abs_all())
+    r1g1 = r1 * g1
+    judge("R1 G1 - R2 = R3 (series)", r1g1 - r2 - r3, -depth + n + 2,
+          r1g1.max_abs_all())
+    judge(f"R3 = O(1/z^{n + 1})", r3_lead, -n, r3_lead.max_abs_all())
     return OrderCertificate(n, sol.problem, tuple(checks))
 
 
@@ -581,14 +597,16 @@ def lemma_constructive_residuals(app: Apparatus, n: int, w, z):
     return worst
 
 
-def duality_check(app: Apparatus, a: int, b: int, n: int, z):
+def duality_check(app: Apparatus, a: int, b: int, n: int, z,
+                  aux: AuxVectors | None = None):
     """q_a^T(-z) B_n(z) phat_b(z) minus the antidiagonal pairing matrix.
 
     The value is independent of both z and n; the (2,2) corner exercises
-    the product identity of the two Nikishin chains.
+    the product identity of the two Nikishin chains.  aux, if given, must
+    be ``aux_vectors(app, n, -z, z)``.
     """
     app.require_window(n)
-    aux = aux_vectors(app, n, -z, z)
+    aux = aux or aux_vectors(app, n, -z, z)
     J = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     value = _window_product(app, n, z, aux.q[a], aux.phat[b])
     return value - J[a][b]

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction as F
 from random import Random
@@ -6,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchybop import (CAUCHY, DensityMeasure, KernelSingularityError,
-                       TheoryViolationError, cauchy_determinant_residual,
+from cauchybop import (CAUCHY, Atom, DensityMeasure, DiscreteMeasure,
+                       KernelSingularityError, TheoryViolationError,
+                       cauchy_determinant_residual,
                        check_total_positivity, compute_bimoments, discretize,
                        leading_minors, measure_from_strings, moment, oracle_dn,
                        rank_one_shift_residual, reflect)
-from cauchybop.bimoment import BimomentMatrix, bareiss_det
+from cauchybop.bimoment import BimomentMatrix, bareiss_det, det, vandermonde
 
 from .conftest import random_rational_measure
 
@@ -23,6 +25,29 @@ def brute_force_bimoment(alpha, beta, i, j):
         for b in beta.atoms:
             total += (a.position ** i * b.position ** j * a.weight * b.weight
                       / (a.position + b.position))
+    return total
+
+
+def brute_force_dn(alpha, beta, n):
+    """The tuple-sum oracle with one determinant per pair of n-tuples:
+    sum of Delta(X) Delta(Y) det[K(x_i, y_j)] w_X w_Y."""
+    exact = alpha.is_exact and beta.is_exact
+    if n == 0:
+        return F(1) if exact else 1.0
+    if n > len(alpha) or n > len(beta):
+        return F(0) if exact else 0.0
+    xs, ws_a = alpha.signed_positions(), alpha.weights()
+    ys, ws_b = beta.signed_positions(), beta.weights()
+    total = 0
+    for rows in itertools.combinations(range(len(xs)), n):
+        xr = [xs[i] for i in rows]
+        wx = math.prod(ws_a[i] for i in rows)
+        for cols in itertools.combinations(range(len(ys)), n):
+            yc = [ys[j] for j in cols]
+            kmat = [[CAUCHY.evaluate(x, y) for x in xr] for y in yc]
+            wy = math.prod(ws_b[j] for j in cols)
+            total += (vandermonde(xr) * vandermonde(yc) * det(kmat, exact)
+                      * wx * wy)
     return total
 
 
@@ -83,6 +108,52 @@ def test_oracle_edge_cases(two_atom_pair):
     assert oracle_dn(alpha, beta, 1) == I[0, 0]
     assert oracle_dn(alpha, beta, 2) == F(1, 30)
     assert oracle_dn(alpha, beta, 3) == 0     # more tuples than atoms
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 5), st.booleans())
+def test_oracle_matches_brute_force(seed, atoms_a, atoms_b, n, reflected):
+    rng = Random(seed)
+    alpha = random_rational_measure(rng, atoms_a)
+    beta = random_rational_measure(rng, atoms_b)
+    if reflected:
+        beta = reflect(beta)
+    try:
+        expected = brute_force_dn(alpha, beta, n)
+    except KernelSingularityError:
+        with pytest.raises(KernelSingularityError):
+            oracle_dn(alpha, beta, n)
+        return
+    value = oracle_dn(alpha, beta, n)
+    assert isinstance(value, F) and value == expected
+
+
+def test_oracle_reflected_singularity_detected():
+    alpha = measure_from_strings([("1", "1"), ("2", "1")])
+    beta = reflect(measure_from_strings([("1/2", "1"), ("2", "3")]))
+    for n in (1, 2):
+        with pytest.raises(KernelSingularityError):
+            oracle_dn(alpha, beta, n)
+
+
+def test_float_oracle_matches_exact_on_rationalized_atoms():
+    rng = Random(7)
+
+    def float_measure(atoms):
+        return DiscreteMeasure(tuple(
+            Atom(rng.uniform(0.3, 9.0), rng.uniform(0.1, 2.0))
+            for _ in range(atoms)))
+
+    def rationalized(m):
+        return DiscreteMeasure(tuple(Atom(F(a.position), F(a.weight))
+                                     for a in m.atoms))
+    alpha, beta = float_measure(7), float_measure(6)
+    for n in range(1, 5):
+        value = oracle_dn(alpha, beta, n)
+        ref = oracle_dn(rationalized(alpha), rationalized(beta), n)
+        assert isinstance(value, float)
+        assert abs(F(value) - ref) <= F(1e-12) * abs(ref)
 
 
 def test_tp_certificate_passes_on_generic_pair(six_atom_pair):
@@ -171,6 +242,21 @@ def test_kernel_singularity_detected():
 ])
 def test_cauchy_determinant_identity(xs, ys):
     assert cauchy_determinant_residual(xs, ys) == 0
+
+
+@pytest.mark.parametrize("xs,ys", [
+    ([F(1)], [F(3)]),
+    ([F(1), F(5)], [F(1, 2), F(3)]),
+    ([F(1, 3), F(1), F(7, 2)], [F(1, 2), F(2), F(3)]),
+    ([F(1), F(2), F(3), F(4)], [F(1, 2), F(3, 2), F(5, 2), F(7, 2)]),
+    ([F(-1, 3), F(2), F(5)], [F(1), F(3, 4), F(6)]),
+])
+def test_plain_cauchy_determinant_closed_form(xs, ys):
+    # det[1/(x_i + y_j)] = Delta(X) Delta(Y) / prod (x_i + y_j): the form
+    # oracle_dn sums without taking a determinant
+    rows = [[1 / (x + y) for y in ys] for x in xs]
+    assert bareiss_det(rows) == (vandermonde(xs) * vandermonde(ys)
+                                 / math.prod(x + y for x in xs for y in ys))
 
 
 def test_bareiss_matches_naive_expansion():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchybop import (PoleEvaluationError, aux_vectors, build_apparatus,
-                       duality_check, ecd_hat_residual, ecd_residual,
+from cauchybop import (Atom, DiscreteMeasure, PoleEvaluationError,
+                       aux_vectors, build_apparatus, duality_check,
+                       ecd_hat_residual, ecd_residual,
                        lemma_constructive_residuals, markov,
                        measure_from_strings, moment, order_check, pade_solve,
                        plucker_residual, polynomial_part,
@@ -52,6 +53,14 @@ def test_pointwise_matches_series_partial_sums(six_atom_pair):
         partial = sum(w.moment(j) * z ** (-j - 1) for j in range(depth))
         first_omitted = abs(w.moment(depth) * z ** (-depth - 1))
         assert abs(w(z) - partial) <= 2 * first_omitted
+
+
+def test_moments_match_moment_exactly(six_atom_pair):
+    alpha, beta = six_atom_pair
+    for tag in MARKOV_TAGS:
+        w = markov(alpha, beta, tag)
+        for depth in (0, 1, 5, 9):
+            assert w.moments(depth) == [w.moment(j) for j in range(depth)]
 
 
 def test_pole_evaluation_raises(six_atom_pair):
@@ -241,6 +250,22 @@ def test_duality_independent_of_degree_and_point(app6):
     vals = {duality_check(app6, 0, 2, n, z)
             for n in (2, 3, 4) for z in (F(17, 3), F(-31, 8))}
     assert vals == {0}
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_duality_with_shared_aux_matches_own_aux(app6, six_atom_pair, exact):
+    # float atoms give nonzero residuals, so equality is not vacuous there
+    app = app6 if exact else build_apparatus(
+        *(DiscreteMeasure(tuple(Atom(float(a.position), float(a.weight))
+                                for a in m.atoms)) for m in six_atom_pair),
+        N=5)
+    z = F(17, 3) if exact else 17 / 3
+    for n in (2, 3, 4):
+        shared = aux_vectors(app, n, -z, z)
+        for a in range(3):
+            for b in range(3):
+                assert duality_check(app, a, b, n, z, shared) == \
+                    duality_check(app, a, b, n, z)
 
 
 def test_aux_pole_detection(app6):
