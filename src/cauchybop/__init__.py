@@ -23,9 +23,8 @@ quadrature and run in floats.
 __version__ = "0.1.0"
 
 from .bimoment import (CAUCHY, BimomentMatrix, Kernel, bareiss_det,
-                       cauchy_determinant_residual, check_total_positivity,
-                       compute_bimoments, leading_minors, oracle_dn,
-                       rank_one_shift_residual)
+                       check_total_positivity, compute_bimoments,
+                       leading_minors, oracle_dn, rank_one_shift_residual)
 from .bop import (PolynomialFamily, averages, build_family,
                   determinantal_oracle, evaluate, pair)
 from .bundle import Apparatus, build_apparatus
@@ -39,16 +38,15 @@ from .errors import (CauchybopError, DegenerateMatrixError,
 from .measure import (Atom, DensityMeasure, DiscreteMeasure, Measure,
                       discretize, measure_from_strings, moment, reflect)
 from .nikishin import (MARKOV_TAGS, AuxVectors, MarkovFunction,
-                       OrderCertificate,
-                       PadeSolution, aux_vectors, duality_check,
-                       ecd_hat_residual, ecd_residual, f_hat_matrix, f_matrix,
-                       lemma_constructive_residuals, markov, order_check,
+                       OrderCertificate, PadeSolution, aux_vectors,
+                       duality_check, ecd_hat_residual, ecd_residual,
+                       f_hat_matrix, f_matrix, markov, order_check,
                        pade_solve, plucker_residual, polynomial_part,
-                       transcription_diagnostic, verify_phat1_both_ways)
+                       transcription_diagnostic)
 from .recurrence import (BandOperator, HattedFamily, OscillationCertificate,
                          build_A_Ahat, build_hatted, build_L_Lhat, build_XY,
-                         four_term_residual, hatted_determinantal_oracle,
-                         rank_one_XY_residual, tn_oscillatory_certificate)
+                         four_term_residual, rank_one_XY_residual,
+                         tn_oscillatory_certificate)
 from .rhp import (RHMatrix, assemble_gamma, assemble_gamma_hat,
                   asymptotic_check, constant_jump_postfactor,
                   extract_constants, jump_residual, jump_slope_study,

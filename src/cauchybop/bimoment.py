@@ -309,24 +309,3 @@ def rank_one_shift_residual(I: BimomentMatrix, alpha: DiscreteMeasure,
     return tuple(tuple(I[i + 1, j] + I[i, j + 1] - a[i] * b[j]
                        for j in range(n)) for i in range(n))
 
-
-def cauchy_determinant_residual(xs, ys):
-    """Residual of the closed form for the bordered Cauchy determinant.
-
-    For 0 < x_1 < ... < x_{n+1} and 0 < y_1 < ... < y_n, the
-    (n+1) x (n+1) determinant with rows 1/(x_j + y_i) and a final row of
-    ones equals Delta(X) Delta(Y) / prod_{j,k} (x_j + y_k).
-    """
-    if len(xs) != len(ys) + 1:
-        raise ValueError("need n+1 x-points and n y-points")
-    exact = all(is_exact(v) for v in xs) and all(is_exact(v) for v in ys)
-    rows = [[1 / Fraction(x + y) if exact else 1.0 / (x + y) for x in xs]
-            for y in ys]
-    rows.append([Fraction(1) if exact else 1.0] * len(xs))
-    lhs = det(rows, exact)
-    denom = 1
-    for x in xs:
-        for y in ys:
-            denom *= x + y
-    rhs = vandermonde(xs) * vandermonde(ys) / (Fraction(denom) if exact else denom)
-    return lhs - rhs

@@ -23,11 +23,13 @@ constants c_n = sqrt(h_n) exist only in the float layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .bimoment import BimomentMatrix, minor
-from .errors import DegenerateMatrixError, TheoryViolationError
+from .errors import (DegenerateMatrixError, PrecisionExhaustedError,
+                     TheoryViolationError)
 from .measure import DiscreteMeasure, moment
 from .polys import peval, pscale
 from .scalars import scalar_sqrt
@@ -169,7 +171,10 @@ def averages(family: PolynomialFamily, alpha: DiscreteMeasure,
     """Monic averages pi_n = int p_n da, eta_n = int q_n db.
 
     Strict positivity is a theorem for valid input; in exact mode a
-    nonpositive average is raised as a theory violation.
+    nonpositive average is raised as a theory violation.  In float mode a
+    negative average past the degree cap is rounding noise that the cap
+    keeps out of every check, but a zero or non-finite one cannot be
+    divided by, and is refused as exhausted precision.
     """
     a_moms = [moment(alpha, j) for j in range(family.N + 1)]
     b_moms = [moment(beta, j) for j in range(family.N + 1)]
@@ -177,12 +182,16 @@ def averages(family: PolynomialFamily, alpha: DiscreteMeasure,
                for n in range(family.N + 1))
     eta = tuple(sum(c * b_moms[j] for j, c in enumerate(family.q_monic[n]))
                 for n in range(family.N + 1))
-    if family.exact:
-        for n, (p, e) in enumerate(zip(pi, eta)):
-            if not (p > 0 and e > 0):
-                raise TheoryViolationError(
-                    f"theory violation: nonpositive average at degree {n}: "
-                    f"pi={p}, eta={e}")
+    for n, (p, e) in enumerate(zip(pi, eta)):
+        if family.exact and not (p > 0 and e > 0):
+            raise TheoryViolationError(
+                f"theory violation: nonpositive average at degree {n}: "
+                f"pi={p}, eta={e}")
+        if not family.exact and not all(math.isfinite(v) and v != 0
+                                        for v in (p, e)):
+            raise PrecisionExhaustedError(
+                f"precision exhausted: float average at degree {n} is zero "
+                f"or not finite: pi={p!r}, eta={e!r}")
     return pi, eta
 
 

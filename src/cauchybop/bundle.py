@@ -107,9 +107,8 @@ def build_apparatus(alpha: DiscreteMeasure | DensityMeasure,
     family = build_family(I, N, alpha_d, beta_d)
     X, Y = build_XY(family, I)
     L, Lhat = build_L_Lhat(family)
-    A, Ahat, B, Bhat = build_A_Ahat(X, Y, L, Lhat, family)
-    beta_moms = [moment(beta_d, j) for j in range(N + 2)]
-    hatted = build_hatted(family, I, beta_moms)
+    A, Ahat, B, Bhat = build_A_Ahat(X, L, Lhat)
+    hatted = build_hatted(family)
     return Apparatus(alpha_d, beta_d, N, I, family, X, Y, L, Lhat,
                      A, Ahat, B, Bhat, hatted,
                      alpha_density=alpha_density, beta_density=beta_density)

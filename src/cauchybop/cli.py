@@ -100,12 +100,24 @@ def load_spec(path: str, float_mode: bool):
     try:
         text = sys.stdin.read() if path == "-" else open(path).read()
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise UsageError("malformed JSON spec: the top level must be an "
+                             "object with keys \"alpha\" and \"beta\"")
         return (_measure_from_dict(doc["alpha"], float_mode),
                 _measure_from_dict(doc["beta"], float_mode))
     except OSError as exc:
         raise UsageError(f"cannot read spec: {exc}") from exc
     except (json.JSONDecodeError, KeyError) as exc:
         raise UsageError(f"malformed JSON spec: {exc}") from exc
+
+
+def _point(text: str) -> Fraction:
+    """The --point argument as an exact rational."""
+    try:
+        return parse_exact(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"--point must be a decimal or p/q rational, "
+                         f"got {text!r}") from exc
 
 
 def _grid(rows):
@@ -205,7 +217,12 @@ def _suite_tp(r: Runner, app: Apparatus, kmax: int):
         tp_tol = 0.0
     else:
         scale = max(abs(v) for row in app.I.entries for v in row)
-        tp_tol = 1e-12 * (kmax * float(scale)) ** kmax
+        try:
+            tp_tol = 1e-12 * (kmax * float(scale)) ** kmax
+        except OverflowError:
+            raise PrecisionExhaustedError(
+                f"precision exhausted: {kmax}x{kmax} minors of float "
+                f"bimoments as large as {float(scale):.3e} overflow") from None
     label = ("consecutive minors positive" if app.exact
              else "no negative consecutive minor")
     cert = None
@@ -467,6 +484,7 @@ def cmd_verify(args) -> int:
 def cmd_bop(args) -> int:
     alpha, beta = load_spec(args.spec, args.mode == "float")
     n = args.degree
+    point = None if args.point is None else _point(args.point)
     app = build_apparatus(alpha, beta, max(n, 1))
     fam = app.family
     payload = {
@@ -478,8 +496,8 @@ def cmd_bop(args) -> int:
         "eta": format_scalar(fam.eta_monic[n]),
         "c_float": fam.c(n),
     }
-    if args.point is not None:
-        pt = parse_exact(args.point) if app.exact else float(args.point)
+    if point is not None:
+        pt = point if app.exact else float(point)
         payload["p_at_point"] = format_scalar(evaluate(fam, "p", n, pt))
         payload["q_at_point"] = format_scalar(evaluate(fam, "q", n, pt))
     _emit(payload, args.output,
@@ -538,6 +556,7 @@ def cmd_recurrence(args) -> int:
 def cmd_rhp(args) -> int:
     alpha, beta = load_spec(args.spec, args.mode == "float")
     n = args.degree
+    point = _point(args.point) if args.point else Fraction(10)
     app = build_apparatus(alpha, beta, max(n + 1, 2))
     payload = {"degree": n}
     ok = True
@@ -550,9 +569,7 @@ def cmd_rhp(args) -> int:
             "slope": slope}
         ok = 0.5 <= slope <= 2.0
     else:
-        pt = parse_exact(args.point) if args.point else Fraction(10)
-        if not app.exact:
-            pt = float(pt)
+        pt = point if app.exact else float(point)
         g = assemble_gamma(app, n, pt)
         gh = assemble_gamma_hat(app, n, pt)
         payload["point"] = format_scalar(pt)
@@ -621,12 +638,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_orders(args) -> None:
-    """Reject order arguments below their minimum before anything is built."""
+    """Reject order arguments below their minimum, and a nonpositive
+    --eps, before anything is built."""
     for flag, attr, low in (("-N", "order", 1), ("-n", "degree", 0),
                             ("--kmax", "kmax", 1)):
         value = getattr(args, attr, None)
         if value is not None and value < low:
             raise UsageError(f"{flag} must be at least {low}, got {value}")
+    for eps in getattr(args, "eps", None) or ():
+        if not eps > 0:
+            raise UsageError(f"--eps must be positive, got {eps}")
 
 
 def main(argv=None) -> int:

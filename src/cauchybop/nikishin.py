@@ -84,7 +84,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .bop import pair
 from .bundle import Apparatus
 from .cdkernel import _window_product
 from .errors import OrderUnderflowError, PoleEvaluationError
@@ -93,8 +92,20 @@ from .polys import peval, preflect
 from .scalars import is_exact, residual
 from .series import PowerTail
 
-MARKOV_TAGS = ("W_beta", "W_alpha_star", "W_beta_alpha_star", "W_alpha_star_beta",
-               "W_alpha", "W_beta_star", "W_alpha_beta_star", "W_beta_star_alpha")
+#: tag -> (measure, reflected?, folding tag): the Stieltjes transform of
+#: that measure of the pair, its atoms placed at -t if reflected, each
+#: weight multiplied by the folding transform at the placed atom.
+_RECIPES = {
+    "W_beta": ("beta", False, None),
+    "W_alpha_star": ("alpha", True, None),
+    "W_beta_alpha_star": ("beta", False, "W_alpha_star"),
+    "W_alpha_star_beta": ("alpha", True, "W_beta"),
+    "W_alpha": ("alpha", False, None),
+    "W_beta_star": ("beta", True, None),
+    "W_alpha_beta_star": ("alpha", False, "W_beta_star"),
+    "W_beta_star_alpha": ("beta", True, "W_alpha"),
+}
+MARKOV_TAGS = tuple(_RECIPES)
 
 
 @dataclass(frozen=True)
@@ -142,40 +153,31 @@ class MarkovFunction:
         return max(abs(float(t)) for t in self.points)
 
 
+def _weighted(m: DiscreteMeasure, g=None, reflected: bool = False,
+              tag: str = "weighted") -> MarkovFunction:
+    """Transform of m with each atom t reweighted by g(t), on the reflected
+    copy (atoms at -t) if asked; g None keeps the weights."""
+    ts, ws = m.signed_positions(), m.weights()
+    if g is not None:
+        ws = tuple(w * g(t) for t, w in zip(ts, ws))
+    return MarkovFunction(tag, tuple(-t for t in ts) if reflected else ts, ws)
+
+
 def markov(alpha: DiscreteMeasure, beta: DiscreteMeasure, tag: str
            ) -> MarkovFunction:
-    """One of the eight canonical transforms of the pair (da, db)."""
-    xs, ws_a = alpha.signed_positions(), alpha.weights()
-    ys, ws_b = beta.signed_positions(), beta.weights()
-
-    def fold_b(y):
-        # mass density of the (x+y)-folded measure sitting at y
-        return sum(wa / (x + y) for x, wa in zip(xs, ws_a))
-
-    def fold_a(x):
-        return sum(wb / (x + y) for y, wb in zip(ys, ws_b))
-
-    if tag == "W_beta":
-        return MarkovFunction(tag, ys, ws_b)
-    if tag == "W_alpha_star":
-        return MarkovFunction(tag, tuple(-x for x in xs), ws_a)
-    if tag == "W_beta_alpha_star":
-        return MarkovFunction(tag, ys,
-                              tuple(wb * fold_b(y) for y, wb in zip(ys, ws_b)))
-    if tag == "W_alpha_star_beta":
-        return MarkovFunction(tag, tuple(-x for x in xs),
-                              tuple(-wa * fold_a(x) for x, wa in zip(xs, ws_a)))
-    if tag == "W_alpha":
-        return MarkovFunction(tag, xs, ws_a)
-    if tag == "W_beta_star":
-        return MarkovFunction(tag, tuple(-y for y in ys), ws_b)
-    if tag == "W_alpha_beta_star":
-        return MarkovFunction(tag, xs,
-                              tuple(wa * fold_a(x) for x, wa in zip(xs, ws_a)))
-    if tag == "W_beta_star_alpha":
-        return MarkovFunction(tag, tuple(-y for y in ys),
-                              tuple(-wb * fold_b(y) for y, wb in zip(ys, ws_b)))
-    raise ValueError(f"unknown Markov tag {tag!r}; expected one of {MARKOV_TAGS}")
+    """One of the eight canonical transforms of the pair (da, db), built
+    from its recipe; the folding transforms are plain ones."""
+    if tag not in _RECIPES:
+        raise ValueError(
+            f"unknown Markov tag {tag!r}; expected one of {MARKOV_TAGS}")
+    measures = {"alpha": alpha, "beta": beta}
+    which, reflected, fold = _RECIPES[tag]
+    g = None
+    if fold is not None:
+        fold_which, fold_reflected, _ = _RECIPES[fold]
+        f = _weighted(measures[fold_which], None, fold_reflected, fold)
+        g = (lambda t: f(-t)) if reflected else f
+    return _weighted(measures[which], g, reflected, tag)
 
 
 def plucker_residual(alpha: DiscreteMeasure, beta: DiscreteMeasure, z):
@@ -222,18 +224,13 @@ class PadeSolution:
     R3: MarkovFunction
 
 
-def _chain(app: Apparatus, problem: str):
-    a, b = app.alpha, app.beta
-    if problem == "q":
-        return (markov(a, b, "W_beta"), markov(a, b, "W_beta_alpha_star"),
-                markov(a, b, "W_alpha_star"), markov(a, b, "W_alpha_star_beta"))
-    if problem == "p":
-        return (markov(a, b, "W_alpha"), markov(a, b, "W_alpha_beta_star"),
-                markov(a, b, "W_beta_star"), markov(a, b, "W_beta_star_alpha"))
-    if problem == "switched":
-        return (markov(a, b, "W_alpha_star"), markov(a, b, "W_alpha_star_beta"),
-                markov(a, b, "W_beta"), markov(a, b, "W_beta_alpha_star"))
-    raise ValueError(f"unknown problem {problem!r}")
+#: problem -> tags of its chain (F1, F2, G1, G2), with F1 G1 = F2 + G2
+_CHAINS = {
+    "q": ("W_beta", "W_beta_alpha_star", "W_alpha_star", "W_alpha_star_beta"),
+    "p": ("W_alpha", "W_alpha_beta_star", "W_beta_star", "W_beta_star_alpha"),
+    "switched": ("W_alpha_star", "W_alpha_star_beta", "W_beta",
+                 "W_beta_alpha_star"),
+}
 
 
 def pade_solve(app: Apparatus, n: int, problem: str = "q") -> PadeSolution:
@@ -249,9 +246,11 @@ def pade_solve(app: Apparatus, n: int, problem: str = "q") -> PadeSolution:
         Q = app.family.q_monic[n]
     elif problem == "p":
         Q = app.family.p_monic[n]
-    else:
+    elif problem == "switched":
         Q = preflect(app.family.p_monic[n])
-    F1, F2, G1, G2 = _chain(app, problem)
+    else:
+        raise ValueError(f"unknown problem {problem!r}")
+    F1, F2, G1, G2 = (markov(app.alpha, app.beta, t) for t in _CHAINS[problem])
 
     def qval(t):
         return peval(Q, t)
@@ -354,17 +353,6 @@ class AuxVectors:
     qhat: tuple     # qhat[a][j]
 
 
-def _weighted(app: Apparatus, which: str, g, reflected: bool = False
-              ) -> MarkovFunction:
-    """Transform of app.alpha or app.beta (which = "alpha" | "beta") with
-    each atom t reweighted by g(t), on the reflected copy if asked."""
-    m = getattr(app, which)
-    ts = m.signed_positions()
-    return MarkovFunction(f"{which}{'*' if reflected else ''}[weighted]",
-                          tuple(-t for t in ts) if reflected else ts,
-                          tuple(w * g(t) for t, w in zip(ts, m.weights())))
-
-
 @dataclass(frozen=True)
 class PointBackend:
     """Values at one point s: finite Stieltjes sums over the atoms, exact
@@ -375,7 +363,8 @@ class PointBackend:
         return peval(coeffs, self.s)
 
     def transform(self, app: Apparatus, which: str, g, reflected: bool):
-        return _weighted(app, which, g, reflected)(self.s)
+        tag = f"{which}{'*' if reflected else ''}[weighted]"
+        return _weighted(getattr(app, which), g, reflected, tag)(self.s)
 
 
 @dataclass(frozen=True)
@@ -387,7 +376,7 @@ class SeriesBackend:
         return PowerTail.from_poly(coeffs)
 
     def transform(self, app: Apparatus, which: str, g, reflected: bool):
-        return _weighted(app, which, g, reflected).series(self.depth)
+        return _weighted(getattr(app, which), g, reflected).series(self.depth)
 
 
 def aux_columns(app: Apparatus, side: str, top: int, backend):
@@ -413,7 +402,7 @@ def aux_columns(app: Apparatus, side: str, top: int, backend):
             return peval(P, t)
         # the second transform weights each reflected atom -t by the first
         # transform there, summed over the discrete atoms
-        inner = _weighted(app, first, poly)
+        inner = _weighted(getattr(app, first), poly, tag=f"{first}[weighted]")
         cols[0].append(backend.poly(P))
         cols[1].append(backend.transform(app, first, poly, False))
         cols[2].append(backend.transform(app, second,
@@ -437,24 +426,6 @@ def aux_vectors(app: Apparatus, n: int, w, z) -> AuxVectors:
     q_all, qhat = aux_columns(app, "q", n + 1, PointBackend(w))
     p_all, phat = aux_columns(app, "p", n + 1, PointBackend(z))
     return AuxVectors(n, w, z, q_all, p_all, phat, qhat)
-
-
-def verify_phat1_both_ways(app: Apparatus, n: int, z):
-    """The two constructions of phat-aux-1 agree: the running-sum form and
-    forward substitution applied to p1 + <p|1>/beta_0 (the constant vector
-    collapses to -1 in every component).  Returns the maximum componentwise
-    difference, exact 0 on exact data."""
-    p_all, phat = aux_columns(app, "p", n + 1, PointBackend(z))
-    beta0 = app.beta_moment(0)
-    fam = app.family
-    v = [p_all[1][k] + pair(app.I, fam.p_monic[k], (1,)) / beta0
-         for k in range(n + 2)]
-    acc = 0
-    worst = 0
-    for j in range(n + 2):
-        acc += fam.eta_star(j) * v[j]
-        worst = max(worst, abs(phat[1][j] - (-acc)))
-    return worst
 
 
 # -- extended identities and duality --------------------------------------------
@@ -550,51 +521,6 @@ def transcription_diagnostic(app: Apparatus, n: int, w, z):
                 raise AssertionError(
                     f"derived correction fails at ({a},{b}): {derived}")
     return out
-
-
-def lemma_constructive_residuals(app: Apparatus, n: int, w, z):
-    """The constructive identities behind the hatted extended CD relations,
-    checked on the uncorrupted window.  Returns the worst residual.
-
-    q-side, entries j < n:  w qhat_a[j](w) + sum_i q_a[i](w) Ahat[i][j]
-    equals 0 for a = 0, 1 and -<1|qhat_j> for a = 2.
-
-    p-side, entries j <= n:  ((z - X) Lhat phat_b(z))[j] equals 0 for
-    b = 0; <p_j|z + y>/beta_0 for b = 1; and
-    -<p_j|1> + <p_j|z + y> W_beta_star(z)/beta_0 for b = 2.  Applying Lhat
-    to the hatted aux vectors returns the plain ones except in row 0, where
-    the subtracted constants (1, resp. W_beta_star(z)) resurface.
-    """
-    aux = aux_vectors(app, n, w, z)
-    fam = app.family
-    beta0 = app.beta_moment(0)
-    wbs = markov(app.alpha, app.beta, "W_beta_star")(z)
-    worst = 0
-    for a in range(3):
-        for j in range(n):
-            acc = w * aux.qhat[a][j]
-            for i in range(max(0, j - 1), j + 3):
-                acc += aux.q[a][i] * app.Ahat[i, j]
-            if a == 2:
-                acc += pair(app.I, (1,), app.hatted.q_hat[j])
-            worst = max(worst, abs(acc))
-    for b in range(3):
-        lhp = list(aux.p[b][: n + 2])
-        if b == 1:
-            lhp[0] += 1 / fam.eta_star(0)
-        elif b == 2:
-            lhp[0] += wbs / fam.eta_star(0)
-        for j in range(n + 1):
-            acc = z * lhp[j] - sum(app.X[j, k] * lhp[k] for k in range(j + 2))
-            if b == 0:
-                rhs = 0
-            else:
-                zy = (z * pair(app.I, fam.p_monic[j], (1,))
-                      + pair(app.I, fam.p_monic[j], (0, 1)))
-                rhs = zy / beta0 if b == 1 else \
-                    -pair(app.I, fam.p_monic[j], (1,)) + zy * wbs / beta0
-            worst = max(worst, abs(acc - rhs))
-    return worst
 
 
 def duality_check(app: Apparatus, a: int, b: int, n: int, z,

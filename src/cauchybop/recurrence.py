@@ -29,7 +29,9 @@ is simply not formed there.
 
 The builders construct and do not re-prove: shapes, band supports and
 the defining properties below are theorems, asserted by the tests and
-the verify suites, with the pairing and determinantal routes as oracles.
+the verify suites.  The tests keep the independent routes as oracles:
+the pairings for X and Y, and the bordered determinants for the hatted
+families.
 
 The hatted families are
 
@@ -50,7 +52,7 @@ from itertools import combinations
 
 from .bimoment import BimomentMatrix, det, minor
 from .bop import PolynomialFamily
-from .errors import DegenerateMatrixError, OrderUnderflowError
+from .errors import OrderUnderflowError
 from .polys import peval, pscale, psub
 from .scalars import residual, scalar_sqrt
 
@@ -166,15 +168,10 @@ def build_L_Lhat(family: PolynomialFamily):
     return bl, blh
 
 
-def build_A_Ahat(X: BandOperator, Y: BandOperator, L: BandOperator,
-                 Lhat: BandOperator, family: PolynomialFamily):
+def build_A_Ahat(X: BandOperator, L: BandOperator, Lhat: BandOperator):
     """A = L X, Ahat = X Lhat, B = -A^T, Bhat = -Ahat^T on the window the
-    truncation leaves uncorrupted.
-
-    Y and family are not needed: with X + Y^T = pi eta*^T, the relations
-    L (X + Y^T) = 0 and (X + Y^T) Lhat = 0 that pin the sign convention of
-    L, Lhat follow from L pi = 0 and eta*^T Lhat = 0.  Band supports are
-    checked by the recurrence suite and the tests.
+    truncation leaves uncorrupted.  Band supports are checked by the
+    recurrence suite and the tests.
     """
     size = X.valid_rows
     rows_A = size - 1            # row i of L X needs row i+1 of X
@@ -226,14 +223,13 @@ class HattedFamily:
     exact: bool
 
 
-def build_hatted(family: PolynomialFamily, I: BimomentMatrix,
-                 beta_moments=None) -> HattedFamily:
+def build_hatted(family: PolynomialFamily) -> HattedFamily:
     """phat = Lhat^{-1} p by forward substitution, qhat^T = q*^T Lhat.
 
-    I and beta_moments are not needed by the construction.  The defining
-    properties (degrees, leading coefficient, zero beta-average of qhat,
-    biorthonormality <phat_n | qhat_m> = delta) are theorems, asserted by
-    the tests; hatted_determinantal_oracle is the independent route.
+    The defining properties (degrees, leading coefficient, zero
+    beta-average of qhat, biorthonormality <phat_n | qhat_m> = delta) are
+    theorems, asserted by the tests, where the bordered determinants of
+    the bimoments with the beta-moment row are the independent route.
     """
     N = family.N
     p_hat = []
@@ -246,45 +242,6 @@ def build_hatted(family: PolynomialFamily, I: BimomentMatrix,
              pscale(family.q_monic[n], 1 / family.eta_monic[n]))
         for n in range(N))
     return HattedFamily(N, tuple(p_hat), q_hat, family.exact)
-
-
-def hatted_determinantal_oracle(I: BimomentMatrix, beta_moments,
-                                family: PolynomialFamily, n: int):
-    """(qhat_n, phat_n) from the bordered determinants with the beta-moment
-    row, expanded by cofactors; exact match with build_hatted after the
-    normalization is cleared of square roots.
-
-    The qhat prefactor 1/(eta_n eta_{n+1} sqrt(D_n D_{n+2})) collapses to
-    the rational 1/(eta~_n eta~_{n+1} D_n) once the normalized averages are
-    written through the monic ones.
-    """
-    exact = I.exact
-    D = [minor(I.entries, range(k), range(k), exact) if k else
-         (Fraction(1) if exact else 1.0) for k in range(n + 3)]
-    if D[n + 1] == 0 or D[n + 2] == 0:
-        raise DegenerateMatrixError(n + 2 if D[n + 1] != 0 else n + 1)
-    # qhat_n: rows = I rows 0..n-1 then the beta row; columns 0..n+1; the
-    # power row is expanded away.
-    base_rows = [[I[i, j] for j in range(n + 2)] for i in range(n)]
-    base_rows.append([beta_moments[j] for j in range(n + 2)])
-    q_coeffs = []
-    for j in range(n + 2):
-        sub = [[row[c] for c in range(n + 2) if c != j] for row in base_rows]
-        sign = -1 if (n + 1 + j) % 2 else 1
-        q_coeffs.append(sign * det(sub, exact))
-    scale_q = family.eta_monic[n] * family.eta_monic[n + 1] * D[n]
-    q_hat = tuple(c / scale_q for c in q_coeffs)
-    # phat_n: rows = I rows 0..n and the beta row; columns 0..n; the power
-    # column (1, x, ..., x^n, 0) is expanded away.
-    rows = [[I[i, j] for j in range(n + 1)] for i in range(n + 1)]
-    rows.append([beta_moments[j] for j in range(n + 1)])
-    p_coeffs = []
-    for i in range(n + 1):
-        sub = [rows[r] for r in range(n + 2) if r != i]
-        sign = -1 if (i + n + 1) % 2 else 1
-        p_coeffs.append(sign * det(sub, exact))
-    p_hat = tuple(c / D[n + 1] for c in p_coeffs)
-    return q_hat, p_hat
 
 
 # -- total nonnegativity / oscillation ------------------------------------------

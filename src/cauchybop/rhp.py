@@ -23,9 +23,8 @@ A normalization note, pinned by exact computation (see the tests): with
 the customary third-row prefactor sign (-1)**(n-1), det Gamma = -1
 identically; the sign used here is (-1)**n, which restores det = +1 and
 the stated diagonal asymptotics.  Assembly takes one route, the recovery
-form; the second route (normalization prefactor times raw windows) is
-kept as ``_prefactor_gamma_rows`` / ``_prefactor_gamma_hat_rows`` and
-serves as the oracle of an exact route-agreement test.
+form; the second route (normalization prefactor times raw windows)
+lives in the tests, as the oracle of an exact route-agreement test.
 
 Jump verification on density-backed measures evaluates Gamma(w0 + i eps)
 and Gamma(w0 - i eps) by a singularity-aware Cauchy transform: the
@@ -47,7 +46,6 @@ import numpy as np
 
 from .bimoment import det
 from .bundle import Apparatus
-from .errors import OrderUnderflowError
 from .measure import DensityMeasure
 from .nikishin import PointBackend, SeriesBackend, aux_columns
 from .polys import peval
@@ -82,21 +80,6 @@ def _combine_gamma_rows(app: Apparatus, n: int, q, qhat):
     )
 
 
-def _prefactor_gamma_rows(app: Apparatus, n: int, q):
-    """The same matrix by the normalization-prefactor route: a 3x3 constant
-    matrix times the raw window matrix, written in square-root-free combos
-    (c_n q_{a,n} = h_n q*_{a,n} and q_{a,j}/c_j = q*_{a,j})."""
-    fam = app.family
-    s1 = [fam.h[n] * q[a][n] for a in range(3)]
-    s2 = [q[a][n - 1] / fam.eta_star(n - 1) for a in range(3)]
-    s3 = [(-1) ** (n + 1) * q[a][n - 2] for a in range(3)]
-    row0 = tuple(s1[a] - fam.eta_monic[n] * s2[a] for a in range(3))
-    row1 = tuple(s2)
-    row2 = tuple((-1) ** n * fam.eta_star(n - 2) * s2[a] + s3[a]
-                 for a in range(3))
-    return row0, row1, row2
-
-
 def _combine_gamma_hat_rows(app: Apparatus, n: int, p, phat):
     """Rows of Gammahat from p[b][j], phat[b][j] at j = n-1, n."""
     fam = app.family
@@ -107,37 +90,32 @@ def _combine_gamma_hat_rows(app: Apparatus, n: int, p, phat):
     )
 
 
-def _prefactor_gamma_hat_rows(app: Apparatus, n: int, phat, wbs):
-    """Gammahat by the prefactor route, using only hatted windows plus the
-    convention phat_{b,-1} = (0, -1, -W_beta_star(z)) that extends the
-    forward substitution one slot below degree zero."""
-    fam = app.family
-    minus1 = [phat[b][n - 2] if n >= 2 else (0, -1, -wbs)[b] for b in range(3)]
-    row0 = tuple(-(fam.h[n] / fam.eta_monic[n]) * (phat[b][n] - phat[b][n - 1])
-                 for b in range(3))
-    row1 = tuple(-phat[b][n - 1] for b in range(3))
-    row2 = tuple((-1) ** n * (minus1[b] - phat[b][n - 1]) / fam.eta_monic[n - 1]
-                 for b in range(3))
-    return row0, row1, row2
+#: which -> (aux side, row combiner, lowest n); the highest n is N - 1
+_MATRICES = {"gamma": ("q", _combine_gamma_rows, 2),
+             "gamma_hat": ("p", _combine_gamma_hat_rows, 1)}
+
+
+def _rows(app: Apparatus, which: str, n: int, backend):
+    """Rows of Gamma or Gammahat at level n, as values of ``backend``."""
+    side, combine, lo = _MATRICES[which]
+    app.require_window(n, lo)
+    return combine(app, n, *aux_columns(app, side, n, backend))
+
+
+def _assemble(app: Apparatus, which: str, n: int, point) -> RHMatrix:
+    rows = _rows(app, which, n, PointBackend(point))
+    d = det([list(r) for r in rows], app.exact and is_exact(point))
+    return RHMatrix(which, n, point, rows, d)
 
 
 def assemble_gamma(app: Apparatus, n: int, w) -> RHMatrix:
     """Gamma(w) for discrete measures; w off supp(db) and supp(da*)."""
-    app.require_window(n)
-    q, qhat = aux_columns(app, "q", n, PointBackend(w))
-    rows = _combine_gamma_rows(app, n, q, qhat)
-    d = det([list(r) for r in rows], app.exact and is_exact(w))
-    return RHMatrix("gamma", n, w, rows, d)
+    return _assemble(app, "gamma", n, w)
 
 
 def assemble_gamma_hat(app: Apparatus, n: int, z) -> RHMatrix:
     """Gammahat(z) for discrete measures; z off supp(da) and supp(db*)."""
-    if not 1 <= n <= app.N - 1:
-        raise OrderUnderflowError(f"need 1 <= n <= {app.N - 1}, got {n}")
-    p, phat = aux_columns(app, "p", n, PointBackend(z))
-    rows = _combine_gamma_hat_rows(app, n, p, phat)
-    d = det([list(r) for r in rows], app.exact and is_exact(z))
-    return RHMatrix("gamma_hat", n, z, rows, d)
+    return _assemble(app, "gamma_hat", n, z)
 
 
 # -- exact expansions at infinity -------------------------------------------------
@@ -145,16 +123,11 @@ def assemble_gamma_hat(app: Apparatus, n: int, z) -> RHMatrix:
 
 def gamma_series(app: Apparatus, n: int, depth: int | None = None):
     """3x3 grid of PowerTails for Gamma's expansion at infinity."""
-    app.require_window(n)
-    return _combine_gamma_rows(
-        app, n, *aux_columns(app, "q", n, SeriesBackend(depth or 2 * n + 4)))
+    return _rows(app, "gamma", n, SeriesBackend(depth or 2 * n + 4))
 
 
 def gamma_hat_series(app: Apparatus, n: int, depth: int | None = None):
-    if not 1 <= n <= app.N - 1:
-        raise OrderUnderflowError(f"need 1 <= n <= {app.N - 1}, got {n}")
-    return _combine_gamma_hat_rows(
-        app, n, *aux_columns(app, "p", n, SeriesBackend(depth or 2 * n + 4)))
+    return _rows(app, "gamma_hat", n, SeriesBackend(depth or 2 * n + 4))
 
 
 @dataclass(frozen=True)
@@ -180,12 +153,9 @@ def asymptotic_check(app: Apparatus, n: int, which: str = "gamma",
     since discretization noise leaves ~1e-12 dust on coefficients that
     vanish identically in exact arithmetic.
     """
-    if which == "gamma":
-        grid = gamma_series(app, n, depth)
-        d = (n, -1, -n + 1)
-    else:
-        grid = gamma_hat_series(app, n, depth)
-        d = (n, 0, -n)
+    grid = (gamma_series if which == "gamma" else gamma_hat_series)(
+        app, n, depth)
+    d = (n, -1, -n + 1) if which == "gamma" else (n, 0, -n)
     failures = []
     for j in range(3):
         col_scale = max(abs(grid[i][j].coeff(d[j])) for i in range(3))
@@ -282,34 +252,24 @@ def boundary_matrix(app: Apparatus, n: int, point, which: str = "gamma"):
     singularity-aware column evaluation."""
     if app.alpha_density is None or app.beta_density is None:
         raise ValueError("jump check requires density measure")
-    if which == "gamma":
-        return _combine_gamma_rows(
-            app, n, *aux_columns(app, "q", n, DensityBackend(point)))
-    return _combine_gamma_hat_rows(
-        app, n, *aux_columns(app, "p", n, DensityBackend(point)))
+    return _rows(app, which, n, DensityBackend(point))
 
 
 def jump_matrix(app: Apparatus, w0: float, which: str = "gamma"):
-    """The local jump factor at an interior point of one of the two cuts."""
+    """The local jump factor at an interior point of one of the two cuts:
+    the plain cut of db (Gamma) or da (Gammahat), and the reflected cut of
+    the other measure."""
     if app.alpha_density is None or app.beta_density is None:
         raise ValueError("jump check requires density measure")
-    aa, ab = app.alpha_density.support
-    ba, bb = app.beta_density.support
+    plain, reflected = ((app.beta_density, app.alpha_density) if which == "gamma"
+                        else (app.alpha_density, app.beta_density))
     J = [[1.0 + 0j, 0j, 0j], [0j, 1.0 + 0j, 0j], [0j, 0j, 1.0 + 0j]]
-    if which == "gamma":
-        if ba < w0 < bb:
-            J[0][1] = -2j * cmath.pi * app.beta_density.density_at(w0)
-        elif aa < -w0 < ab:
-            J[1][2] = -2j * cmath.pi * app.alpha_density.density_at(-w0)
-        else:
-            raise ValueError(f"{w0} is not interior to either cut of gamma")
+    if plain.support[0] < w0 < plain.support[1]:
+        J[0][1] = -2j * cmath.pi * plain.density_at(w0)
+    elif reflected.support[0] < -w0 < reflected.support[1]:
+        J[1][2] = -2j * cmath.pi * reflected.density_at(-w0)
     else:
-        if aa < w0 < ab:
-            J[0][1] = -2j * cmath.pi * app.alpha_density.density_at(w0)
-        elif ba < -w0 < bb:
-            J[1][2] = -2j * cmath.pi * app.beta_density.density_at(-w0)
-        else:
-            raise ValueError(f"{w0} is not interior to either cut of gamma_hat")
+        raise ValueError(f"{w0} is not interior to either cut of {which}")
     return J
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cauchybop import (CAUCHY, Atom, DensityMeasure, DiscreteMeasure,
                        KernelSingularityError, TheoryViolationError,
-                       cauchy_determinant_residual,
                        check_total_positivity, compute_bimoments, discretize,
                        leading_minors, measure_from_strings, moment, oracle_dn,
                        rank_one_shift_residual, reflect)
@@ -26,6 +25,19 @@ def brute_force_bimoment(alpha, beta, i, j):
             total += (a.position ** i * b.position ** j * a.weight * b.weight
                       / (a.position + b.position))
     return total
+
+
+def cauchy_determinant_residual(xs, ys):
+    """Residual of the closed form for the bordered Cauchy determinant.
+
+    For 0 < x_1 < ... < x_{n+1} and 0 < y_1 < ... < y_n, the
+    (n+1) x (n+1) determinant with rows 1/(x_j + y_i) and a final row of
+    ones equals Delta(X) Delta(Y) / prod_{j,k} (x_j + y_k); exact input.
+    """
+    rows = [[1 / F(x + y) for x in xs] for y in ys]
+    rows.append([F(1)] * len(xs))
+    denom = math.prod(x + y for x in xs for y in ys)
+    return det(rows, True) - vandermonde(xs) * vandermonde(ys) / F(denom)
 
 
 def brute_force_dn(alpha, beta, n):

@@ -258,14 +258,28 @@ def test_verify_elapsed_times_the_check(monkeypatch, spec_file, capsys):
     assert timed and all(c["elapsed"] >= 0.05 for c in timed)
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "-N", "1"], ["verify", "-N", "0"], ["verify", "-N", "-1"],
-    ["bimoments", "-N", "0"], ["bop", "-n", "-1"],
-    ["recurrence", "-N", "-1"], ["bimoments", "-N", "3", "--kmax", "0"],
-    ["verify", "-N", "3", "--kmax", "0"],
-], ids=" ".join)
-def test_bad_order_arguments_exit_2(argv, spec_file, capsys):
-    code = main([argv[0], spec_file(SIX_ATOM)] + argv[1:])
+ARRAY_SPEC = [SIX_ATOM["alpha"], SIX_ATOM["beta"]]
+
+
+@pytest.mark.parametrize("argv, spec", [
+    pytest.param(argv, spec, id=" ".join(argv) + suffix)
+    for argv, spec, suffix in [
+        (["verify", "-N", "1"], SIX_ATOM, ""),
+        (["verify", "-N", "0"], SIX_ATOM, ""),
+        (["verify", "-N", "-1"], SIX_ATOM, ""),
+        (["bimoments", "-N", "0"], SIX_ATOM, ""),
+        (["bop", "-n", "-1"], SIX_ATOM, ""),
+        (["recurrence", "-N", "-1"], SIX_ATOM, ""),
+        (["bimoments", "-N", "3", "--kmax", "0"], SIX_ATOM, ""),
+        (["verify", "-N", "3", "--kmax", "0"], SIX_ATOM, ""),
+        (["rhp", "-n", "2", "--point", "x"], SIX_ATOM, ""),
+        (["bop", "-n", "2", "--point", "x"], SIX_ATOM, ""),
+        (["verify", "-N", "3"], ARRAY_SPEC, " [array spec]"),
+        (["verify", "-N", "3", "--mode", "float", "--eps", "0"], DENSITY, ""),
+        (["rhp", "-n", "2", "--mode", "float", "--eps", "0"], DENSITY, ""),
+    ]])
+def test_bad_order_arguments_exit_2(argv, spec, spec_file, capsys):
+    code = main([argv[0], spec_file(spec)] + argv[1:])
     captured = capsys.readouterr()
     assert code == 2
     assert "Traceback" not in captured.out + captured.err
@@ -282,6 +296,28 @@ D_SPEC = {
     "beta": {"type": "density", "support": [0.25, 3.0],
              "potential": {"coeffs": [0.0, 0.5, 0.1]}},
 }
+
+
+# exp(400 x) against exp(-y), both on [0.5, 1.5] with 16 nodes: the float
+# bimoments reach ~1e257, so at N=3 the tp suite's 5x5 minors overflow, and
+# at N=5 the average pi_5 comes out 0.0 while the family is built
+HUGE_DENSITY = {
+    side: {"type": "density", "support": [0.5, 1.5],
+           "potential": {"coeffs": [0.0, c]},
+           "quadrature": {"rule": "gauss-legendre", "order": 16}}
+    for side, c in (("alpha", -400.0), ("beta", 1.0))}
+
+
+@pytest.mark.parametrize("order", ["3", "5"])
+def test_float_precision_limits_exit_2(order, spec_file, capsys):
+    code = main(["verify", spec_file(HUGE_DENSITY), "-N", order,
+                 "--mode", "float"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.out == ""
+    assert captured.err.startswith("error: precision exhausted")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_zeros_float_matches_exact(spec_file, capsys):

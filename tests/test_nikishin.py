@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from cauchybop import (Atom, DiscreteMeasure, PoleEvaluationError,
                        aux_vectors, build_apparatus, duality_check,
-                       ecd_hat_residual, ecd_residual,
-                       lemma_constructive_residuals, markov,
+                       ecd_hat_residual, ecd_residual, markov,
                        measure_from_strings, moment, order_check, pade_solve,
-                       plucker_residual, polynomial_part,
-                       transcription_diagnostic, verify_phat1_both_ways)
-from cauchybop.nikishin import MARKOV_TAGS
+                       pair, plucker_residual, polynomial_part,
+                       transcription_diagnostic)
+from cauchybop.nikishin import MARKOV_TAGS, PointBackend, aux_columns
 
 from .conftest import random_rational_measure, rational_points_off
 
@@ -61,6 +60,24 @@ def test_moments_match_moment_exactly(six_atom_pair):
         w = markov(alpha, beta, tag)
         for depth in (0, 1, 5, 9):
             assert w.moments(depth) == [w.moment(j) for j in range(depth)]
+
+
+#: swapping the two measures of the pair swaps alpha and beta in every tag
+MIRROR = {"W_alpha": "W_beta", "W_alpha_star": "W_beta_star",
+          "W_alpha_beta_star": "W_beta_alpha_star",
+          "W_alpha_star_beta": "W_beta_star_alpha"}
+MIRROR.update({v: k for k, v in MIRROR.items()})
+
+
+@pytest.mark.parametrize("tag", MARKOV_TAGS)
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_markov_mirror_swaps_the_measures(six_atom_pair, tag, exact):
+    alpha, beta = six_atom_pair if exact else (
+        DiscreteMeasure(tuple(Atom(float(a.position), float(a.weight))
+                              for a in m.atoms)) for m in six_atom_pair)
+    w, mirror = markov(alpha, beta, tag), markov(beta, alpha, MIRROR[tag])
+    assert w.points == mirror.points
+    assert w.masses == mirror.masses
 
 
 def test_pole_evaluation_raises(six_atom_pair):
@@ -185,6 +202,24 @@ def test_phat1_limit_is_minus_one(app6):
         assert abs(float(aux.phat[1][n]) + 1.0) < 1e-4
 
 
+def verify_phat1_both_ways(app, n, z):
+    """The two constructions of phat-aux-1 agree: the running-sum form and
+    forward substitution applied to p1 + <p|1>/beta_0 (the constant vector
+    collapses to -1 in every component).  Returns the maximum componentwise
+    difference, exact 0 on exact data."""
+    p_all, phat = aux_columns(app, "p", n + 1, PointBackend(z))
+    beta0 = app.beta_moment(0)
+    fam = app.family
+    v = [p_all[1][k] + pair(app.I, fam.p_monic[k], (1,)) / beta0
+         for k in range(n + 2)]
+    acc = 0
+    worst = 0
+    for j in range(n + 2):
+        acc += fam.eta_star(j) * v[j]
+        worst = max(worst, abs(phat[1][j] - (-acc)))
+    return worst
+
+
 def test_phat1_both_constructions_agree(app6):
     assert verify_phat1_both_ways(app6, 3, F(17, 3)) == 0
 
@@ -228,6 +263,51 @@ def test_transcription_diagnostic_pins_defective_entries(app6):
     assert [(a, b) for a, b, _ in diag] == [(1, 1), (2, 0)]
     for _, _, residual in diag:
         assert residual != 0
+
+
+def lemma_constructive_residuals(app, n, w, z):
+    """The constructive identities behind the hatted extended CD relations,
+    checked on the uncorrupted window.  Returns the worst residual.
+
+    q-side, entries j < n:  w qhat_a[j](w) + sum_i q_a[i](w) Ahat[i][j]
+    equals 0 for a = 0, 1 and -<1|qhat_j> for a = 2.
+
+    p-side, entries j <= n:  ((z - X) Lhat phat_b(z))[j] equals 0 for
+    b = 0; <p_j|z + y>/beta_0 for b = 1; and
+    -<p_j|1> + <p_j|z + y> W_beta_star(z)/beta_0 for b = 2.  Applying Lhat
+    to the hatted aux vectors returns the plain ones except in row 0, where
+    the subtracted constants (1, resp. W_beta_star(z)) resurface.
+    """
+    aux = aux_vectors(app, n, w, z)
+    fam = app.family
+    beta0 = app.beta_moment(0)
+    wbs = markov(app.alpha, app.beta, "W_beta_star")(z)
+    worst = 0
+    for a in range(3):
+        for j in range(n):
+            acc = w * aux.qhat[a][j]
+            for i in range(max(0, j - 1), j + 3):
+                acc += aux.q[a][i] * app.Ahat[i, j]
+            if a == 2:
+                acc += pair(app.I, (1,), app.hatted.q_hat[j])
+            worst = max(worst, abs(acc))
+    for b in range(3):
+        lhp = list(aux.p[b][: n + 2])
+        if b == 1:
+            lhp[0] += 1 / fam.eta_star(0)
+        elif b == 2:
+            lhp[0] += wbs / fam.eta_star(0)
+        for j in range(n + 1):
+            acc = z * lhp[j] - sum(app.X[j, k] * lhp[k] for k in range(j + 2))
+            if b == 0:
+                rhs = 0
+            else:
+                zy = (z * pair(app.I, fam.p_monic[j], (1,))
+                      + pair(app.I, fam.p_monic[j], (0, 1)))
+                rhs = zy / beta0 if b == 1 else \
+                    -pair(app.I, fam.p_monic[j], (1,)) + zy * wbs / beta0
+            worst = max(worst, abs(acc - rhs))
+    return worst
 
 
 def test_lemma_constructive_identities(app6):

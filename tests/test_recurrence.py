@@ -4,9 +4,9 @@ from random import Random
 import pytest
 
 from cauchybop import (OrderUnderflowError, build_apparatus,
-                       four_term_residual, hatted_determinantal_oracle,
-                       moment, pair, rank_one_XY_residual,
-                       tn_oscillatory_certificate)
+                       four_term_residual, moment, pair,
+                       rank_one_XY_residual, tn_oscillatory_certificate)
+from cauchybop.bimoment import det, minor
 from cauchybop.polys import peval
 
 from .conftest import random_rational_measure, rational_points_off
@@ -160,6 +160,41 @@ def test_phat_pairs_like_beta_moments(app6):
             ypow = tuple([0] * j + [1])
             assert pair(app6.I, app6.hatted.p_hat[n], ypow) == \
                 -moment(app6.beta, j)
+
+
+def hatted_determinantal_oracle(I, beta_moments, family, n):
+    """(qhat_n, phat_n) from the bordered determinants with the beta-moment
+    row, expanded by cofactors; exact match with build_hatted after the
+    normalization is cleared of square roots.
+
+    The qhat prefactor 1/(eta_n eta_{n+1} sqrt(D_n D_{n+2})) collapses to
+    the rational 1/(eta~_n eta~_{n+1} D_n) once the normalized averages are
+    written through the monic ones.
+    """
+    D = [minor(I.entries, range(k), range(k), True) if k else F(1)
+         for k in range(n + 3)]
+    # qhat_n: rows = I rows 0..n-1 then the beta row; columns 0..n+1; the
+    # power row is expanded away.
+    base_rows = [[I[i, j] for j in range(n + 2)] for i in range(n)]
+    base_rows.append([beta_moments[j] for j in range(n + 2)])
+    q_coeffs = []
+    for j in range(n + 2):
+        sub = [[row[c] for c in range(n + 2) if c != j] for row in base_rows]
+        sign = -1 if (n + 1 + j) % 2 else 1
+        q_coeffs.append(sign * det(sub, True))
+    scale_q = family.eta_monic[n] * family.eta_monic[n + 1] * D[n]
+    q_hat = tuple(c / scale_q for c in q_coeffs)
+    # phat_n: rows = I rows 0..n and the beta row; columns 0..n; the power
+    # column (1, x, ..., x^n, 0) is expanded away.
+    rows = [[I[i, j] for j in range(n + 1)] for i in range(n + 1)]
+    rows.append([beta_moments[j] for j in range(n + 1)])
+    p_coeffs = []
+    for i in range(n + 1):
+        sub = [rows[r] for r in range(n + 2) if r != i]
+        sign = -1 if (i + n + 1) % 2 else 1
+        p_coeffs.append(sign * det(sub, True))
+    p_hat = tuple(c / D[n + 1] for c in p_coeffs)
+    return q_hat, p_hat
 
 
 def test_hatted_determinantal_oracle(app6):

@@ -9,8 +9,7 @@ from cauchybop import (DensityMeasure, OrderUnderflowError, assemble_gamma,
                        constant_jump_postfactor, extract_constants,
                        jump_residual, jump_slope_study, two_sided_difference)
 from cauchybop.nikishin import PointBackend, aux_columns, markov
-from cauchybop.rhp import (_prefactor_gamma_hat_rows, _prefactor_gamma_rows,
-                          boundary_matrix, gamma_hat_series, gamma_series,
+from cauchybop.rhp import (boundary_matrix, gamma_hat_series, gamma_series,
                           jump_matrix)
 
 from .conftest import rational_points_off
@@ -40,10 +39,40 @@ def test_det_gamma_hat_unity_exact(app6, six_atom_pair, n):
         assert gh.determinant == 1
 
 
-def test_both_routes_agree_is_asserted_inside(app6):
-    # route agreement check is built into assembly and raises on mismatch
+def test_assembly_runs_at_rational_point_off_the_supports(app6):
+    # both matrices assemble at a rational point off every support without
+    # raising; route agreement is pinned by the prefactor test below
     assemble_gamma(app6, 3, F(23, 2))
     assemble_gamma_hat(app6, 3, F(23, 2))
+
+
+def prefactor_gamma_rows(app, n, q):
+    """The same matrix by the normalization-prefactor route: a 3x3 constant
+    matrix times the raw window matrix, written in square-root-free combos
+    (c_n q_{a,n} = h_n q*_{a,n} and q_{a,j}/c_j = q*_{a,j})."""
+    fam = app.family
+    s1 = [fam.h[n] * q[a][n] for a in range(3)]
+    s2 = [q[a][n - 1] / fam.eta_star(n - 1) for a in range(3)]
+    s3 = [(-1) ** (n + 1) * q[a][n - 2] for a in range(3)]
+    row0 = tuple(s1[a] - fam.eta_monic[n] * s2[a] for a in range(3))
+    row1 = tuple(s2)
+    row2 = tuple((-1) ** n * fam.eta_star(n - 2) * s2[a] + s3[a]
+                 for a in range(3))
+    return row0, row1, row2
+
+
+def prefactor_gamma_hat_rows(app, n, phat, wbs):
+    """Gammahat by the prefactor route, using only hatted windows plus the
+    convention phat_{b,-1} = (0, -1, -W_beta_star(z)) that extends the
+    forward substitution one slot below degree zero."""
+    fam = app.family
+    minus1 = [phat[b][n - 2] if n >= 2 else (0, -1, -wbs)[b] for b in range(3)]
+    row0 = tuple(-(fam.h[n] / fam.eta_monic[n]) * (phat[b][n] - phat[b][n - 1])
+                 for b in range(3))
+    row1 = tuple(-phat[b][n - 1] for b in range(3))
+    row2 = tuple((-1) ** n * (minus1[b] - phat[b][n - 1]) / fam.eta_monic[n - 1]
+                 for b in range(3))
+    return row0, row1, row2
 
 
 def test_prefactor_route_agrees_with_assembly(app6, six_atom_pair):
@@ -52,12 +81,12 @@ def test_prefactor_route_agrees_with_assembly(app6, six_atom_pair):
         for n in (2, 3, 4):
             q, _ = aux_columns(app6, "q", n, PointBackend(w))
             assert assemble_gamma(app6, n, w).entries == \
-                _prefactor_gamma_rows(app6, n, q)
+                prefactor_gamma_rows(app6, n, q)
         wbs = markov(app6.alpha, app6.beta, "W_beta_star")(w)
         for n in (1, 2, 3, 4):
             _, phat = aux_columns(app6, "p", n, PointBackend(w))
             assert assemble_gamma_hat(app6, n, w).entries == \
-                _prefactor_gamma_hat_rows(app6, n, phat, wbs)
+                prefactor_gamma_hat_rows(app6, n, phat, wbs)
 
 
 def test_gamma_rows_are_rational_combinations(app6):
