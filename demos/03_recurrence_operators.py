@@ -42,13 +42,15 @@ for n in (1, 2, 3, 4):
     print(f"  n={n}: p-side {rp}, q-side {rq}")
 
 print("\nhatted family facts: qhat has degree n+1, zero beta-average, and")
-print("pairs biorthonormally with phat (verified exactly at build time).")
+print("pairs biorthonormally with phat (asserted exactly by the tests).")
 print("qhat_1 coefficients:", [str(c) for c in app.hatted.q_hat[1]])
 print("phat_1 coefficients:", [str(c) for c in app.hatted.p_hat[1]])
 
-cert = tn_oscillatory_certificate(app.X, kmax=4)
-print("\noscillation certificate for X:")
-print("  all minors through 4x4 nonnegative:", cert.tn_passed)
+cert = tn_oscillatory_certificate(app.X)
+print("\noscillation certificate for X, by Neville elimination:")
+print(f"  totally nonnegative ({cert.kmax}x{cert.kmax}, every minor):",
+      cert.tn_passed)
+print("  smallest diagonal pivot:", cert.min_minor)
 print("  invertible truncation:", cert.invertible)
 print("  strictly positive sub/supradiagonals:",
       cert.subdiagonal_positive, cert.supradiagonal_positive)

@@ -234,13 +234,15 @@ def _suite_tp(r: Runner, app: Apparatus, kmax: int):
     r.run(lambda: f"{label} through {cert.kmax}x{cert.kmax}", tp)
     D = leading_minors(app.I)
     # the tuple-sum oracle enumerates C(atoms, n)^2 index pairs, O(n) work
-    # each through the closed-form Cauchy determinant; the cap on the atom
-    # count keeps the report's checks as they were
-    if max(len(app.alpha), len(app.beta)) <= 16:
-        for n in range(1, min(4, len(app.alpha), len(app.beta), len(D)) + 1):
-            r.run(f"leading minor D_{n} equals tuple-sum oracle",
-                  lambda: abs(D[n - 1] - oracle_dn(app.alpha, app.beta, n))
-                  / abs(float(D[n - 1])), 1e-8)
+    # each through the closed-form Cauchy determinant, too many past 16 atoms
+    many = max(len(app.alpha), len(app.beta)) > 16
+    for n in range(1, min(4, len(app.alpha), len(app.beta), len(D)) + 1):
+        name = f"leading minor D_{n} equals tuple-sum oracle"
+        if many:
+            r.skip(name, "more than 16 atoms")
+            continue
+        r.run(name, lambda: abs(D[n - 1] - oracle_dn(app.alpha, app.beta, n))
+              / abs(float(D[n - 1])), 1e-8)
     scale = max(abs(v) for row in app.I.entries for v in row)
 
     def shift():
@@ -260,23 +262,16 @@ def _suite_recurrence(r: Runner, app: Apparatus):
                         / max(1, abs(app.X[i, j]), abs(app.Y[j, i]))
                         for i in range(win) for j in range(win)))
     r.run(f"rank-one identity X + Y^T = pi eta^T (window {win})", rank_one)
-    if app.exact:
-        r.run("band support A in [-1,2]", lambda: not app.A.band_violations())
-        r.run("band support Ahat in [-2,1]",
-              lambda: not app.Ahat.band_violations())
-    else:
-        sub_a = BandOperator(app.A.entries, app.A.support, app.A.basis,
-                             min(win, app.A.valid_rows), win)
-        sub_ah = BandOperator(app.Ahat.entries, app.Ahat.support,
-                              app.Ahat.basis, win,
-                              min(win, app.Ahat.valid_cols))
-        scale = max(abs(v) for row in app.X.entries[:win]
-                    for v in row[:win])
-        band_tol = 1e-8 * float(scale)
-        r.run(f"band support A in [-1,2] (window {win})",
-              lambda: not sub_a.band_violations(band_tol))
-        r.run(f"band support Ahat in [-2,1] (window {win})",
-              lambda: not sub_ah.band_violations(band_tol))
+    band_tol = 0.0 if app.exact else 1e-8 * float(max(
+        abs(v) for row in app.X.entries[:win] for v in row[:win]))
+    where = "" if app.exact else f" (window {win})"
+
+    def window(op):
+        return BandOperator(op.entries, op.support, op.basis,
+                            min(win, op.valid_rows), min(win, op.valid_cols))
+    for op, band in ((app.A, "A in [-1,2]"), (app.Ahat, "Ahat in [-2,1]")):
+        r.run(f"band support {band}{where}",
+              lambda: not window(op).band_violations(band_tol))
     pts = _sample_points([app.alpha, app.beta], 5)
     for n in range(1, min(4, app.N - 1) + 1):
         if n > cap:
@@ -286,18 +281,9 @@ def _suite_recurrence(r: Runner, app: Apparatus):
         r.run(f"four-term recurrence residual, degree {n}",
               lambda: max(0, *(v for pt in pts for v in four_term_residual(
                   app.family, app.A, app.Bhat, n, pt, relative=True))))
-    if app.exact:
-        r.run("X totally nonnegative + oscillatory",
-              lambda: tn_oscillatory_certificate(
-                  app.X, kmax=min(4, app.N + 1)).oscillatory)
-    else:
-        sub = BandOperator(tuple(row[:win] for row in app.X.entries[:win]),
-                           app.X.support, app.X.basis, win, win)
-        scale = max(abs(v) for row in sub.entries for v in row)
-        r.run("X totally nonnegative + oscillatory",
-              lambda: tn_oscillatory_certificate(
-                  sub, kmax=min(2, win), exact=False,
-                  tol=1e-9 * max(1.0, float(scale)) ** 2).oscillatory)
+    r.run("X totally nonnegative + oscillatory",
+          lambda: tn_oscillatory_certificate(window(app.X),
+                                             band_tol).oscillatory)
 
 
 def _suite_cdi(r: Runner, app: Apparatus):
@@ -343,6 +329,7 @@ def _suite_duality(r: Runner, app: Apparatus):
     cap = float_degree_cap(app)
     for n in (2, 3):
         if n > app.N - 1:
+            r.skip(f"extended CD, n={n}", f"needs N >= {n + 1}")
             continue
         if n > cap:
             r.skip(f"extended CD, n={n}", "float conditioning")
@@ -356,6 +343,7 @@ def _suite_duality(r: Runner, app: Apparatus):
         r.run(f"extended CD residual, all 9 windows, n={n}", ecd)
     for n in (2, 3, 4):
         if n > app.N - 1:
+            r.skip(f"perfect duality pairing, n={n}", f"needs N >= {n + 1}")
             continue
         if n > cap:
             r.skip(f"perfect duality pairing, n={n}", "float conditioning")
@@ -557,7 +545,7 @@ def cmd_rhp(args) -> int:
     alpha, beta = load_spec(args.spec, args.mode == "float")
     n = args.degree
     point = _point(args.point) if args.point else Fraction(10)
-    app = build_apparatus(alpha, beta, max(n + 1, 2))
+    app = build_apparatus(alpha, beta, n + 1)
     payload = {"degree": n}
     ok = True
     if app.beta_density is not None and args.eps:
@@ -640,7 +628,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_orders(args) -> None:
     """Reject order arguments below their minimum, and a nonpositive
     --eps, before anything is built."""
-    for flag, attr, low in (("-N", "order", 1), ("-n", "degree", 0),
+    low_n = 2 if args.command == "rhp" else 0       # Gamma needs n >= 2
+    for flag, attr, low in (("-N", "order", 1), ("-n", "degree", low_n),
                             ("--kmax", "kmax", 1)):
         value = getattr(args, attr, None)
         if value is not None and value < low:

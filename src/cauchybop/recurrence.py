@@ -30,8 +30,8 @@ is simply not formed there.
 The builders construct and do not re-prove: shapes, band supports and
 the defining properties below are theorems, asserted by the tests and
 the verify suites.  The tests keep the independent routes as oracles:
-the pairings for X and Y, and the bordered determinants for the hatted
-families.
+the pairings for X and Y, the bordered determinants for the hatted
+families, and all minors against the Neville test of total nonnegativity.
 
 The hatted families are
 
@@ -48,9 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
-from .bimoment import BimomentMatrix, det, minor
+from .bimoment import BimomentMatrix
 from .bop import PolynomialFamily
 from .errors import OrderUnderflowError
 from .polys import peval, pscale, psub
@@ -249,6 +248,9 @@ def build_hatted(family: PolynomialFamily) -> HattedFamily:
 
 @dataclass(frozen=True)
 class OscillationCertificate:
+    """``kmax`` is the order certified, ``min_minor`` the smallest diagonal
+    pivot, ``violation`` the first failed Neville step as (row, col,
+    multiplier), with None for a needed row exchange."""
     tn_passed: bool
     kmax: int
     min_minor: object
@@ -266,35 +268,49 @@ class OscillationCertificate:
         return self.oscillatory
 
 
-def tn_oscillatory_certificate(M: BandOperator, kmax: int = 4,
-                               exact: bool = True,
-                               tol: float = 0.0) -> OscillationCertificate:
-    """Total nonnegativity of all minors up to order kmax, plus the
-    classical oscillation criterion: TN, invertible, and strictly positive
-    first sub- and supra-diagonals.
+def _neville(rows, tol):
+    """Neville elimination, each column zeroed bottom up by the row above,
+    |entries| <= tol counting as zero.  Exchanges are made, so the pivots
+    carry |det|; returns them and the first exchange or negative multiplier.
+    """
+    a = [list(row) for row in rows]
+    violation = None
+    for k in range(len(a) - 1):
+        for i in range(len(a) - 1, k, -1):
+            if abs(a[i][k]) <= tol:
+                continue
+            if abs(a[i - 1][k]) <= tol:
+                a[i - 1], a[i] = a[i], a[i - 1]
+                violation = violation or (i, k, None)
+                continue
+            m = a[i][k] / a[i - 1][k]
+            if m < 0:
+                violation = violation or (i, k, m)
+            a[i] = [x - m * y for x, y in zip(a[i], a[i - 1])]
+    return [a[k][k] for k in range(len(a))], violation
 
-    Minor signs are invariant under the positive diagonal conjugation
-    between the rational and normalized frames, so certifying the rational
-    entries certifies the normalized operator too.  tol absorbs rounding
-    dust on minors that vanish identically (float data only).
+
+def tn_oscillatory_certificate(M: BandOperator,
+                               tol: float = 0.0) -> OscillationCertificate:
+    """Total nonnegativity of the valid window of M, plus the classical
+    oscillation criterion: TN, invertible, and strictly positive first sub-
+    and supra-diagonals.  A nonsingular M is TN iff Neville elimination of
+    M and of M^T needs no row exchange and no negative multiplier, and the
+    pivots of M are > 0 (Gasca & Pena, Linear Algebra Appl. 165, 1992); the
+    row operations keep |det|, so a vanishing pivot means singular and not
+    certified.  tol makes float rounding dust count as zero.  Minor signs
+    are invariant under the positive diagonal conjugation between the
+    rational and normalized frames, so certifying the rational entries
+    certifies the normalized operator too.
     """
     size = M.valid_rows
-    entries = M.entries
-    kmax = min(kmax, size)
-    worst = None
-    violation = None
-    tn = True
-    for k in range(1, kmax + 1):
-        for rows in combinations(range(size), k):
-            for cols in combinations(range(size), k):
-                v = minor(entries, rows, cols, exact)
-                if worst is None or v < worst:
-                    worst = v
-                if v < -tol and violation is None:
-                    violation = (rows, cols, v)
-                    tn = False
-    full = det([row[:size] for row in entries[:size]], exact)
-    sub = all(entries[i + 1][i] > 0 for i in range(size - 1))
-    supra = all(entries[i][i + 1] > 0 for i in range(size - 1))
-    return OscillationCertificate(tn, kmax, worst, full != 0, sub, supra,
-                                  violation)
+    rows = [row[:size] for row in M.entries[:size]]
+    pivots, violation = _neville(rows, tol)
+    if violation is None:
+        _, v = _neville(zip(*rows), tol)
+        violation = v and (v[1], v[0], v[2])       # as indices of M
+    sub = all(rows[i + 1][i] > 0 for i in range(size - 1))
+    supra = all(rows[i][i + 1] > 0 for i in range(size - 1))
+    return OscillationCertificate(
+        violation is None and min(pivots) > tol, size, min(pivots),
+        all(abs(p) > tol for p in pivots), sub, supra, violation)

@@ -258,6 +258,35 @@ def test_verify_elapsed_times_the_check(monkeypatch, spec_file, capsys):
     assert timed and all(c["elapsed"] >= 0.05 for c in timed)
 
 
+# 17 atoms on each side, one past the tuple-sum oracle's atom limit
+SEVENTEEN_ATOM = {
+    side: {"type": "discrete",
+           "atoms": [{"x": str(k + shift), "w": "1"} for k in range(1, 18)]}
+    for side, shift in (("alpha", 0), ("beta", 0.5))}
+
+
+@pytest.mark.parametrize("spec, N, count, skipped", [
+    pytest.param(SIX_ATOM, 3, 43, [
+        "extended CD, n=3 [skipped: needs N >= 4]",
+        "perfect duality pairing, n=3 [skipped: needs N >= 4]",
+        "perfect duality pairing, n=4 [skipped: needs N >= 5]"],
+        id="six atoms N=3"),
+    pytest.param(SEVENTEEN_ATOM, 4, 50, [
+        *(f"leading minor D_{n} equals tuple-sum oracle "
+          "[skipped: more than 16 atoms]" for n in range(1, 5)),
+        "perfect duality pairing, n=4 [skipped: needs N >= 5]"],
+        id="17 atoms N=4"),
+])
+def test_dropped_checks_are_reported_as_skips(spec, N, count, skipped,
+                                              spec_file, capsys):
+    code, payload = run(capsys, ["verify", spec_file(spec), "-N", str(N),
+                                 "--suite", "all"])
+    assert code == 0
+    assert len(payload["checks"]) == count
+    assert [c["name"] for c in payload["checks"]
+            if c["status"] == "skip"] == skipped
+
+
 ARRAY_SPEC = [SIX_ATOM["alpha"], SIX_ATOM["beta"]]
 
 
@@ -272,6 +301,8 @@ ARRAY_SPEC = [SIX_ATOM["alpha"], SIX_ATOM["beta"]]
         (["recurrence", "-N", "-1"], SIX_ATOM, ""),
         (["bimoments", "-N", "3", "--kmax", "0"], SIX_ATOM, ""),
         (["verify", "-N", "3", "--kmax", "0"], SIX_ATOM, ""),
+        (["rhp", "-n", "0"], SIX_ATOM, ""),
+        (["rhp", "-n", "1"], SIX_ATOM, ""),
         (["rhp", "-n", "2", "--point", "x"], SIX_ATOM, ""),
         (["bop", "-n", "2", "--point", "x"], SIX_ATOM, ""),
         (["verify", "-N", "3"], ARRAY_SPEC, " [array spec]"),
@@ -286,6 +317,8 @@ def test_bad_order_arguments_exit_2(argv, spec, spec_file, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
+    if argv == ["rhp", "-n", "1"]:
+        assert captured.err == "error: -n must be at least 2, got 1\n"
 
 
 # ROADMAP sample spec D: exp(-x) on [0.5, 2] against

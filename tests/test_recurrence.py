@@ -1,9 +1,12 @@
 from fractions import Fraction as F
+from itertools import combinations
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cauchybop import (OrderUnderflowError, build_apparatus,
+from cauchybop import (BandOperator, OrderUnderflowError, build_apparatus,
                        four_term_residual, moment, pair,
                        rank_one_XY_residual, tn_oscillatory_certificate)
 from cauchybop.bimoment import det, minor
@@ -224,13 +227,73 @@ def test_intertwining_relations(app6):
 
 
 def test_tn_oscillatory_certificate(app6):
-    cert = tn_oscillatory_certificate(app6.X, kmax=4)
+    cert = tn_oscillatory_certificate(app6.X)
     assert cert.tn_passed
     assert cert.invertible
     assert cert.subdiagonal_positive and cert.supradiagonal_positive
     assert cert.oscillatory
-    cert_y = tn_oscillatory_certificate(app6.Y, kmax=3)
+    cert_y = tn_oscillatory_certificate(app6.Y)
     assert cert_y.oscillatory
+
+
+def all_minors_nonnegative(a, top=None):
+    """The oracle for the Neville test: every minor of order <= top (of
+    every order by default)."""
+    n = len(a)
+    return all(minor(a, rows, cols, True) >= 0
+               for k in range(1, (top or n) + 1)
+               for rows in combinations(range(n), k)
+               for cols in combinations(range(n), k))
+
+
+def _dense(a):
+    n = len(a)
+    return BandOperator(tuple(map(tuple, a)), (1 - n, n - 1), "dense", n, n)
+
+
+def _bidiagonal_product(rng, n, perturb):
+    """A positive diagonal times elementary bidiagonal factors with
+    nonnegative multipliers (so TN), one entry perturbed if asked."""
+    a = [[F(rng.randint(1, 5), rng.randint(1, 3)) if i == j else F(0)
+          for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(0, n * (n - 1))):
+        i, m = rng.randint(1, n - 1), F(rng.randint(0, 4), rng.randint(1, 3))
+        if rng.random() < 0.5:          # lower factor: row i += m row i-1
+            a[i] = [x + m * y for x, y in zip(a[i], a[i - 1])]
+        else:                           # upper factor: col i += m col i-1
+            for row in a:
+                row[i] += m * row[i - 1]
+    if perturb:
+        a[rng.randrange(n)][rng.randrange(n)] += F(rng.randint(-6, 6),
+                                                   rng.randint(1, 4))
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 5), st.booleans())
+def test_neville_certificate_matches_all_minors(seed, n, perturb):
+    a = _bidiagonal_product(Random(seed), n, perturb)
+    assume(det(a, True) != 0)
+    cert = tn_oscillatory_certificate(_dense(a))
+    assert cert.invertible and cert.kmax == n
+    assert cert.tn_passed == all_minors_nonnegative(a)
+
+
+def test_certificate_sees_a_negative_determinant_past_order_four():
+    # the 5x5 Cauchy matrix 1/(i+j) with a_11 lowered just enough to turn
+    # the determinant negative; every minor of order <= 4 stays >= 0
+    a = [[F(1, i + j) for j in range(1, 6)] for i in range(1, 6)]
+    a[0][0] -= F(101, 100) * det(a, True) / det([r[1:] for r in a[1:]], True)
+    assert det(a, True) < 0 and all_minors_nonnegative(a, 4)
+    cert = tn_oscillatory_certificate(_dense(a))
+    assert not cert.tn_passed and not cert.oscillatory
+    assert cert.invertible and cert.min_minor < 0
+
+
+def test_singular_input_is_not_certified():
+    cert = tn_oscillatory_certificate(_dense([[F(1), F(1)], [F(1), F(1)]]))
+    assert not cert.invertible and not cert.tn_passed
+    assert cert.min_minor == 0
 
 
 def test_two_by_two_truncation_determinant_positive(two_atom_pair):
