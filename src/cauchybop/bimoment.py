@@ -30,6 +30,9 @@ upper shift matrix and a, b the moment vectors of the two measures,
 holds entrywise, exactly.  :func:`rank_one_shift_residual` returns the
 left-hand side minus the right-hand side on the window where the shift is
 defined.
+
+numpy is imported only by the float branch of :func:`det`, so exact input
+never loads it.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import Callable
-
-import numpy as np
 
 from .errors import KernelSingularityError, TheoryViolationError
 from .measure import DiscreteMeasure, moment
@@ -111,6 +112,7 @@ def bareiss_det(rows):
 def det(rows, exact: bool):
     if exact:
         return bareiss_det(rows)
+    import numpy as np
     return float(np.linalg.det(np.array(rows, dtype=float)))
 
 

@@ -92,7 +92,7 @@ def _measure_from_dict(d, float_mode: bool):
                 order=int(quad.get("order", 64)),
             )
         raise UsageError(f"unknown measure type {kind!r}")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"malformed measure spec: {exc}") from exc
 
 
@@ -382,7 +382,7 @@ def _suite_rhp(r: Runner, app: Apparatus, eps_list):
     eta_ref = app.family.eta_monic[n - 1] ** 2 / h
     r.run("recovered eta^2 matches family average",
           lambda: (eta_sq - eta_ref) / eta_ref, 1e-6)
-    if app.beta_density is not None:
+    if app.alpha_density is not None and app.beta_density is not None:
         a, b = app.beta_density.support
         w0 = (a + b) / 2.0
         slope = None
@@ -425,7 +425,7 @@ def cmd_bimoments(args) -> int:
     cert = check_total_positivity(I, kmax)
     res = rank_one_shift_residual(I, alpha, beta)
     shift_ok = all(v == 0 for row in res for v in row) if I.exact else \
-        max(abs(v) for row in res for v in row) < 1e-10
+        max((abs(v) for row in res for v in row), default=0.0) < 1e-10
     degenerate = [n + 1 for n, d in enumerate(D) if d == 0]
     if degenerate:
         warnings.append(
@@ -545,10 +545,14 @@ def cmd_rhp(args) -> int:
     alpha, beta = load_spec(args.spec, args.mode == "float")
     n = args.degree
     point = _point(args.point) if args.point else Fraction(10)
+    if args.eps and not (isinstance(alpha, DensityMeasure)
+                         and isinstance(beta, DensityMeasure)):
+        raise UsageError("--eps (the jump study) needs density measures on "
+                         "both sides")
     app = build_apparatus(alpha, beta, n + 1)
     payload = {"degree": n}
     ok = True
-    if app.beta_density is not None and args.eps:
+    if args.eps:
         a, b = app.beta_density.support
         w0 = (a + b) / 2.0
         residuals, slope = jump_slope_study(app, n, w0, args.eps)
@@ -626,17 +630,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_orders(args) -> None:
-    """Reject order arguments below their minimum, and a nonpositive
-    --eps, before anything is built."""
-    low_n = 2 if args.command == "rhp" else 0       # Gamma needs n >= 2
-    for flag, attr, low in (("-N", "order", 1), ("-n", "degree", low_n),
+    """Reject order arguments below their minimum, and an --eps ladder
+    that is not positive or too short to fit a slope, before anything is
+    built."""
+    # Gamma needs n >= 2, and the rhp suite takes n = min(3, N - 1)
+    low_n = 2 if args.command == "rhp" else 0
+    low_N = 3 if getattr(args, "suite", None) in ("all", "rhp") else 1
+    for flag, attr, low in (("-N", "order", low_N), ("-n", "degree", low_n),
                             ("--kmax", "kmax", 1)):
         value = getattr(args, attr, None)
         if value is not None and value < low:
             raise UsageError(f"{flag} must be at least {low}, got {value}")
-    for eps in getattr(args, "eps", None) or ():
+    ladder = getattr(args, "eps", None) or ()
+    for eps in ladder:
         if not eps > 0:
             raise UsageError(f"--eps must be positive, got {eps}")
+    if ladder and len(set(ladder)) < 2:
+        raise UsageError("--eps needs at least 2 distinct values, got 1")
 
 
 def main(argv=None) -> int:

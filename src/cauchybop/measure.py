@@ -19,6 +19,9 @@ Measures with unbounded support are handled only through a user-supplied
 truncation interval.  The density of polynomials in the associated L2
 spaces is an assumption of the construction and is recorded here, not
 verified.
+
+numpy is imported only by the float work on densities (the quadrature
+rule and the density values), so discrete measures never load it.
 """
 
 from __future__ import annotations
@@ -26,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .errors import InvalidDensityError
 from .polys import peval
@@ -116,12 +117,15 @@ class DensityMeasure:
             raise ValueError("give exactly one of density / potential")
         if self.order < 1:
             raise ValueError("quadrature node count must be >= 1")
+        if not self.hbar > 0:
+            raise ValueError(f"hbar must be positive, got {self.hbar}")
         if self.quadrature != "gauss-legendre":
             raise ValueError(f"unsupported quadrature rule {self.quadrature!r}")
 
     def density_at(self, x: float) -> float:
         if self.density is not None:
             return float(self.density(x))
+        import numpy as np
         return float(np.exp(-peval(tuple(self.potential), x) / self.hbar))
 
 
@@ -158,18 +162,23 @@ def discretize(m: DensityMeasure) -> DiscreteMeasure:
     the rule; for a polynomial density of degree <= 2*order - 1 it is exact
     up to rounding.
     """
-    a, b = m.support
-    nodes, weights = np.polynomial.legendre.leggauss(m.order)
-    half = (b - a) / 2.0
-    mid = (b + a) / 2.0
     atoms = []
-    for t, w in zip(nodes, weights):
-        x = mid + half * t
+    for x, w in zip(*gauss_legendre(m)):
         rho = m.density_at(x)
         if not rho > 0:
             raise InvalidDensityError(f"invalid density: {rho} at node {x}")
-        atoms.append(Atom(float(x), float(w * half * rho)))
+        atoms.append(Atom(float(x), float(w * rho)))
     return DiscreteMeasure(tuple(atoms))
+
+
+def gauss_legendre(m: DensityMeasure):
+    """The m.order-point Gauss-Legendre rule mapped onto m.support: two
+    float arrays, the nodes and the weights (not yet times the density)."""
+    import numpy as np
+    nodes, weights = np.polynomial.legendre.leggauss(m.order)
+    a, b = m.support
+    half, mid = (b - a) / 2.0, (b + a) / 2.0
+    return mid + half * nodes, weights * half
 
 
 def measure_from_strings(pairs: Sequence[tuple[str, str]]) -> DiscreteMeasure:

@@ -82,6 +82,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
 from .bundle import Apparatus
@@ -166,10 +167,18 @@ def _weighted(m: DiscreteMeasure, g=None, reflected: bool = False,
 def markov(alpha: DiscreteMeasure, beta: DiscreteMeasure, tag: str
            ) -> MarkovFunction:
     """One of the eight canonical transforms of the pair (da, db), built
-    from its recipe; the folding transforms are plain ones."""
+    from its recipe; the folding transforms are plain ones.  The result is
+    frozen, so each is built once per pair and shared by every caller."""
     if tag not in _RECIPES:
         raise ValueError(
             f"unknown Markov tag {tag!r}; expected one of {MARKOV_TAGS}")
+    return _markov(alpha, beta, tag, alpha.is_exact, beta.is_exact)
+
+
+@lru_cache(maxsize=len(_RECIPES))
+def _markov(alpha, beta, tag, alpha_exact, beta_exact):
+    # the exactness flags are part of the key because a float measure
+    # compares and hashes equal to the rational one with the same values
     measures = {"alpha": alpha, "beta": beta}
     which, reflected, fold = _RECIPES[tag]
     g = None

@@ -35,6 +35,10 @@ value and the +-i pi density term on the two sides of the cut; the
 reflected cut uses -T(g, -w), so one log branch serves both cuts.  The
 residual Gamma_+ - Gamma_- J(w0) is then O(eps) up to quadrature error,
 and is expected to fall linearly as eps shrinks.
+
+numpy is imported only by the density-backed float code (the split
+Cauchy transform and the slope fit); assembly at rational points of
+exact input never loads it.
 """
 
 from __future__ import annotations
@@ -42,11 +46,9 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bimoment import det
 from .bundle import Apparatus
-from .measure import DensityMeasure
+from .measure import DensityMeasure, gauss_legendre
 from .nikishin import PointBackend, SeriesBackend, aux_columns
 from .polys import peval
 from .scalars import is_exact
@@ -204,14 +206,6 @@ def extract_constants(app: Apparatus, n: int):
 # -- boundary values and jumps ----------------------------------------------------
 
 
-def _gl_data(dm: DensityMeasure):
-    nodes, wts = np.polynomial.legendre.leggauss(dm.order)
-    a, b = dm.support
-    half, mid = (b - a) / 2.0, (b + a) / 2.0
-    ys = mid + half * nodes
-    return ys, wts * half
-
-
 def cauchy_transform_density(dm: DensityMeasure, g, w,
                              near_width: float = 0.05):
     """integral g(y) density(y) dy / (w - y), stable arbitrarily close to
@@ -222,8 +216,9 @@ def cauchy_transform_density(dm: DensityMeasure, g, w,
     part is smooth at the ulp scale of eps and integrates accurately, while
     F(x0) (log(w-a) - log(w-b)) carries the exact near-cut behavior.
     """
+    import numpy as np
     a, b = dm.support
-    ys, wts = _gl_data(dm)
+    ys, wts = gauss_legendre(dm)
     fvals = np.array([g(y) * dm.density_at(y) for y in ys], dtype=complex)
     x0 = w.real if isinstance(w, complex) else float(w)
     imag = w.imag if isinstance(w, complex) else 0.0
@@ -305,6 +300,7 @@ def two_sided_difference(app: Apparatus, n: int, w0: float, eps: float,
 def jump_slope_study(app: Apparatus, n: int, w0: float, eps_list,
                      which: str = "gamma"):
     """Residuals across an eps ladder plus the fitted log-log slope."""
+    import numpy as np
     residuals = [jump_residual(app, n, w0, e, which) for e in eps_list]
     logs_e = np.log(np.array(eps_list, dtype=float))
     logs_r = np.log(np.maximum(np.array(residuals, dtype=float), 1e-300))

@@ -77,8 +77,11 @@ def residual(lhs, rhs, relative: bool = False):
 
 def scalar_sqrt(x) -> float:
     """Positive square root as a float (normalized quantities live in the
-    float layer only)."""
+    float layer only).  The arguments are norms h_n, positive for valid
+    input, so a negative one is float rounding noise past the reliable
+    degrees."""
     value = float(x)
     if value < 0:
-        raise ValueError("square root of a negative scalar")
+        raise PrecisionExhaustedError(
+            f"precision exhausted: square root of a negative norm {value!r}")
     return value ** 0.5

@@ -16,14 +16,16 @@ at rational points straddling each float zero.
 Theory guarantees the zeros are simple, strictly positive, inside the
 convex hull of the relevant support, and interlaced between consecutive
 degrees.  Those are *checked* properties here, reported per degree.
+
+Eigenvalues and companion roots are float work: numpy is imported when
+:func:`zeros_of` runs, not with the module, so the exact lane never loads
+it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .bimoment import det
 from .bundle import Apparatus
@@ -49,7 +51,8 @@ class ZeroReport:
     companion_max_deviation: float
 
 
-def _eigs_real_sorted(block) -> np.ndarray:
+def _eigs_real_sorted(block):
+    import numpy as np
     m = np.array(block, dtype=float)
     try:
         vals = np.linalg.eigvals(m)
@@ -71,6 +74,7 @@ def zeros_of(app: Apparatus, which: str, n: int) -> ZeroReport:
         raise OrderUnderflowError(f"degree {n} outside built range 0..{app.N}")
     if n == 0:
         return ZeroReport(0, (), float("inf"), True, True, None, 0.0, False, 0.0)
+    import numpy as np
     op = app.X if which == "p" else app.Y
     block = [row[:n] for row in op.entries[:n]]
     eigs = _eigs_real_sorted(block)

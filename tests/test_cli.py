@@ -288,6 +288,21 @@ def test_dropped_checks_are_reported_as_skips(spec, N, count, skipped,
 
 
 ARRAY_SPEC = [SIX_ATOM["alpha"], SIX_ATOM["beta"]]
+ZERO_DENOMINATOR = {"alpha": {"type": "discrete", "atoms": [
+    {"x": "1", "w": "1/0"}]}, "beta": SIX_ATOM["beta"]}
+ZERO_HBAR = {"alpha": {**DENSITY["alpha"], "potential": {"coeffs": [],
+                                                         "hbar": 0.0}},
+             "beta": DENSITY["beta"]}
+# exact atoms against a density: the float lane, with one density only
+MIXED = {"alpha": SIX_ATOM["alpha"], "beta": DENSITY["beta"]}
+MESSAGES = {
+    ("rhp", "-n", "1"): "error: -n must be at least 2, got 1\n",
+    ("verify", "-N", "2"): "error: -N must be at least 3, got 2\n",
+    ("rhp", "-n", "2", "--eps", "1e-4", "1e-5"):
+        "error: --eps (the jump study) needs density measures on both sides\n",
+    ("verify", "-N", "3", "--mode", "float", "--eps", "1e-4"):
+        "error: --eps needs at least 2 distinct values, got 1\n",
+}
 
 
 @pytest.mark.parametrize("argv, spec", [
@@ -308,6 +323,16 @@ ARRAY_SPEC = [SIX_ATOM["alpha"], SIX_ATOM["beta"]]
         (["verify", "-N", "3"], ARRAY_SPEC, " [array spec]"),
         (["verify", "-N", "3", "--mode", "float", "--eps", "0"], DENSITY, ""),
         (["rhp", "-n", "2", "--mode", "float", "--eps", "0"], DENSITY, ""),
+        (["verify", "-N", "2"], SIX_ATOM, ""),
+        (["bimoments", "-N", "2"], ZERO_DENOMINATOR, " [weight 1/0]"),
+        (["bimoments", "-N", "2", "--mode", "float"], ZERO_HBAR,
+         " [hbar 0]"),
+        (["rhp", "-n", "2", "--eps", "1e-4", "1e-5"], MIXED,
+         " [one density]"),
+        (["rhp", "-n", "2", "--mode", "float", "--eps", "1e-4", "1e-4"],
+         DENSITY, ""),
+        (["verify", "-N", "3", "--mode", "float", "--eps", "1e-4"], DENSITY,
+         ""),
     ]])
 def test_bad_order_arguments_exit_2(argv, spec, spec_file, capsys):
     code = main([argv[0], spec_file(spec)] + argv[1:])
@@ -317,8 +342,22 @@ def test_bad_order_arguments_exit_2(argv, spec, spec_file, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
-    if argv == ["rhp", "-n", "1"]:
-        assert captured.err == "error: -n must be at least 2, got 1\n"
+    if tuple(argv) in MESSAGES:
+        assert captured.err == MESSAGES[tuple(argv)]
+
+
+def test_bimoments_float_order_one(spec_file, capsys):
+    # at N=1 the shift identity has no window to check
+    code, payload = run(capsys, ["bimoments", spec_file(SIX_ATOM), "-N", "1",
+                                 "--mode", "float"])
+    assert code == 0 and payload["rank_one_shift"] == "pass"
+
+
+def test_verify_one_density_skips_the_jump_study(spec_file, capsys):
+    code, payload = run(capsys, ["verify", spec_file(MIXED), "-N", "3",
+                                 "--suite", "rhp", "--mode", "float"])
+    assert code == 0 and payload["status"] == "pass"
+    assert not any("jump" in c["name"] for c in payload["checks"])
 
 
 # ROADMAP sample spec D: exp(-x) on [0.5, 2] against
@@ -373,6 +412,16 @@ def test_zeros_float_non_real_eigenvalues_exit_2(spec_file, capsys):
     assert len(captured.err.splitlines()) == 1
 
 
+def test_bop_float_negative_norm_exit_2(spec_file, capsys):
+    # D's float h_9 comes out negative, so c_9 = sqrt(h_9) does not exist
+    code = main(["bop", spec_file(D_SPEC), "-n", "9", "--mode", "float"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: precision exhausted")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_zeros_float_past_degree_cap_exit_2(spec_file, capsys):
     # D's defect ladder is clean only through degree 3 (6.6e-7 at degree 4)
     code = main(["zeros", spec_file(D_SPEC), "-n", "4", "--mode", "float"])
@@ -381,3 +430,49 @@ def test_zeros_float_past_degree_cap_exit_2(spec_file, capsys):
     assert "Traceback" not in captured.out + captured.err
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
+
+
+# Run in a fresh interpreter, since other test modules import numpy into
+# this one: prints whether numpy is loaded after `import cauchybop`, then
+# each command's exit code and the same flag after it.
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import cauchybop
+from cauchybop.cli import main
+seen = ["numpy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([main(argv), "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.parametrize("commands, loads_numpy", [
+    pytest.param([["verify", "SIX", "-N", "5", "--suite", "all"],
+                  ["bimoments", "SIX", "-N", "4"],
+                  ["bop", "SIX", "-n", "3", "--point", "1/3"],
+                  ["recurrence", "SIX", "-N", "4"],
+                  ["rhp", "SIX", "-n", "2"]], False, id="exact lane"),
+    pytest.param([["verify", "DENSITY", "-N", "3", "--suite", "rhp",
+                   "--mode", "float"]], True, id="float verify"),
+    pytest.param([["zeros", "SIX", "-n", "3"]], True, id="zeros"),
+])
+def test_only_float_lane_and_zeros_load_numpy(commands, loads_numpy,
+                                              spec_file):
+    import os
+    import subprocess
+    import sys
+
+    import cauchybop
+    paths = {"SIX": spec_file(SIX_ATOM, "six.json"),
+             "DENSITY": spec_file(DENSITY, "density.json")}
+    argvs = [[argv[0], paths[argv[1]]] + argv[2:] for argv in commands]
+    src = os.path.dirname(os.path.dirname(cauchybop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE,
+                          json.dumps(argvs)], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    after_import, *runs = json.loads(out)
+    assert after_import is False
+    assert runs == [[0, loads_numpy]] * len(commands)
