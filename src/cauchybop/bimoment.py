@@ -147,18 +147,14 @@ class BimomentMatrix:
         """[D_1, ..., D_order] by fraction-free elimination (D_0 = 1 by
         convention and is not stored).  Negative values in exact mode can
         only come from corrupted input and raise."""
-        cached = getattr(self, "_minors", None)
-        if cached is None:
-            cached = tuple(
-                det([row[: n + 1] for row in self.entries[: n + 1]], self.exact)
-                for n in range(self.order))
-            if self.exact:
-                for n, d in enumerate(cached):
-                    if d < 0:
-                        raise TheoryViolationError(
-                            f"theory violation: leading minor D_{n + 1} = {d} < 0")
-            object.__setattr__(self, "_minors", cached)
-        return cached
+        minors = tuple(
+            det([row[: n + 1] for row in self.entries[: n + 1]], self.exact)
+            for n in range(self.order))
+        for n, d in enumerate(minors):
+            if self.exact and d < 0:
+                raise TheoryViolationError(
+                    f"theory violation: leading minor D_{n + 1} = {d} < 0")
+        return minors
 
     def shifted(self, di: int, dj: int) -> "BimomentMatrix":
         """The matrix with entries I[di+i][dj+j]: bimoments of the measures

@@ -23,6 +23,11 @@ Positions and weights are decimal strings parsed to exact rationals, so
 exact-mode results are reproducible bit for bit; rationals are emitted as
 "p/q" strings and floats as shortest round-trip decimals.
 
+Subcommands judge an identity by the verify suites' check for it.  Float
+degree windows come from one cap per command (``reliable_degree_cap``):
+``verify`` hands it to every suite; ``bop``, ``zeros`` and ``rhp`` refuse
+a float degree past cap + 1.
+
 Exit codes: 0 = all checks pass, 1 = a check failed, 2 = usage or input
 error, 3 = theory violation (an exact identity failed, meaning corrupted
 input or an internal bug -- never seen on valid data).
@@ -36,14 +41,14 @@ import io
 import json
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
 from .bimoment import (CAUCHY, check_total_positivity, compute_bimoments,
                        leading_minors, oracle_dn, rank_one_shift_residual)
 from .bop import evaluate
-from .bundle import (Apparatus, build_apparatus,
-                     reliable_degree_cap)
+from .bundle import Apparatus, build_apparatus, reliable_degree_cap
 from .cdkernel import (cd_residual_hat, cd_residual_plain,
                        verify_block_against_dense)
 from .errors import (CauchybopError, PrecisionExhaustedError,
@@ -52,7 +57,8 @@ from .measure import (Atom, DensityMeasure, DiscreteMeasure, discretize,
                       measure_from_strings)
 from .nikishin import (aux_vectors, duality_check, ecd_residual, order_check,
                        pade_solve, plucker_residual)
-from .recurrence import four_term_residual, tn_oscillatory_certificate
+from .recurrence import (four_term_residual, rank_one_XY_residual,
+                         tn_oscillatory_certificate)
 from .rhp import (assemble_gamma, assemble_gamma_hat, asymptotic_check,
                   extract_constants, jump_slope_study)
 from .scalars import format_scalar, parse_exact
@@ -158,16 +164,14 @@ def _sample_points(measures, count: int, spread: int = 7):
 # -- the verification suites -------------------------------------------------------
 
 
-#: Float-mode identity checks are conditioning-limited: the bimoment LDU
-#: loses roughly the digits of h_n/h_0 by degree n, so residual tolerances
-#: are calibrated loose and degree windows are capped adaptively.  Exact
-#: mode is the authoritative verification lane.
+#: Float checks are conditioning-limited (the LDU loses about the digits of
+#: h_n/h_0 by degree n), so tolerances are loose and windows stop at the cap.
 FLOAT_RTOL = 1e-3
 
 
 class Runner:
-    def __init__(self, mode: str):
-        self.mode = mode
+    def __init__(self, exact: bool):
+        self.mode = "exact" if exact else "float"
         self.checks = []
 
     def _push(self, name, status, mag, elapsed):
@@ -212,24 +216,85 @@ class Runner:
 float_degree_cap = reliable_degree_cap
 
 
-def _suite_tp(r: Runner, app: Apparatus, kmax: int):
-    if app.exact:
-        tp_tol = 0.0
-    else:
-        scale = max(abs(v) for row in app.I.entries for v in row)
-        try:
-            tp_tol = 1e-12 * (kmax * float(scale)) ** kmax
-        except OverflowError:
-            raise PrecisionExhaustedError(
-                f"precision exhausted: {kmax}x{kmax} minors of float "
-                f"bimoments as large as {float(scale):.3e} overflow") from None
+def _refuse_past_cap(app: Apparatus, n: int):
+    """Refuse a degree past cap + 1 (never exact, where the cap is N - 1)."""
+    cap = float_degree_cap(app)
+    if n > cap + 1:
+        raise PrecisionExhaustedError(
+            f"precision exhausted: degree {n} exceeds the float degree cap "
+            f"{cap + 1} set by the biorthonormality defect ladder")
+
+
+def _windows(r: Runner, app: Apparatus, cap: int, degrees, name: str):
+    """The degrees n a check can run at; past N - 1 or past the float
+    degree cap it is listed as a skip of name.format(n), with the reason."""
+    for n in degrees:
+        if n > app.N - 1:
+            r.skip(name.format(n), f"needs N >= {n + 1}")
+        elif n > cap:
+            r.skip(name.format(n), "float conditioning")
+        else:
+            yield n
+
+
+def _tp_certificate(I, kmax: int):
+    """The consecutive-minor certificate, with a float rounding floor."""
+    if I.exact:
+        return check_total_positivity(I, kmax)
+    scale = max(abs(v) for row in I.entries for v in row)
+    try:
+        tol = 1e-12 * (kmax * float(scale)) ** kmax
+    except OverflowError:
+        raise PrecisionExhaustedError(
+            f"precision exhausted: {kmax}x{kmax} minors of float "
+            f"bimoments as large as {float(scale):.3e} overflow") from None
+    return check_total_positivity(I, kmax, tol=tol)
+
+
+def _check_shift(r: Runner, I, alpha, beta) -> bool:
+    """Judge the rank-one shift identity, relative to the largest bimoment."""
+    def shift():
+        res = rank_one_shift_residual(I, alpha, beta)
+        scale = max(1, *(abs(v) for row in I.entries for v in row))
+        return max((abs(v) for row in res for v in row), default=0) / scale
+    return r.run("rank-one shift identity on bimoments", shift, 1e-12)
+
+
+def _check_unit_dets(r: Runner, app: Apparatus, n: int, point):
+    """Judge det = 1 of Gamma and Gammahat at point; returns both."""
+    matrices = []
+    for assemble, name in ((assemble_gamma, "det Gamma(w={}) = 1"),
+                           (assemble_gamma_hat, "det Gammahat(z={}) = 1")):
+        def unit_det():
+            matrices.append(assemble(app, n, point))
+            return matrices[-1].determinant - 1
+        r.run(name.format(point), unit_det, 1e-8)
+    return matrices
+
+
+def _check_jump_slope(r: Runner, app: Apparatus, n: int, eps_list):
+    """Judge that the jump residual at w0, the middle of supp(db), falls
+    linearly in eps; returns (w0, residuals, slope)."""
+    w0 = sum(app.beta_density.support) / 2.0
+    study = None
+
+    def jump():
+        nonlocal study
+        study = jump_slope_study(app, n, w0, eps_list)
+        return 0.5 <= study[1] <= 2.0
+    r.run(lambda: f"jump residual slope {study[1]:.3f} within factor 2 of "
+          "linear", jump)
+    return (w0, *study)
+
+
+def _suite_tp(r: Runner, app: Apparatus, cap, kmax, eps_list):
     label = ("consecutive minors positive" if app.exact
              else "no negative consecutive minor")
     cert = None
 
     def tp():
         nonlocal cert
-        cert = check_total_positivity(app.I, kmax, tol=tp_tol)
+        cert = _tp_certificate(app.I, kmax)
         return cert.passed
     r.run(lambda: f"{label} through {cert.kmax}x{cert.kmax}", tp)
     D = leading_minors(app.I)
@@ -243,18 +308,11 @@ def _suite_tp(r: Runner, app: Apparatus, kmax: int):
             continue
         r.run(name, lambda: abs(D[n - 1] - oracle_dn(app.alpha, app.beta, n))
               / abs(float(D[n - 1])), 1e-8)
-    scale = max(abs(v) for row in app.I.entries for v in row)
-
-    def shift():
-        res = rank_one_shift_residual(app.I, app.alpha, app.beta)
-        return max(abs(v) for row in res for v in row) / max(1, scale)
-    r.run("rank-one shift identity on bimoments", shift, 1e-12)
+    _check_shift(r, app.I, app.alpha, app.beta)
 
 
-def _suite_recurrence(r: Runner, app: Apparatus):
-    from .recurrence import BandOperator, rank_one_XY_residual
-    cap = float_degree_cap(app)
-    win = app.N + 1 if app.exact else min(cap + 2, app.N + 1)
+def _suite_recurrence(r: Runner, app: Apparatus, cap, kmax, eps_list):
+    win = min(cap + 2, app.N + 1)
 
     def rank_one():
         res = rank_one_XY_residual(app.X, app.Y, app.family)
@@ -267,17 +325,14 @@ def _suite_recurrence(r: Runner, app: Apparatus):
     where = "" if app.exact else f" (window {win})"
 
     def window(op):
-        return BandOperator(op.entries, op.support, op.basis,
-                            min(win, op.valid_rows), min(win, op.valid_cols))
+        return replace(op, valid_rows=min(win, op.valid_rows),
+                       valid_cols=min(win, op.valid_cols))
     for op, band in ((app.A, "A in [-1,2]"), (app.Ahat, "Ahat in [-2,1]")):
         r.run(f"band support {band}{where}",
               lambda: not window(op).band_violations(band_tol))
     pts = _sample_points([app.alpha, app.beta], 5)
-    for n in range(1, min(4, app.N - 1) + 1):
-        if n > cap:
-            r.skip(f"four-term recurrence residual, degree {n}",
-                   "float conditioning")
-            continue
+    for n in _windows(r, app, cap, range(1, min(4, app.N - 1) + 1),
+                      "four-term recurrence residual, degree {}"):
         r.run(f"four-term recurrence residual, degree {n}",
               lambda: max(0, *(v for pt in pts for v in four_term_residual(
                   app.family, app.A, app.Bhat, n, pt, relative=True))))
@@ -286,14 +341,11 @@ def _suite_recurrence(r: Runner, app: Apparatus):
                                              band_tol).oscillatory)
 
 
-def _suite_cdi(r: Runner, app: Apparatus):
+def _suite_cdi(r: Runner, app: Apparatus, cap, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 6)
     pairs = list(zip(pts[::2], pts[1::2]))
-    cap = float_degree_cap(app)
-    for n in range(2, min(5, app.N - 1) + 1):
-        if n > cap:
-            r.skip(f"CD identities, n={n}", "float conditioning")
-            continue
+    for n in _windows(r, app, cap, range(2, min(5, app.N - 1) + 1),
+                      "CD identities, n={}"):
 
         def block():
             try:
@@ -311,43 +363,30 @@ def _suite_cdi(r: Runner, app: Apparatus):
                           for x, y in pairs))
 
 
-def _suite_pade(r: Runner, app: Apparatus):
+def _suite_pade(r: Runner, app: Apparatus, cap, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 10)
     r.run("product identity of the two Nikishin chains",
           lambda: max(abs(plucker_residual(app.alpha, app.beta, z))
                       for z in pts), 1e-12)
-    cap = min(4, app.N) if app.exact else float_degree_cap(app)
+    top = min(4, app.N) if app.exact else cap
     for problem in ("q", "p", "switched"):
-        for n in range(0, cap + 1):
+        for n in range(0, top + 1):
             r.run(f"approximation orders, problem={problem}, n={n}",
                   lambda: order_check(
                       pade_solve(app, n, problem), rtol=1e-6).passed)
 
 
-def _suite_duality(r: Runner, app: Apparatus):
+def _suite_duality(r: Runner, app: Apparatus, cap, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 4)
-    cap = float_degree_cap(app)
-    for n in (2, 3):
-        if n > app.N - 1:
-            r.skip(f"extended CD, n={n}", f"needs N >= {n + 1}")
-            continue
-        if n > cap:
-            r.skip(f"extended CD, n={n}", "float conditioning")
-            continue
-        w, z = pts[0], pts[1]
+    w, z = pts[0], pts[1]
+    for n in _windows(r, app, cap, (2, 3), "extended CD, n={}"):
 
         def ecd():
             aux = aux_vectors(app, n, w, z)
             return max(ecd_residual(app, a, b, n, w, z, aux, relative=True)
                        for a in range(3) for b in range(3))
         r.run(f"extended CD residual, all 9 windows, n={n}", ecd)
-    for n in (2, 3, 4):
-        if n > app.N - 1:
-            r.skip(f"perfect duality pairing, n={n}", f"needs N >= {n + 1}")
-            continue
-        if n > cap:
-            r.skip(f"perfect duality pairing, n={n}", "float conditioning")
-            continue
+    for n in _windows(r, app, cap, (2, 3, 4), "perfect duality pairing, n={}"):
 
         def pairing():
             aux = aux_vectors(app, n, -pts[2], pts[2])
@@ -356,21 +395,14 @@ def _suite_duality(r: Runner, app: Apparatus):
         r.run(f"perfect duality pairing, n={n}", pairing)
 
 
-def _suite_rhp(r: Runner, app: Apparatus, eps_list):
+def _suite_rhp(r: Runner, app: Apparatus, cap, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 3)
     n = min(3, app.N - 1) if app.exact else min(2, app.N - 1)
-    det_tol = 1e-12 if app.exact else 1e-8
     for w in pts:
-        r.run(f"det Gamma(w={w}) = 1",
-              lambda: assemble_gamma(app, n, w).determinant - 1, det_tol)
-        r.run(f"det Gammahat(z={w}) = 1",
-              lambda: assemble_gamma_hat(app, n, w).determinant - 1,
-              det_tol)
-    rtol = 1e-8 if app.exact else 1e-5
-    r.run("asymptotic powers of Gamma",
-          lambda: asymptotic_check(app, n, "gamma", rtol=rtol).passed)
-    r.run("asymptotic powers of Gammahat",
-          lambda: asymptotic_check(app, n, "gamma_hat", rtol=rtol).passed)
+        _check_unit_dets(r, app, n, w)
+    for which, label in (("gamma", "Gamma"), ("gamma_hat", "Gammahat")):
+        r.run(f"asymptotic powers of {label}",
+              lambda: asymptotic_check(app, n, which, rtol=1e-5).passed)
     h = app.family.h[n - 1]
     eta_sq = None
 
@@ -382,27 +414,14 @@ def _suite_rhp(r: Runner, app: Apparatus, eps_list):
     eta_ref = app.family.eta_monic[n - 1] ** 2 / h
     r.run("recovered eta^2 matches family average",
           lambda: (eta_sq - eta_ref) / eta_ref, 1e-6)
+    # densities on both sides mean float input, where n <= 2
     if app.alpha_density is not None and app.beta_density is not None:
-        a, b = app.beta_density.support
-        w0 = (a + b) / 2.0
-        slope = None
-
-        def jump():
-            nonlocal slope
-            slope = jump_slope_study(app, min(2, n), w0, eps_list)[1]
-            return 0.5 <= slope <= 2.0
-        r.run(lambda: f"jump residual slope {slope:.3f} within factor 2 of "
-              "linear", jump)
+        _check_jump_slope(r, app, n, eps_list)
 
 
-SUITES = {
-    "tp": lambda r, app, kmax, eps: _suite_tp(r, app, kmax),
-    "recurrence": lambda r, app, kmax, eps: _suite_recurrence(r, app),
-    "cdi": lambda r, app, kmax, eps: _suite_cdi(r, app),
-    "pade": lambda r, app, kmax, eps: _suite_pade(r, app),
-    "duality": lambda r, app, kmax, eps: _suite_duality(r, app),
-    "rhp": lambda r, app, kmax, eps: _suite_rhp(r, app, eps),
-}
+#: name -> suite(runner, apparatus, float degree cap, kmax, eps ladder)
+SUITES = {"tp": _suite_tp, "recurrence": _suite_recurrence, "cdi": _suite_cdi,
+          "pade": _suite_pade, "duality": _suite_duality, "rhp": _suite_rhp}
 
 
 # -- subcommands --------------------------------------------------------------------
@@ -422,10 +441,8 @@ def cmd_bimoments(args) -> int:
         kmax = N
     I = compute_bimoments(alpha, beta, CAUCHY, N)
     D = leading_minors(I)
-    cert = check_total_positivity(I, kmax)
-    res = rank_one_shift_residual(I, alpha, beta)
-    shift_ok = all(v == 0 for row in res for v in row) if I.exact else \
-        max((abs(v) for row in res for v in row), default=0.0) < 1e-10
+    cert = _tp_certificate(I, kmax)
+    shift_ok = _check_shift(Runner(I.exact), I, alpha, beta)
     degenerate = [n + 1 for n, d in enumerate(D) if d == 0]
     if degenerate:
         warnings.append(
@@ -457,11 +474,12 @@ def cmd_verify(args) -> int:
             if isinstance(m, DensityMeasure) or not m.is_exact:
                 raise UsageError("exact mode requires discrete-rational measures")
     app = build_apparatus(alpha, beta, args.order)
-    runner = Runner(args.mode if app.exact else "float")
+    runner = Runner(app.exact)
+    cap = float_degree_cap(app)
+    kmax = args.kmax or min(args.order + 2, 6)
     eps_list = args.eps or [1e-4, 1e-5, 1e-6]
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    for name in names:
-        SUITES[name](runner, app, args.kmax or min(args.order + 2, 6), eps_list)
+    for name in (list(SUITES) if args.suite == "all" else [args.suite]):
+        SUITES[name](runner, app, cap, kmax, eps_list)
     report = runner.report(args.suite, args.order)
     _emit(report, args.output,
           csv_rows=[[c["name"], c["status"], c["residual"], c["mode"]]
@@ -474,6 +492,7 @@ def cmd_bop(args) -> int:
     n = args.degree
     point = None if args.point is None else _point(args.point)
     app = build_apparatus(alpha, beta, max(n, 1))
+    _refuse_past_cap(app, n)
     fam = app.family
     payload = {
         "degree": n,
@@ -497,11 +516,7 @@ def cmd_zeros(args) -> int:
     alpha, beta = load_spec(args.spec, args.mode == "float")
     n = args.degree
     app = build_apparatus(alpha, beta, max(n, 1))
-    cap = reliable_degree_cap(app)
-    if n > cap + 1:
-        raise PrecisionExhaustedError(
-            f"degree {n} exceeds the float degree cap {cap + 1} set by the "
-            "biorthonormality defect ladder")
+    _refuse_past_cap(app, n)
     payload = {"degree": n}
     ok = True
     for which in ("p", "q"):
@@ -550,30 +565,23 @@ def cmd_rhp(args) -> int:
         raise UsageError("--eps (the jump study) needs density measures on "
                          "both sides")
     app = build_apparatus(alpha, beta, n + 1)
+    _refuse_past_cap(app, n)
+    r = Runner(app.exact)
     payload = {"degree": n}
-    ok = True
     if args.eps:
-        a, b = app.beta_density.support
-        w0 = (a + b) / 2.0
-        residuals, slope = jump_slope_study(app, n, w0, args.eps)
-        payload["jump_study"] = {
-            "w0": w0, "eps": list(args.eps), "residuals": residuals,
-            "slope": slope}
-        ok = 0.5 <= slope <= 2.0
+        w0, residuals, slope = _check_jump_slope(r, app, n, args.eps)
+        payload["jump_study"] = {"w0": w0, "eps": list(args.eps),
+                                 "residuals": residuals, "slope": slope}
     else:
         pt = point if app.exact else float(point)
-        g = assemble_gamma(app, n, pt)
-        gh = assemble_gamma_hat(app, n, pt)
+        matrices = _check_unit_dets(r, app, n, pt)
         payload["point"] = format_scalar(pt)
-        payload["gamma"] = _grid(g.entries)
-        payload["det_gamma"] = format_scalar(g.determinant)
-        payload["gamma_hat"] = _grid(gh.entries)
-        payload["det_gamma_hat"] = format_scalar(gh.determinant)
-        for d in (g.determinant, gh.determinant):
-            ok = ok and (d == 1 if app.exact else abs(d - 1) < 1e-12)
+        for key, m in zip(("gamma", "gamma_hat"), matrices):
+            payload[key] = _grid(m.entries)
+            payload[f"det_{key}"] = format_scalar(m.determinant)
     _emit(payload, args.output,
           csv_rows=payload.get("gamma", [["jump_study"]]))
-    return EXIT_PASS if ok else EXIT_CHECK_FAILED
+    return EXIT_PASS if r.passed else EXIT_CHECK_FAILED
 
 
 # -- entry point ---------------------------------------------------------------------

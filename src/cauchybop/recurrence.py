@@ -67,7 +67,6 @@ class BandOperator:
     """
     entries: tuple
     support: tuple[int, int]
-    basis: str
     valid_rows: int
     valid_cols: int
 
@@ -125,9 +124,8 @@ def build_XY(family: PolynomialFamily, I: BimomentMatrix):
                        size, size, size)
     X = sandwich(I.shifted(1, 0))
     Y = tuple(zip(*sandwich(I.shifted(0, 1))))
-    bx = BandOperator(X, (-(size - 1), 1), "monic-conjugated", size, size)
-    by = BandOperator(Y, (-(size - 1), 1), "monic-conjugated", size, size)
-    return bx, by
+    return (BandOperator(X, (-(size - 1), 1), size, size),
+            BandOperator(Y, (-(size - 1), 1), size, size))
 
 
 def rank_one_XY_residual(X: BandOperator, Y: BandOperator,
@@ -160,11 +158,8 @@ def build_L_Lhat(family: PolynomialFamily):
         Lh[i][i] = -1 / family.eta_star(i)
         if i - 1 >= 0:
             Lh[i][i - 1] = 1 / family.eta_star(i)
-    bl = BandOperator(tuple(map(tuple, L)), (0, 1), "monic-conjugated",
-                      size - 1, size)
-    blh = BandOperator(tuple(map(tuple, Lh)), (-1, 0), "monic-conjugated",
-                       size, size)
-    return bl, blh
+    return (BandOperator(tuple(map(tuple, L)), (0, 1), size - 1, size),
+            BandOperator(tuple(map(tuple, Lh)), (-1, 0), size, size))
 
 
 def build_A_Ahat(X: BandOperator, L: BandOperator, Lhat: BandOperator):
@@ -180,10 +175,10 @@ def build_A_Ahat(X: BandOperator, L: BandOperator, Lhat: BandOperator):
     B = tuple(tuple(-A[j][i] for j in range(rows_A)) for i in range(size))
     Bhat = tuple(tuple(-Ahat[j][i] for j in range(size))
                  for i in range(cols_Ah))
-    return (BandOperator(A, (-1, 2), "monic-conjugated", rows_A, size),
-            BandOperator(Ahat, (-2, 1), "monic-conjugated", size, cols_Ah),
-            BandOperator(B, (-2, 1), "monic-conjugated", size, rows_A),
-            BandOperator(Bhat, (-1, 2), "monic-conjugated", cols_Ah, size))
+    return (BandOperator(A, (-1, 2), rows_A, size),
+            BandOperator(Ahat, (-2, 1), size, cols_Ah),
+            BandOperator(B, (-2, 1), size, rows_A),
+            BandOperator(Bhat, (-1, 2), cols_Ah, size))
 
 
 def four_term_residual(family: PolynomialFamily, A: BandOperator,

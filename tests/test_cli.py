@@ -476,3 +476,50 @@ def test_only_float_lane_and_zeros_load_numpy(commands, loads_numpy,
     after_import, *runs = json.loads(out)
     assert after_import is False
     assert runs == [[0, loads_numpy]] * len(commands)
+
+
+# The subcommands judge by the verify suites' checks and degree window.
+
+
+def test_bimoments_float_shift_is_judged_relative(spec_file, capsys):
+    # the shift residual reaches 4.8e-7 against bimoments of 6.3e9: 7.6e-17
+    # relative, as the tp suite measures it
+    code, payload = run(capsys, ["bimoments", spec_file(SIX_ATOM), "-N", "8",
+                                 "--mode", "float"])
+    assert code == 0 and payload["rank_one_shift"] == "pass"
+
+
+def test_rhp_float_det_within_the_rhp_suite_tolerance(spec_file, capsys):
+    # det Gammahat - 1 = 1.9e-11, inside the rhp suite's float tolerance
+    code, payload = run(capsys, ["rhp", spec_file(SIX_ATOM), "-n", "3",
+                                 "--mode", "float"])
+    assert code == 0
+    assert abs(float(payload["det_gamma_hat"]) - 1) > 1e-12
+
+
+@pytest.mark.parametrize("argv, spec", [
+    pytest.param(["rhp", "-n", "4"], SIX_ATOM, id="rhp six -n 4"),
+    pytest.param(["bop", "-n", "10"], D_SPEC, id="bop D -n 10"),
+])
+def test_float_degree_past_cap_exit_2(argv, spec, spec_file, capsys):
+    code = main([argv[0], spec_file(spec)] + argv[1:] + ["--mode", "float"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: precision exhausted:")
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_verify_computes_the_float_cap_once(monkeypatch, spec_file, capsys):
+    from cauchybop import cli
+    calls = []
+    cap = cli.float_degree_cap
+
+    def counted(app):
+        calls.append(app.N)
+        return cap(app)
+    monkeypatch.setattr(cli, "float_degree_cap", counted)
+    code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "5",
+                                 "--suite", "all", "--mode", "float"])
+    assert code == 0 and payload["status"] == "pass"
+    assert calls == [5]

@@ -248,7 +248,7 @@ def all_minors_nonnegative(a, top=None):
 
 def _dense(a):
     n = len(a)
-    return BandOperator(tuple(map(tuple, a)), (1 - n, n - 1), "dense", n, n)
+    return BandOperator(tuple(map(tuple, a)), (1 - n, n - 1), n, n)
 
 
 def _bidiagonal_product(rng, n, perturb):
