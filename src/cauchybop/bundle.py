@@ -74,16 +74,16 @@ def biorthonormality_defects(app: Apparatus):
     return tuple(ladder)
 
 
-def reliable_degree_cap(app: Apparatus, clean: float = 1e-8) -> int:
+def reliable_degree_cap(app: Apparatus) -> int:
     """Largest window n whose checks only touch degrees with
-    biorthonormality defect below `clean` (degree n+1 included, since every
+    biorthonormality defect at most 1e-8 (degree n+1 included, since every
     identity at window n reaches one degree past it)."""
     if app.exact:
         return app.N - 1
     ladder = biorthonormality_defects(app)
     cap = 0
     for k in range(1, app.N + 1):
-        if float(ladder[k]) > clean:
+        if float(ladder[k]) > 1e-8:
             break
         cap = k - 1
     return max(cap, 1)

@@ -15,9 +15,13 @@ sitting in rows n-1..n+1 and columns n-2..n:
 
 The identities are evaluated through this block acting on 3-windows, so
 the semi-infinite projector is never materialized and truncation error is
-exactly zero.  The block builder is cross-checked against a dense
-commutator formed on the whole stored truncation.  All arithmetic happens
-in the rescaled biorthonormal frame, where both sides are rational.
+exactly zero.  These two and the extended pair in ``nikishin`` all read
+(w+z) sum_{j<n} u_j(w) v_j(z) = q^T(w) B_n(s) phat(z) - C and share one
+evaluator, :func:`_cd_residual`, which returns |lhs - rhs| / max(1, |lhs|,
+|rhs|): zero exactly when the identity holds.  The block is cross-checked
+against a dense commutator formed on the whole stored truncation.  All
+arithmetic happens in the rescaled biorthonormal frame, where both sides
+are rational.
 """
 
 from __future__ import annotations
@@ -112,29 +116,35 @@ def _window_product(app: Apparatus, n: int, s, q_values, phat_values):
     return total
 
 
-def cd_residual_plain(app: Apparatus, n: int, x, y, relative: bool = False):
-    """LHS - RHS of the plain identity at (x, y); exactly zero in exact
-    mode.  relative=True divides by max(1, |LHS|, |RHS|), the sensible
-    scaling for float data where the rescaled q values carry 1/h factors."""
+def _cd_residual(app: Apparatus, n: int, w_plus_z, u, v, q_values,
+                 phat_values, s, constant):
+    """Relative residual of (w+z) sum_{j<n} u_j v_j = q-window . B_n(s) .
+    phat-window - constant."""
+    lhs = w_plus_z * sum(u[j] * v[j] for j in range(n))
+    rhs = _window_product(app, n, s, q_values, phat_values) - constant
+    return residual(lhs, rhs)
+
+
+def _point_windows(app: Apparatus, n: int, x, y):
+    """q*_k(y) for k <= n+1 and phat_k(x) for k <= n."""
     app.require_window(n)
-    fam = app.family
-    q_values = [peval(fam.q_star(k), y) for k in range(n + 2)]
-    phat_values = [peval(app.hatted.p_hat[k], x) for k in range(n + 1)]
-    kernel_sum = sum(q_values[j] * peval(fam.p_monic[j], x) for j in range(n))
-    lhs = (x + y) * kernel_sum
-    rhs = _window_product(app, n, -y, q_values, phat_values)
-    return residual(lhs, rhs, relative)
+    return ([peval(app.family.q_star(k), y) for k in range(n + 2)],
+            [peval(app.hatted.p_hat[k], x) for k in range(n + 1)])
 
 
-def cd_residual_hat(app: Apparatus, n: int, x, y, relative: bool = False):
-    """LHS - RHS of the hatted identity at (x, y); same block, evaluated at
+def cd_residual_plain(app: Apparatus, n: int, x, y):
+    """Residual of the plain identity at (x, y); exactly zero in exact
+    mode."""
+    q_values, phat_values = _point_windows(app, n, x, y)
+    p_values = [peval(app.family.p_monic[j], x) for j in range(n)]
+    return _cd_residual(app, n, x + y, q_values, p_values, q_values,
+                        phat_values, -y, 0)
+
+
+def cd_residual_hat(app: Apparatus, n: int, x, y):
+    """Residual of the hatted identity at (x, y); same block, evaluated at
     s = x instead of s = -y."""
-    app.require_window(n)
-    fam = app.family
-    q_values = [peval(fam.q_star(k), y) for k in range(n + 2)]
-    phat_values = [peval(app.hatted.p_hat[k], x) for k in range(n + 1)]
-    kernel_sum = sum(peval(app.hatted.q_hat[j], y) * phat_values[j]
-                     for j in range(n))
-    lhs = (x + y) * kernel_sum
-    rhs = _window_product(app, n, x, q_values, phat_values)
-    return residual(lhs, rhs, relative)
+    q_values, phat_values = _point_windows(app, n, x, y)
+    qhat_values = [peval(app.hatted.q_hat[j], y) for j in range(n)]
+    return _cd_residual(app, n, x + y, qhat_values, phat_values, q_values,
+                        phat_values, x, 0)

@@ -49,7 +49,8 @@ identities, the duality pairing and both boundary-value matrices read
 windows of these columns.
 
 The extended identities pair the auxiliary vector windows of both families
-against the 3x3 commutator block.  The constant matrix in
+against the 3x3 commutator block, judged by the plain and hatted CD
+identities' evaluator, ``cdkernel._cd_residual``.  The constant matrix in
 
     (w+z) q_a^T(w) Pi p_b(z) = q_a^T(w) B_n(-w) phat_b(z) - FF(w,z)[a][b]
 
@@ -86,11 +87,11 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .bundle import Apparatus
-from .cdkernel import _window_product
+from .cdkernel import _cd_residual, _window_product
 from .errors import OrderUnderflowError, PoleEvaluationError
 from .measure import DiscreteMeasure
 from .polys import peval, preflect
-from .scalars import is_exact, residual
+from .scalars import is_exact
 from .series import PowerTail
 
 #: tag -> (measure, reflected?, folding tag): the Stieltjes transform of
@@ -286,18 +287,17 @@ class OrderCertificate:
         return self.passed
 
 
-def order_check(sol: PadeSolution, depth: int | None = None,
-                rtol: float = 1e-9) -> OrderCertificate:
+def order_check(sol: PadeSolution, rtol: float = 1e-9) -> OrderCertificate:
     """Coefficient-by-coefficient verification of the three approximation
     conditions plus the equivalent form R1 G1 - R2 = R3.
 
-    depth defaults to 2n + 2, the order needed to see the O(1/z**(n+1))
+    Series run to depth 2n + 2, the order needed to see the O(1/z**(n+1))
     condition through the series products.  On exact data every comparison
     is literal; on float data offending coefficients are compared against
     rtol times the scale of the series they came from.
     """
     n = sol.n
-    depth = depth or 2 * n + 2
+    depth = 2 * n + 2
     exact = all(is_exact(c) for c in sol.Q) and \
         all(is_exact(m) for m in sol.F1.masses)
     sQ = PowerTail.from_poly(sol.Q)
@@ -486,26 +486,23 @@ def f_hat_matrix(app: Apparatus, w, z, correction: str = "derived"):
 
 
 def ecd_residual(app: Apparatus, a: int, b: int, n: int, w, z,
-                 aux: AuxVectors | None = None, relative: bool = False):
+                 aux: AuxVectors | None = None):
     """Residual of the plain extended identity for the (a, b) pair."""
     app.require_window(n)
     aux = aux or aux_vectors(app, n, w, z)
-    lhs = (w + z) * sum(aux.q[a][j] * aux.p[b][j] for j in range(n))
-    rhs = _window_product(app, n, -w, aux.q[a], aux.phat[b]) \
-        - f_matrix(app, w, z)[a][b]
-    return residual(lhs, rhs, relative)
+    return _cd_residual(app, n, w + z, aux.q[a], aux.p[b], aux.q[a],
+                        aux.phat[b], -w, f_matrix(app, w, z)[a][b])
 
 
 def ecd_hat_residual(app: Apparatus, a: int, b: int, n: int, w, z,
                      correction: str = "derived",
-                     aux: AuxVectors | None = None, relative: bool = False):
+                     aux: AuxVectors | None = None):
     """Residual of the hatted extended identity for the (a, b) pair."""
     app.require_window(n)
     aux = aux or aux_vectors(app, n, w, z)
-    lhs = (w + z) * sum(aux.qhat[a][j] * aux.phat[b][j] for j in range(n))
-    rhs = _window_product(app, n, z, aux.q[a], aux.phat[b]) \
-        - f_hat_matrix(app, w, z, correction)[a][b]
-    return residual(lhs, rhs, relative)
+    return _cd_residual(app, n, w + z, aux.qhat[a], aux.phat[b], aux.q[a],
+                        aux.phat[b], z,
+                        f_hat_matrix(app, w, z, correction)[a][b])
 
 
 def transcription_diagnostic(app: Apparatus, n: int, w, z):

@@ -182,9 +182,8 @@ def build_A_Ahat(X: BandOperator, L: BandOperator, Lhat: BandOperator):
 
 
 def four_term_residual(family: PolynomialFamily, A: BandOperator,
-                       Bhat: BandOperator, n: int, point,
-                       relative: bool = False):
-    """Residuals of the four-term recurrences at a point, for 1 <= n.
+                       Bhat: BandOperator, n: int, point):
+    """Relative residuals of the four-term recurrences at a point, 1 <= n.
 
     p-side:  x (p_n/pi_n - p_{n-1}/pi_{n-1})
                = A[n-1][n-2..n+1] . (p_{n-2}, ..., p_{n+1})
@@ -201,8 +200,7 @@ def four_term_residual(family: PolynomialFamily, A: BandOperator,
     lhs_q = point * (qv[n] / family.eta_star(n)
                      - qv[n - 1] / family.eta_star(n - 1))
     rhs_q = sum(Bhat[n - 1, k] * qv[k] for k in range(max(0, n - 2), n + 2))
-    return (residual(lhs_p, rhs_p, relative),
-            residual(lhs_q, rhs_q, relative))
+    return residual(lhs_p, rhs_p), residual(lhs_q, rhs_q)
 
 
 # -- hatted families -----------------------------------------------------------

@@ -123,13 +123,14 @@ def assemble_gamma_hat(app: Apparatus, n: int, z) -> RHMatrix:
 # -- exact expansions at infinity -------------------------------------------------
 
 
-def gamma_series(app: Apparatus, n: int, depth: int | None = None):
-    """3x3 grid of PowerTails for Gamma's expansion at infinity."""
-    return _rows(app, "gamma", n, SeriesBackend(depth or 2 * n + 4))
+def gamma_series(app: Apparatus, n: int):
+    """3x3 grid of PowerTails for Gamma's expansion at infinity, known
+    through w**(-2n-4)."""
+    return _rows(app, "gamma", n, SeriesBackend(2 * n + 4))
 
 
-def gamma_hat_series(app: Apparatus, n: int, depth: int | None = None):
-    return _rows(app, "gamma_hat", n, SeriesBackend(depth or 2 * n + 4))
+def gamma_hat_series(app: Apparatus, n: int):
+    return _rows(app, "gamma_hat", n, SeriesBackend(2 * n + 4))
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,6 @@ class AsymptoticCertificate:
 
 
 def asymptotic_check(app: Apparatus, n: int, which: str = "gamma",
-                     depth: int | None = None,
                      rtol: float = 1e-8) -> AsymptoticCertificate:
     """Entrywise power-law verification by series: the matrix equals
     (identity + O(1/w)) times diag(w**d_j), coefficient by coefficient.
@@ -155,8 +155,7 @@ def asymptotic_check(app: Apparatus, n: int, which: str = "gamma",
     since discretization noise leaves ~1e-12 dust on coefficients that
     vanish identically in exact arithmetic.
     """
-    grid = (gamma_series if which == "gamma" else gamma_hat_series)(
-        app, n, depth)
+    grid = (gamma_series if which == "gamma" else gamma_hat_series)(app, n)
     d = (n, -1, -n + 1) if which == "gamma" else (n, 0, -n)
     failures = []
     for j in range(3):
@@ -206,15 +205,15 @@ def extract_constants(app: Apparatus, n: int):
 # -- boundary values and jumps ----------------------------------------------------
 
 
-def cauchy_transform_density(dm: DensityMeasure, g, w,
-                             near_width: float = 0.05):
+def cauchy_transform_density(dm: DensityMeasure, g, w):
     """integral g(y) density(y) dy / (w - y), stable arbitrarily close to
     the cut.
 
     Off the support the plain quadrature sum is used.  For Re(w) interior
-    and |Im w| small, the integrand is split at x0 = Re(w): the subtracted
-    part is smooth at the ulp scale of eps and integrates accurately, while
-    F(x0) (log(w-a) - log(w-b)) carries the exact near-cut behavior.
+    and |Im w| at most 0.05 times the support length, the integrand is
+    split at x0 = Re(w): the subtracted part is smooth at the ulp scale of
+    eps and integrates accurately, while F(x0) (log(w-a) - log(w-b))
+    carries the exact near-cut behavior.
     """
     import numpy as np
     a, b = dm.support
@@ -222,7 +221,7 @@ def cauchy_transform_density(dm: DensityMeasure, g, w,
     fvals = np.array([g(y) * dm.density_at(y) for y in ys], dtype=complex)
     x0 = w.real if isinstance(w, complex) else float(w)
     imag = w.imag if isinstance(w, complex) else 0.0
-    margin = near_width * (b - a)
+    margin = 0.05 * (b - a)
     if a + 1e-12 < x0 < b - 1e-12 and abs(imag) <= margin:
         f0 = g(x0) * dm.density_at(x0)
         sub = np.sum(wts * (fvals - f0) / (x0 - ys))

@@ -21,19 +21,8 @@ from .errors import PrecisionExhaustedError
 
 #: Bit bound for numerators/denominators in exact mode.  Generous: the bound
 #: exists to turn a runaway computation into a clean error instead of an
-#: apparent hang.  Adjustable via :func:`set_bit_bound`.
+#: apparent hang.
 _MAX_BITS = 1 << 20
-
-
-def set_bit_bound(bits: int) -> None:
-    global _MAX_BITS
-    if bits < 64:
-        raise ValueError("bit bound must be at least 64")
-    _MAX_BITS = bits
-
-
-def get_bit_bound() -> int:
-    return _MAX_BITS
 
 
 def guard_precision(value) -> None:
@@ -67,12 +56,10 @@ def format_scalar(x) -> str:
     return repr(float(x))
 
 
-def residual(lhs, rhs, relative: bool = False):
-    """lhs - rhs, or with relative=True |lhs - rhs| / max(1, |lhs|, |rhs|):
-    the scaling every float identity check shares."""
-    if relative:
-        return abs(lhs - rhs) / max(1, abs(lhs), abs(rhs))
-    return lhs - rhs
+def residual(lhs, rhs):
+    """|lhs - rhs| / max(1, |lhs|, |rhs|): zero exactly when the identity
+    holds, and the scaling every float identity check shares."""
+    return abs(lhs - rhs) / max(1, abs(lhs), abs(rhs))
 
 
 def scalar_sqrt(x) -> float:

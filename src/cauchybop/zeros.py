@@ -90,12 +90,10 @@ def zeros_of(app: Apparatus, which: str, n: int) -> ZeroReport:
     gaps = np.diff(eigs)
     min_gap = float(np.min(gaps)) if len(gaps) else float("inf")
 
-    prev_interlaced = None
+    prev_interlaced = True   # vacuous at n = 1
     if n >= 2:
         prev = _eigs_real_sorted([row[: n - 1] for row in op.entries[: n - 1]])
-        prev_interlaced = _strictly_interlaced(eigs, prev)
-    elif n == 1:
-        prev_interlaced = True   # vacuous
+        prev_interlaced = bool(_interlacing_margin(eigs, prev) > 0)
 
     charpoly_res = max(
         (abs(float(peval(coeffs, z))) for z in eigs), default=0.0) / scale ** n
@@ -114,14 +112,10 @@ def zeros_of(app: Apparatus, which: str, n: int) -> ZeroReport:
     )
 
 
-def _strictly_interlaced(zn, zprev) -> bool:
-    """z1(n) < z1(n-1) < z2(n) < z2(n-1) < ... < zn(n)."""
-    if len(zprev) != len(zn) - 1:
-        return False
-    for k in range(len(zprev)):
-        if not (zn[k] < zprev[k] < zn[k + 1]):
-            return False
-    return True
+def _interlacing_margin(zn, zp):
+    """Smallest signed slack in z1(n) < z1(n-1) < z2(n) < ... < zn(n), for
+    the sorted zeros zn of degree n >= 2 and zp of degree n - 1."""
+    return min(min(zp[k] - zn[k], zn[k + 1] - zp[k]) for k in range(len(zp)))
 
 
 def interlacing_check(report_n: ZeroReport, report_prev: ZeroReport):
@@ -130,16 +124,11 @@ def interlacing_check(report_n: ZeroReport, report_prev: ZeroReport):
     Returns (flag, margin) where margin is the smallest signed slack in the
     chain of inequalities (positive = strict interlacing with room).
     """
-    zn, zp = report_n.zeros, report_prev.zeros
     if report_prev.degree != report_n.degree - 1:
         raise ValueError("reports must be for consecutive degrees")
     if report_n.degree <= 1:
         return True, float("inf")
-    slacks = []
-    for k in range(len(zp)):
-        slacks.append(zp[k] - zn[k])
-        slacks.append(zn[k + 1] - zp[k])
-    margin = min(slacks)
+    margin = _interlacing_margin(report_n.zeros, report_prev.zeros)
     return margin > 0, margin
 
 

@@ -523,3 +523,79 @@ def test_verify_computes_the_float_cap_once(monkeypatch, spec_file, capsys):
                                  "--suite", "all", "--mode", "float"])
     assert code == 0 and payload["status"] == "pass"
     assert calls == [5]
+
+
+# exp(-(0.38 x + 0.23 x^2)) on [0.3, 1.75] against exp(-(0.72 y + 0.29 y^2))
+# on [0.37, 3.03], default 64-node quadrature.  Its plain, hatted and
+# extended CD residuals at n = 2 read 2e-3 to 3e-3 when the sample points
+# had x + y = 0, where both sides vanish and the window product's rounding
+# noise is measured against 1.
+CD_DENSITY = {
+    side: {"type": "density", "support": support,
+           "potential": {"coeffs": [0.0, c1, c2]}}
+    for side, support, c1, c2 in (("alpha", [0.3, 1.75], 0.38, 0.23),
+                                  ("beta", [0.37, 3.03], 0.72, 0.29))}
+
+
+@pytest.mark.parametrize("suite", ["cdi", "duality"])
+def test_float_cd_checks_pass_off_antipodal_points(suite, spec_file, capsys):
+    code, payload = run(capsys, ["verify", spec_file(CD_DENSITY), "-N", "4",
+                                 "--suite", suite, "--mode", "float"])
+    cd = [c for c in payload["checks"]
+          if "CD" in c["name"] and c["status"] != "skip"]
+    assert cd and all(c["status"] == "pass" for c in cd)
+    assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["bimoments", "-N", "3"],
+                                  ["bop", "-n", "2"], ["zeros", "-n", "2"],
+                                  ["recurrence", "-N", "3"],
+                                  ["rhp", "-n", "2"]],
+                         ids=lambda argv: argv[0])
+def test_exact_mode_refuses_a_density(argv, spec_file, capsys):
+    code = main([argv[0], spec_file(DENSITY)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: exact mode requires discrete-rational " \
+        "measures\n"
+
+
+def test_tp_floor_uses_the_clipped_kmax(monkeypatch, spec_file, capsys):
+    # -N 3 builds bimoments of order 5, so --kmax 12 certifies 5x5 minors
+    from cauchybop import cli
+    seen = []
+    certify = cli.check_total_positivity
+
+    def captured(I, kmax, tol=0.0):
+        seen.append((I, kmax, tol))
+        return certify(I, kmax, tol=tol)
+    monkeypatch.setattr(cli, "check_total_positivity", captured)
+    code, _ = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "3",
+                           "--kmax", "12", "--suite", "tp", "--mode", "float"])
+    assert code == 0
+    [(I, kmax, tol)] = seen
+    scale = max(abs(v) for row in I.entries for v in row)
+    assert kmax == 5 == I.order
+    assert tol == 1e-12 * (5 * scale) ** 5
+
+
+def test_closed_stdout_exits_2_without_traceback(spec_file):
+    import os
+    import subprocess
+    import sys
+
+    import cauchybop
+    src = os.path.dirname(os.path.dirname(cauchybop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cauchybop.cli", "verify",
+         spec_file(SIX_ATOM), "-N", "3", "--suite", "tp"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()           # the reader goes away before the report
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    proc.stderr.close()
+    assert "Traceback" not in err
+    assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cauchybop import (Atom, DensityMeasure, DiscreteMeasure,
                        InvalidDensityError, PrecisionExhaustedError,
                        discretize, measure_from_strings, moment, reflect)
-from cauchybop.scalars import get_bit_bound, set_bit_bound
+from cauchybop import scalars
 
 
 def test_moment_single_atom_powers_of_one():
@@ -108,13 +108,10 @@ def test_density_measure_validation():
                        quadrature="clenshaw-curtis")
 
 
-def test_precision_guard_trips_and_restores():
+def test_precision_guard_trips_and_restores(monkeypatch):
     m = measure_from_strings([("1.234567890123456789", "1")])
-    old = get_bit_bound()
-    try:
-        set_bit_bound(64)
+    with monkeypatch.context() as patch:
+        patch.setattr(scalars, "_MAX_BITS", 64)
         with pytest.raises(PrecisionExhaustedError):
             moment(m, 40)
-    finally:
-        set_bit_bound(old)
     assert moment(m, 40) > 0
