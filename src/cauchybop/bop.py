@@ -8,8 +8,10 @@ p_n(x), q_n(y) are fixed by
 and are produced here by the triangular (LDU) factorization of I: with
 I = L diag(h) U for unit triangular L, U, the coefficient triangles are
 S_p = L^{-1} and S_q = U^{-T}, so p = S_p [x] and q = S_q [y] in the
-monomial basis.  This reuses the leading principal blocks directly, and in
-exact mode every statement below is literal rational equality.
+monomial basis.  The family keeps L and D U too: they are the pairings
+<x^i | q*_k> = L[i][k] and <p_n | y^j> = h_n U[n][j] that X and Y are
+expanded from (to power N+1 when I has order N+2).  In exact mode every
+statement below is literal rational equality.
 
 An independent construction -- cofactor expansion of the bordered
 determinant formulas -- is provided as :func:`determinantal_oracle` and
@@ -49,27 +51,30 @@ def pair(I: BimomentMatrix, a_coeffs, b_coeffs):
 
 
 def _ldu(I: BimomentMatrix, size: int):
-    """Doolittle LDU with unit triangles; pivots are h_0, ..., h_{size-1}.
+    """Doolittle LDU with unit triangles, returned as L, U and W = D U,
+    whose diagonal holds the pivots h_0, ..., h_{size-1}.  If I has order
+    size+1, L gets a row and U, W a column more, with no pivot h_size.
 
     No pivoting: for valid Cauchy input the matrix is totally positive, all
     leading minors are positive and unpivoted elimination is the stable
     choice (and in exact mode stability is moot).
     """
-    L = [[Fraction(0)] * size for _ in range(size)]
-    U = [[Fraction(0)] * size for _ in range(size)]
-    d = [None] * size
+    ext = min(I.order, size + 1)
+    L = [[Fraction(0)] * size for _ in range(ext)]
+    U = [[Fraction(0)] * ext for _ in range(size)]
+    W = [[Fraction(0)] * ext for _ in range(size)]
     for k in range(size):
-        acc = I[k, k] - sum(L[k][m] * d[m] * U[m][k] for m in range(k))
+        acc = I[k, k] - sum(L[k][m] * W[m][m] * U[m][k] for m in range(k))
         if acc == 0:
             raise DegenerateMatrixError(k + 1)
-        d[k] = acc
-        L[k][k] = 1
-        U[k][k] = 1
-        for i in range(k + 1, size):
-            L[i][k] = (I[i, k] - sum(L[i][m] * d[m] * U[m][k] for m in range(k))) / acc
-        for j in range(k + 1, size):
-            U[k][j] = (I[k, j] - sum(L[k][m] * d[m] * U[m][j] for m in range(k))) / acc
-    return L, d, U
+        W[k][k] = acc
+        L[k][k] = U[k][k] = 1
+        for i in range(k + 1, ext):
+            L[i][k] = (I[i, k] - sum(L[i][m] * W[m][m] * U[m][k] for m in range(k))) / acc
+        for j in range(k + 1, ext):
+            W[k][j] = I[k, j] - sum(L[k][m] * W[m][m] * U[m][j] for m in range(k))
+            U[k][j] = W[k][j] / acc
+    return L, U, W
 
 
 def _invert_unit_lower(L, size):
@@ -88,11 +93,15 @@ class PolynomialFamily:
     p_monic[n], q_monic[n] hold the monic coefficients (lowest power
     first); h[n] = D_{n+1}/D_n are the exact norms; pi_monic / eta_monic
     are the measure averages of the monic polynomials once attached.
+    x_table[i][k] = <x^i | q*_k> and y_table[j][k] = <p_k | y^j> are the
+    pairings of powers up to N+1 (see build_XY) with the family.
     """
     N: int
     p_monic: tuple
     q_monic: tuple
     h: tuple
+    x_table: tuple
+    y_table: tuple
     exact: bool
     pi_monic: tuple | None = None
     eta_monic: tuple | None = None
@@ -126,16 +135,17 @@ def build_family(I: BimomentMatrix, N: int,
     size = N + 1
     if I.order < size:
         raise ValueError(f"bimoment order {I.order} too small for degree {N}")
-    L, d, U = _ldu(I, size)
+    L, U, W = _ldu(I, size)
     sp = _invert_unit_lower(L, size)
     # S_q^T = U^{-1}: invert the unit lower triangle U^T.
-    ut = [[U[j][i] for j in range(size)] for i in range(size)]
-    sq = _invert_unit_lower(ut, size)
+    sq = _invert_unit_lower(tuple(zip(*U)), size)
     family = PolynomialFamily(
         N=N,
         p_monic=tuple(tuple(sp[n][: n + 1]) for n in range(size)),
         q_monic=tuple(tuple(sq[n][: n + 1]) for n in range(size)),
-        h=tuple(d),
+        h=tuple(W[k][k] for k in range(size)),
+        x_table=tuple(map(tuple, L)),
+        y_table=tuple(zip(*W)),
         exact=I.exact,
     )
     if alpha is not None and beta is not None:

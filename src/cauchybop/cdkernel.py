@@ -73,14 +73,10 @@ def dense_commutator(app: Apparatus, n: int, s):
     Columns run only to N-1 (one column of the product is eaten by the
     shift in Lhat); within that window the result is exact.
     """
-    size = app.N + 1
-    Y = app.Y.entries
-    Lh = app.Lhat.entries
-    M = [[sum((-s * (1 if i == k else 0) - Y[k][i]) * Lh[k][j]
-              for k in range(size))
-          for j in range(size - 1)] for i in range(size)]
-    return tuple(tuple(M[i][j] * ((1 if i < n else 0) - (1 if j < n else 0))
-                       for j in range(size - 1)) for i in range(size))
+    Y, Lh = app.Y.entries, app.Lhat.entries
+    return tuple(tuple(sum((-s * (i == k) - Y[k][i]) * Lh[k][j]
+                           for k in (j, j + 1)) * ((i < n) - (j < n))
+                       for j in range(app.N)) for i in range(app.N + 1))
 
 
 def verify_block_against_dense(app: Apparatus, n: int, s,

@@ -106,8 +106,8 @@ def _measure_from_dict(d, float_mode: bool):
 
 def load_spec(args):
     """The measure pair of args.spec, checked against the command line: the
-    rhp jump study (--eps) needs densities on both sides, and a density
-    needs --mode float."""
+    jump study (--eps, in rhp and in the verify rhp suite) needs densities
+    on both sides, and a density needs --mode float."""
     float_mode = args.mode == "float"
     try:
         text = (sys.stdin.read() if args.spec == "-"
@@ -123,7 +123,7 @@ def load_spec(args):
     except (json.JSONDecodeError, KeyError) as exc:
         raise UsageError(f"malformed JSON spec: {exc}") from exc
     densities = [isinstance(m, DensityMeasure) for m in pair]
-    if args.command == "rhp" and args.eps and not all(densities):
+    if getattr(args, "eps", None) and not all(densities):
         raise UsageError("--eps (the jump study) needs density measures on "
                          "both sides")
     if not float_mode and any(densities):
@@ -543,6 +543,7 @@ def cmd_zeros(args) -> int:
             "numerically_coincident": rep.numerically_coincident,
         }
         ok = ok and rep.all_positive and rep.inside_hull \
+            and rep.interlaced_with_previous is not False \
             and not rep.numerically_coincident
     _emit(payload, args.output,
           csv_rows=[[which] + list(payload[which]["zeros"])
@@ -646,8 +647,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_orders(args) -> None:
     """Reject order arguments below their minimum, and an --eps ladder
-    that is not positive or too short to fit a slope, before anything is
-    built."""
+    that is not positive, too short to fit a slope, or given to rhp with a
+    --point the jump study would not read, before anything is built."""
     # Gamma needs n >= 2, and the rhp suite takes n = min(3, N - 1)
     low_n = 2 if args.command == "rhp" else 0
     low_N = 3 if getattr(args, "suite", None) in ("all", "rhp") else 1
@@ -662,6 +663,8 @@ def _check_orders(args) -> None:
             raise UsageError(f"--eps must be positive, got {eps}")
     if ladder and len(set(ladder)) < 2:
         raise UsageError("--eps needs at least 2 distinct values, got 1")
+    if ladder and getattr(args, "point", None) is not None:
+        raise UsageError("--point is not read by the jump study (--eps)")
 
 
 def main(argv=None) -> int:

@@ -13,9 +13,8 @@ The operators:
     Y[i][j] = <p_j | y q*_i>            (so y q* = Y q* on truncations)
     X + Y^T = pi eta*^T                 (rank-one shift, exact)
 
-built as X = P I_x Q*^T and Y^T = P I_y Q*^T from the coefficient
-triangles P (monic p) and Q* (q*) and the shifted bimoments
-I_x[a][b] = I[a+1][b], I_y[a][b] = I[a][b+1].
+expanded from the family's pairing tables <x^i | q*_k> and <p_k | y^j>
+(the LDU factors of the bimoments): X from the x side, Y from the y side.
 
     L    = (Lam - Id) D_pi^{-1}                (support [0, 1])
     Lhat = D_eta*^{-1} (Lam^T - Id)            (support [-1, 0])
@@ -76,16 +75,10 @@ class BandOperator:
 
     def band_violations(self, tol: float = 0.0):
         """Entries outside the declared support on the valid window."""
-        out = []
         a, b = self.support
-        for i in range(self.valid_rows):
-            for j in range(self.valid_cols):
-                if a <= j - i <= b:
-                    continue
-                v = self.entries[i][j]
-                if (v != 0) if tol == 0.0 else (abs(v) > tol):
-                    out.append((i, j, v))
-        return out
+        return [(i, j, self.entries[i][j]) for i in range(self.valid_rows)
+                for j in range(self.valid_cols)
+                if not a <= j - i <= b and abs(self.entries[i][j]) > tol]
 
     def normalized_float(self, h):
         """Entries conjugated back to the normalized (sqrt-h) basis."""
@@ -96,34 +89,29 @@ class BandOperator:
             for i in range(self.valid_rows))
 
 
-def _matmul(A, B, rows, cols, inner):
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(inner))
-                       for j in range(cols)) for i in range(rows))
-
-
 def build_XY(family: PolynomialFamily, I: BimomentMatrix):
-    """Truncations X[N], Y[N] of the multiplication operators, as the
-    triangular products X = P I_x Q*^T and Y^T = P I_y Q*^T.
+    """Truncations X[N], Y[N] of the multiplication operators from the
+    family's tables: X[n][k] = sum_{i >= k-1} p_n[i] <x^{i+1} | q*_k>, and
+    Y[j][k] the same with q*_j and <p_k | y^{i+1}>.
 
-    Needs bimoments one order past the family degree (the shift bumps an
-    index).  Hessenberg shape and the unit supradiagonal of X are
-    theorems, asserted by the tests against the pairing route.
+    The shift bumps an index, so I and the tables must reach order N+2; I
+    is read for that only.  Hessenberg shape and the unit supradiagonal of
+    X are theorems, asserted by the tests against the pairing route.
     """
     N = family.N
-    if I.order < N + 2:
+    order = min(I.order, len(family.x_table))
+    if order < N + 2:
         raise OrderUnderflowError(
-            f"bimoment order {I.order} < {N + 2} needed for the shift")
+            f"bimoment order {order} < {N + 2} needed for the shift")
     size = N + 1
     zero = Fraction(0) if family.exact else 0.0
-    P = [p + (zero,) * (size - len(p)) for p in family.p_monic]
-    Qt = tuple(zip(*(family.q_star(j) + (zero,) * (size - j - 1)
-                     for j in range(size))))
 
-    def sandwich(shifted):
-        return _matmul(_matmul(P, shifted.entries, size, size, size), Qt,
-                       size, size, size)
-    X = sandwich(I.shifted(1, 0))
-    Y = tuple(zip(*sandwich(I.shifted(0, 1))))
+    def expand(coeffs, table):
+        return tuple(tuple(sum((c[i] * table[i + 1][k]
+                                for i in range(max(k - 1, 0), len(c))), zero)
+                           for k in range(size)) for c in coeffs)
+    X = expand(family.p_monic, family.x_table)
+    Y = expand([family.q_star(j) for j in range(size)], family.y_table)
     return (BandOperator(X, (-(size - 1), 1), size, size),
             BandOperator(Y, (-(size - 1), 1), size, size))
 
@@ -164,21 +152,23 @@ def build_L_Lhat(family: PolynomialFamily):
 
 def build_A_Ahat(X: BandOperator, L: BandOperator, Lhat: BandOperator):
     """A = L X, Ahat = X Lhat, B = -A^T, Bhat = -Ahat^T on the window the
-    truncation leaves uncorrupted.  Band supports are checked by the
-    recurrence suite and the tests.
+    truncation leaves uncorrupted; L and Lhat are bidiagonal, so each entry
+    sums two terms.  Band supports are checked by the recurrence suite and
+    the tests.
     """
     size = X.valid_rows
-    rows_A = size - 1            # row i of L X needs row i+1 of X
-    cols_Ah = size - 1           # col j of X Lhat needs col j+1 of X
-    A = _matmul(L.entries, X.entries, rows_A, size, size)
-    Ahat = _matmul(X.entries, Lhat.entries, size, cols_Ah, size)
-    B = tuple(tuple(-A[j][i] for j in range(rows_A)) for i in range(size))
-    Bhat = tuple(tuple(-Ahat[j][i] for j in range(size))
-                 for i in range(cols_Ah))
-    return (BandOperator(A, (-1, 2), rows_A, size),
-            BandOperator(Ahat, (-2, 1), size, cols_Ah),
-            BandOperator(B, (-2, 1), size, rows_A),
-            BandOperator(Bhat, (-1, 2), cols_Ah, size))
+    cut = size - 1     # L X needs row i+1 of X, X Lhat its column j+1
+    Lb, Xe, Lh = L.entries, X.entries, Lhat.entries
+    A = tuple(tuple(sum(Lb[i][k] * Xe[k][j] for k in (i, i + 1))
+                    for j in range(size)) for i in range(cut))
+    Ahat = tuple(tuple(sum(Xe[i][k] * Lh[k][j] for k in (j, j + 1))
+                       for j in range(cut)) for i in range(size))
+    B = tuple(tuple(-A[j][i] for j in range(cut)) for i in range(size))
+    Bhat = tuple(tuple(-Ahat[j][i] for j in range(size)) for i in range(cut))
+    return (BandOperator(A, (-1, 2), cut, size),
+            BandOperator(Ahat, (-2, 1), size, cut),
+            BandOperator(B, (-2, 1), size, cut),
+            BandOperator(Bhat, (-1, 2), cut, size))
 
 
 def four_term_residual(family: PolynomialFamily, A: BandOperator,

@@ -172,6 +172,19 @@ def test_zeros_command(spec_file, capsys):
     assert payload["p"]["all_positive"]
 
 
+def test_zeros_broken_interlacing_exits_1(monkeypatch, spec_file, capsys):
+    from dataclasses import replace
+    import cauchybop.cli as cli_mod
+    zeros_of = cli_mod.zeros_of
+
+    def not_interlaced(app, which, n):
+        return replace(zeros_of(app, which, n), interlaced_with_previous=False)
+    monkeypatch.setattr(cli_mod, "zeros_of", not_interlaced)
+    code, payload = run(capsys, ["zeros", spec_file(SIX_ATOM), "-n", "3"])
+    assert code == 1
+    assert payload["p"]["interlaced_with_previous"] is False
+
+
 def test_recurrence_command(spec_file, capsys):
     code, payload = run(capsys, ["recurrence", spec_file(SIX_ATOM),
                                  "-N", "4"])
@@ -302,6 +315,10 @@ MESSAGES = {
         "error: --eps (the jump study) needs density measures on both sides\n",
     ("verify", "-N", "3", "--mode", "float", "--eps", "1e-4"):
         "error: --eps needs at least 2 distinct values, got 1\n",
+    ("verify", "-N", "3", "--suite", "rhp", "--eps", "1e-4", "1e-5"):
+        "error: --eps (the jump study) needs density measures on both sides\n",
+    ("rhp", "-n", "2", "--mode", "float", "--eps", "1e-4", "1e-5", "--point",
+     "3"): "error: --point is not read by the jump study (--eps)\n",
 }
 
 
@@ -333,6 +350,10 @@ MESSAGES = {
          DENSITY, ""),
         (["verify", "-N", "3", "--mode", "float", "--eps", "1e-4"], DENSITY,
          ""),
+        (["verify", "-N", "3", "--suite", "rhp", "--eps", "1e-4", "1e-5"],
+         SIX_ATOM, ""),
+        (["rhp", "-n", "2", "--mode", "float", "--eps", "1e-4", "1e-5",
+          "--point", "3"], DENSITY, ""),
     ]])
 def test_bad_order_arguments_exit_2(argv, spec, spec_file, capsys):
     code = main([argv[0], spec_file(spec)] + argv[1:])

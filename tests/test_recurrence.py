@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cauchybop import (BandOperator, OrderUnderflowError, build_apparatus,
+from cauchybop import (CAUCHY, BandOperator, DensityMeasure,
+                       OrderUnderflowError, build_apparatus, build_family,
+                       build_XY, compute_bimoments, dense_commutator,
                        four_term_residual, moment, pair,
                        rank_one_XY_residual, tn_oscillatory_certificate)
 from cauchybop.bimoment import det, minor
@@ -63,6 +65,94 @@ def test_XY_match_pairings_random_measures(seed):
     alpha = random_rational_measure(rng, 6)
     beta = random_rational_measure(rng, 6)
     _assert_XY_match_pairings(build_apparatus(alpha, beta, N=4))
+
+
+def _matmul(A, B, rows, cols, inner):
+    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(inner))
+                       for j in range(cols)) for i in range(rows))
+
+
+def dense_XY(family, I):
+    """X = P I_x Q*^T and Y^T = P I_y Q*^T over the zero-padded coefficient
+    triangles P (monic p) and Q* (q*), with I_x[a][b] = I[a+1][b] and
+    I_y[a][b] = I[a][b+1]."""
+    size = family.N + 1
+    zero = F(0) if family.exact else 0.0
+    P = [p + (zero,) * (size - len(p)) for p in family.p_monic]
+    Qt = tuple(zip(*(family.q_star(j) + (zero,) * (size - j - 1)
+                     for j in range(size))))
+
+    def sandwich(shifted):
+        return _matmul(_matmul(P, shifted.entries, size, size, size), Qt,
+                       size, size, size)
+    return sandwich(I.shifted(1, 0)), tuple(zip(*sandwich(I.shifted(0, 1))))
+
+
+def dense_products(app, s):
+    """A = L X and Ahat = X Lhat as full products, and the commutator
+    [Pi_n, (-s - Y^T) Lhat] for n = 2..N-1 summed over every k."""
+    size = app.N + 1
+    X, Y, Lh = app.X.entries, app.Y.entries, app.Lhat.entries
+    A = _matmul(app.L.entries, X, size - 1, size, size)
+    Ahat = _matmul(X, Lh, size, size - 1, size)
+    M = [[sum((-s * (1 if i == k else 0) - Y[k][i]) * Lh[k][j]
+              for k in range(size))
+          for j in range(size - 1)] for i in range(size)]
+    commutators = [tuple(tuple(M[i][j] * ((i < n) - (j < n))
+                               for j in range(size - 1))
+                         for i in range(size)) for n in range(2, app.N)]
+    return A, Ahat, commutators
+
+
+def _bits(M):
+    """Entries with their type; floats by their bit pattern, so a signed
+    zero counts."""
+    return [[v.hex() if isinstance(v, float) else (type(v), v) for v in row]
+            for row in M]
+
+
+def _assert_products_match_dense(app, s):
+    A, Ahat, commutators = dense_products(app, s)
+    assert _bits(app.A.entries) == _bits(A)
+    assert _bits(app.Ahat.entries) == _bits(Ahat)
+    assert app.B.entries == tuple(zip(*(tuple(-v for v in r) for r in A)))
+    assert app.Bhat.entries == tuple(zip(*(tuple(-v for v in r)
+                                           for r in Ahat)))
+    for n, dense in zip(range(2, app.N), commutators):
+        assert _bits(dense_commutator(app, n, s)) == _bits(dense)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 3))
+def test_construction_matches_dense_route_exact(seed, N, extra):
+    # N+1 atoms make D_{N+2} = 0: the tables stop short of a further pivot
+    rng = Random(seed)
+    alpha = random_rational_measure(rng, N + extra)
+    beta = random_rational_measure(rng, N + extra)
+    app = build_apparatus(alpha, beta, N=N)
+    X, Y = dense_XY(app.family, app.I)
+    assert _bits(app.X.entries) == _bits(X)
+    assert _bits(app.Y.entries) == _bits(Y)
+    _assert_products_match_dense(app, F(rng.randint(-9, 9), 7))
+
+
+def test_products_match_dense_route_float():
+    app = build_apparatus(
+        DensityMeasure(support=(0.5, 2.0), potential=[0.0, 1.0], order=24),
+        DensityMeasure(support=(0.25, 3.0), potential=[0.0, 0.5, 0.1],
+                       order=24), N=7)
+    assert not app.exact
+    _assert_products_match_dense(app, 0.375)
+
+
+def test_build_XY_needs_tables_one_power_past_the_family(six_atom_pair):
+    short = compute_bimoments(*six_atom_pair, CAUCHY, 4)
+    full = compute_bimoments(*six_atom_pair, CAUCHY, 5)
+    for family, I in ((build_family(short, 3), full),
+                      (build_family(full, 3), short)):
+        with pytest.raises(OrderUnderflowError):
+            build_XY(family, I)
+    build_XY(build_family(full, 3), full)
 
 
 def test_L_and_Lhat_annihilate_X_plus_Y_transpose(app6):
