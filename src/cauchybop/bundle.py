@@ -10,10 +10,11 @@ safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .bimoment import CAUCHY, BimomentMatrix, Kernel, compute_bimoments
 from .bop import PolynomialFamily, build_family
-from .errors import OrderUnderflowError
+from .errors import DegenerateMatrixError, OrderUnderflowError
 from .measure import DensityMeasure, DiscreteMeasure, discretize, moment
 from .recurrence import (BandOperator, HattedFamily, build_A_Ahat, build_hatted,
                          build_L_Lhat, build_XY)
@@ -42,6 +43,10 @@ class Apparatus:
     def exact(self) -> bool:
         return self.family.exact
 
+    @cached_property
+    def ladder(self):       # biorthonormality_defects once; None when exact
+        return None if self.exact else biorthonormality_defects(self)
+
     def beta_moment(self, j: int):
         return moment(self.beta, j)
 
@@ -53,25 +58,27 @@ class Apparatus:
 
 def biorthonormality_defects(app: Apparatus):
     """Worst deviation of <p_n | q*_m> from the identity over the leading
-    (k+1)-block, for k = 0..N.
+    (k+1)-block, for k = 0..N+1.
 
     Zero in exact mode by construction.  In float mode this ladder measures
     how many digits the factorization actually retained per degree, which
     is the honest way to pick a working window: the conditioning of
     bimoment matrices grows so fast that fixed degree limits would either
-    waste well-conditioned input or trust garbage.
+    waste well-conditioned input or trust garbage.  Degree N+1 takes one
+    more LDU step on the bimoments (order N+2): the last rows of X, A and
+    Ahat read it, and so does every check at window N-1.
     """
     from .bop import pair
-    ladder = []
-    worst = 0
-    for k in range(app.N + 1):
-        for m in range(k + 1):
-            v = pair(app.I, app.family.p_monic[k], app.family.q_star(m))
-            worst = max(worst, abs(v - (1 if k == m else 0)))
-            v = pair(app.I, app.family.p_monic[m], app.family.q_star(k))
-            worst = max(worst, abs(v - (1 if k == m else 0)))
-        ladder.append(worst)
-    return tuple(ladder)
+    try:
+        fam = build_family(app.I, app.N + 1)
+    except DegenerateMatrixError:       # D_{N+2} came out 0.0: stop at N
+        fam = app.family
+    ladder = [0]
+    for k in range(fam.N + 1):
+        ladder.append(max(ladder[-1], *(
+            abs(pair(app.I, fam.p_monic[i], fam.q_star(j)) - (i == j))
+            for m in range(k + 1) for i, j in ((k, m), (m, k)))))
+    return tuple(ladder[1:])
 
 
 def reliable_degree_cap(app: Apparatus) -> int:
@@ -80,13 +87,22 @@ def reliable_degree_cap(app: Apparatus) -> int:
     identity at window n reaches one degree past it)."""
     if app.exact:
         return app.N - 1
-    ladder = biorthonormality_defects(app)
-    cap = 0
-    for k in range(1, app.N + 1):
-        if float(ladder[k]) > 1e-8:
-            break
-        cap = k - 1
-    return max(cap, 1)
+    # the ladder never decreases: its clean degrees k >= 1 are 1..clean
+    clean = sum(float(app.ladder[k]) <= 1e-8 for k in range(1, app.N + 1))
+    return max(clean - 1, 1)
+
+
+#: tol(d) = SAFETY * max(ladder[d], FLOOR).  On the float-verify benchmark
+#: inputs the tightest check used 0.17 of it, so 10 would fail valid input.
+SAFETY = 100
+FLOOR = 1e-14
+
+
+def tolerance(ladder, d: int):
+    """Tolerance of a residual reading family degrees up to d: 0 if exact
+    (ladder None), else SAFETY * max(ladder[d], FLOOR), d clipped to it."""
+    return 0 if ladder is None else SAFETY * max(
+        float(ladder[min(d, len(ladder) - 1)]), FLOOR)
 
 
 def build_apparatus(alpha: DiscreteMeasure | DensityMeasure,

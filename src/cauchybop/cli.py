@@ -26,7 +26,8 @@ exact-mode results are reproducible bit for bit; rationals are emitted as
 Subcommands judge an identity by the verify suites' check for it.  Float
 degree windows come from one cap per command (``reliable_degree_cap``):
 ``verify`` hands it to every suite; ``bop``, ``zeros`` and ``rhp`` refuse
-a float degree past cap + 1.
+a float degree past cap + 1.  Every residual is judged by one rule,
+``bundle.tolerance``, at the highest family degree it reads (``Runner.run``).
 
 Exit codes: 0 = all checks pass, 1 = a check failed, 2 = usage or input
 error (a density spec in exact mode and a stdout closed early included),
@@ -50,7 +51,7 @@ from . import __version__
 from .bimoment import (CAUCHY, check_total_positivity, compute_bimoments,
                        leading_minors, oracle_dn, rank_one_shift_residual)
 from .bop import evaluate
-from .bundle import Apparatus, build_apparatus, reliable_degree_cap
+from .bundle import Apparatus, build_apparatus, reliable_degree_cap, tolerance
 from .cdkernel import (cd_residual_hat, cd_residual_plain,
                        verify_block_against_dense)
 from .errors import (CauchybopError, PrecisionExhaustedError,
@@ -178,14 +179,10 @@ def _sample_points(measures, count: int):
 # -- the verification suites -------------------------------------------------------
 
 
-#: Float checks are conditioning-limited (the LDU loses about the digits of
-#: h_n/h_0 by degree n), so tolerances are loose and windows stop at the cap.
-FLOAT_RTOL = 1e-3
-
-
 class Runner:
-    def __init__(self, exact: bool):
-        self.mode = "exact" if exact else "float"
+    def __init__(self, ladder):     # the defect ladder; None when exact
+        self.ladder = ladder
+        self.mode = "exact" if ladder is None else "float"
         self.checks = []
 
     def _push(self, name, status, mag, elapsed):
@@ -197,10 +194,13 @@ class Runner:
             "elapsed": round(elapsed, 6),
         })
 
-    def run(self, name, fn, tol: float = FLOAT_RTOL):
+    def run(self, name, fn, degree: int = 0):
         """Time fn() and judge what it returns: a bool verdict, or a
-        residual that must vanish (exact) or stay within tol (float).  A
-        callable name is called once fn has run."""
+        residual within ``tolerance(ladder, degree)``, degree being the
+        highest family degree it reads: 0 (shift, product identity), n (D_n,
+        Pade orders and rhp checks at n), n + 2 (recurrence, commutator, CD
+        and duality at window n) or the window (rank-one, band supports).
+        A callable name is called once fn has run."""
         t0 = time.perf_counter()
         residual = fn()
         elapsed = time.perf_counter() - t0
@@ -210,7 +210,7 @@ class Runner:
             ok, mag = residual, 0 if residual else 1
         else:
             mag = abs(residual)
-            ok = (mag == 0) if self.mode == "exact" else (mag <= tol)
+            ok = mag <= tolerance(self.ladder, degree)
         self._push(name, "pass" if ok else "fail", mag, elapsed)
         return ok
 
@@ -253,7 +253,7 @@ def _windows(r: Runner, app: Apparatus, cap: int, degrees, name: str):
 
 def _tp_certificate(I, kmax: int | None):
     """The consecutive-minor certificate through kmax x kmax (default 6,
-    clipped to the order of I), with a float rounding floor."""
+    clipped to the order of I) and a float minor floor (not a residual)."""
     kmax = min(kmax or 6, I.order)
     if I.exact:
         return check_total_positivity(I, kmax)
@@ -273,7 +273,7 @@ def _check_shift(r: Runner, I, alpha, beta) -> bool:
         res = rank_one_shift_residual(I, alpha, beta)
         scale = max(1, *(abs(v) for row in I.entries for v in row))
         return max((abs(v) for row in res for v in row), default=0) / scale
-    return r.run("rank-one shift identity on bimoments", shift, 1e-12)
+    return r.run("rank-one shift identity on bimoments", shift)
 
 
 def _check_unit_dets(r: Runner, app: Apparatus, n: int, point):
@@ -284,13 +284,13 @@ def _check_unit_dets(r: Runner, app: Apparatus, n: int, point):
         def unit_det():
             matrices.append(assemble(app, n, point))
             return matrices[-1].determinant - 1
-        r.run(name.format(point), unit_det, 1e-8)
+        r.run(name.format(point), unit_det, n)
     return matrices
 
 
 def _check_jump_slope(r: Runner, app: Apparatus, n: int, eps_list):
     """Judge that the jump residual at w0, the middle of supp(db), falls
-    linearly in eps; returns (w0, residuals, slope)."""
+    linearly in eps (a slope, no residual); returns (w0, residuals, slope)."""
     w0 = sum(app.beta_density.support) / 2.0
     study = None
 
@@ -323,7 +323,7 @@ def _suite_tp(r: Runner, app: Apparatus, cap, kmax, eps_list):
             r.skip(name, "more than 16 atoms")
             continue
         r.run(name, lambda: abs(D[n - 1] - oracle_dn(app.alpha, app.beta, n))
-              / abs(float(D[n - 1])), 1e-8)
+              / abs(float(D[n - 1])), n)
     _check_shift(r, app.I, app.alpha, app.beta)
 
 
@@ -335,9 +335,9 @@ def _suite_recurrence(r: Runner, app: Apparatus, cap, kmax, eps_list):
         return max(0, *(abs(res[i][j])
                         / max(1, abs(app.X[i, j]), abs(app.Y[j, i]))
                         for i in range(win) for j in range(win)))
-    r.run(f"rank-one identity X + Y^T = pi eta^T (window {win})", rank_one)
-    band_tol = 0.0 if app.exact else 1e-8 * float(max(
-        abs(v) for row in app.X.entries[:win] for v in row[:win]))
+    r.run(f"rank-one identity X + Y^T = pi eta^T (window {win})", rank_one,
+          win)
+    scale = max(abs(v) for row in app.X.entries[:win] for v in row[:win])
     where = "" if app.exact else f" (window {win})"
 
     def window(op):
@@ -345,16 +345,19 @@ def _suite_recurrence(r: Runner, app: Apparatus, cap, kmax, eps_list):
                        valid_cols=min(win, op.valid_cols))
     for op, band in ((app.A, "A in [-1,2]"), (app.Ahat, "Ahat in [-2,1]")):
         r.run(f"band support {band}{where}",
-              lambda: not window(op).band_violations(band_tol))
+              lambda: max((abs(v) for *_, v in window(op).band_violations()),
+                          default=0) / scale, win)
     pts = _sample_points([app.alpha, app.beta], 5)
     for n in _windows(r, app, cap, range(1, min(4, app.N - 1) + 1),
                       "four-term recurrence residual, degree {}"):
         r.run(f"four-term recurrence residual, degree {n}",
               lambda: max(0, *(v for pt in pts for v in four_term_residual(
-                  app.family, app.A, app.Bhat, n, pt))))
+                  app.family, app.A, app.Bhat, n, pt))), n + 2)
+    # Neville's zero threshold, not a residual: set by the tolerance rule it
+    # would zero real entries of X and fail valid input
+    zero = 0.0 if app.exact else 1e-8 * float(scale)
     r.run("X totally nonnegative + oscillatory",
-          lambda: tn_oscillatory_certificate(window(app.X),
-                                             band_tol).oscillatory)
+          lambda: tn_oscillatory_certificate(window(app.X), zero).oscillatory)
 
 
 def _suite_cdi(r: Runner, app: Apparatus, cap, kmax, eps_list):
@@ -364,34 +367,26 @@ def _suite_cdi(r: Runner, app: Apparatus, cap, kmax, eps_list):
     pairs = list(zip(pts[:3], pts[3:]))
     for n in _windows(r, app, cap, range(2, min(5, app.N - 1) + 1),
                       "CD identities, n={}"):
-
-        def block():
-            try:
-                verify_block_against_dense(app, n, pts[0],
-                                           rtol=0.0 if app.exact else 1e-6)
-                return True
-            except TheoryViolationError:
-                return False
-        r.run(f"commutator block equals dense commutator, n={n}", block)
+        r.run(f"commutator block equals dense commutator, n={n}",
+              lambda: verify_block_against_dense(app, n, pts[0]), n + 2)
         r.run(f"plain CD identity residual, n={n}",
               lambda: max(cd_residual_plain(app, n, x, y)
-                          for x, y in pairs))
+                          for x, y in pairs), n + 2)
         r.run(f"hatted CD identity residual, n={n}",
               lambda: max(cd_residual_hat(app, n, x, y)
-                          for x, y in pairs))
+                          for x, y in pairs), n + 2)
 
 
 def _suite_pade(r: Runner, app: Apparatus, cap, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 10)
     r.run("product identity of the two Nikishin chains",
-          lambda: max(abs(plucker_residual(app.alpha, app.beta, z))
-                      for z in pts), 1e-12)
+          lambda: max(plucker_residual(app.alpha, app.beta, z) for z in pts))
     top = min(4, app.N) if app.exact else cap
     for problem in ("q", "p", "switched"):
         for n in range(0, top + 1):
             r.run(f"approximation orders, problem={problem}, n={n}",
-                  lambda: order_check(
-                      pade_solve(app, n, problem), rtol=1e-6).passed)
+                  lambda: order_check(pade_solve(app, n, problem)).residual,
+                  n)
 
 
 def _suite_duality(r: Runner, app: Apparatus, cap, kmax, eps_list):
@@ -403,14 +398,14 @@ def _suite_duality(r: Runner, app: Apparatus, cap, kmax, eps_list):
             aux = aux_vectors(app, n, w, z)
             return max(ecd_residual(app, a, b, n, w, z, aux)
                        for a in range(3) for b in range(3))
-        r.run(f"extended CD residual, all 9 windows, n={n}", ecd)
+        r.run(f"extended CD residual, all 9 windows, n={n}", ecd, n + 2)
     for n in _windows(r, app, cap, (2, 3, 4), "perfect duality pairing, n={}"):
 
         def pairing():
             aux = aux_vectors(app, n, -pts[2], pts[2])
-            return max(abs(duality_check(app, a, b, n, pts[2], aux))
+            return max(duality_check(app, a, b, n, pts[2], aux)
                        for a in range(3) for b in range(3))
-        r.run(f"perfect duality pairing, n={n}", pairing)
+        r.run(f"perfect duality pairing, n={n}", pairing, n + 2)
 
 
 def _suite_rhp(r: Runner, app: Apparatus, cap, kmax, eps_list):
@@ -420,7 +415,7 @@ def _suite_rhp(r: Runner, app: Apparatus, cap, kmax, eps_list):
         _check_unit_dets(r, app, n, w)
     for which, label in (("gamma", "Gamma"), ("gamma_hat", "Gammahat")):
         r.run(f"asymptotic powers of {label}",
-              lambda: asymptotic_check(app, n, which, rtol=1e-5).passed)
+              lambda: asymptotic_check(app, n, which).residual, n)
     h = app.family.h[n - 1]
     eta_sq = None
 
@@ -428,10 +423,10 @@ def _suite_rhp(r: Runner, app: Apparatus, cap, kmax, eps_list):
         nonlocal eta_sq
         c_sq, eta_sq = extract_constants(app, n)
         return (c_sq - h) / h
-    r.run("recovered c^2 matches family norm", recovered_c, 1e-6)
+    r.run("recovered c^2 matches family norm", recovered_c, n)
     eta_ref = app.family.eta_monic[n - 1] ** 2 / h
     r.run("recovered eta^2 matches family average",
-          lambda: (eta_sq - eta_ref) / eta_ref, 1e-6)
+          lambda: (eta_sq - eta_ref) / eta_ref, n)
     # densities on both sides mean float input, where n <= 2
     if app.alpha_density is not None and app.beta_density is not None:
         _check_jump_slope(r, app, n, eps_list)
@@ -458,7 +453,8 @@ def cmd_bimoments(args) -> int:
     I = compute_bimoments(alpha, beta, CAUCHY, N)
     D = leading_minors(I)
     cert = _tp_certificate(I, args.kmax)
-    shift_ok = _check_shift(Runner(I.exact), I, alpha, beta)
+    # no family: the shift reads degree 0, where the ladder is at the floor
+    shift_ok = _check_shift(Runner(None if I.exact else (0,)), I, alpha, beta)
     degenerate = [n + 1 for n, d in enumerate(D) if d == 0]
     if degenerate:
         warnings.append(
@@ -486,8 +482,8 @@ def cmd_bimoments(args) -> int:
 def cmd_verify(args) -> int:
     alpha, beta = load_spec(args)
     app = build_apparatus(alpha, beta, args.order)
-    runner = Runner(app.exact)
     cap = float_degree_cap(app)
+    runner = Runner(app.ladder)
     eps_list = args.eps or [1e-4, 1e-5, 1e-6]
     for name in (list(SUITES) if args.suite == "all" else [args.suite]):
         SUITES[name](runner, app, cap, args.kmax, eps_list)
@@ -574,7 +570,7 @@ def cmd_rhp(args) -> int:
     point = _point(args.point) if args.point else Fraction(10)
     app = build_apparatus(alpha, beta, n + 1)
     _refuse_past_cap(app, n)
-    r = Runner(app.exact)
+    r = Runner(app.ladder)
     payload = {"degree": n}
     if args.eps:
         w0, residuals, slope = _check_jump_slope(r, app, n, args.eps)

@@ -73,12 +73,12 @@ class BandOperator:
         i, j = ij
         return self.entries[i][j]
 
-    def band_violations(self, tol: float = 0.0):
-        """Entries outside the declared support on the valid window."""
+    def band_violations(self):
+        """Nonzero entries off the declared support on the valid window."""
         a, b = self.support
         return [(i, j, self.entries[i][j]) for i in range(self.valid_rows)
                 for j in range(self.valid_cols)
-                if not a <= j - i <= b and abs(self.entries[i][j]) > tol]
+                if not a <= j - i <= b and self.entries[i][j] != 0]
 
     def normalized_float(self, h):
         """Entries conjugated back to the normalized (sqrt-h) basis."""

@@ -138,42 +138,43 @@ class AsymptoticCertificate:
     which: str
     n: int
     diag_powers: tuple
-    passed: bool
+    residual: object           # worst offending coefficient / column scale
     failures: tuple            # (i, j, description)
 
-    def __bool__(self):
-        return self.passed
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
-def asymptotic_check(app: Apparatus, n: int, which: str = "gamma",
-                     rtol: float = 1e-8) -> AsymptoticCertificate:
+def asymptotic_check(app: Apparatus, n: int,
+                     which: str = "gamma") -> AsymptoticCertificate:
     """Entrywise power-law verification by series: the matrix equals
     (identity + O(1/w)) times diag(w**d_j), coefficient by coefficient.
 
-    Exact data makes every comparison literal equality; float data (a
-    discretized density) compares against rtol times the column scale,
-    since discretization noise leaves ~1e-12 dust on coefficients that
-    vanish identically in exact arithmetic.
+    Every coefficient off its expected value is a failure; the residual is
+    the worst such difference over its column scale (at least 1), which
+    float data (a discretized density) leaves as dust.
     """
     grid = (gamma_series if which == "gamma" else gamma_hat_series)(app, n)
     d = (n, -1, -n + 1) if which == "gamma" else (n, 0, -n)
     failures = []
+    worst = 0
     for j in range(3):
-        col_scale = max(abs(grid[i][j].coeff(d[j])) for i in range(3))
-        tol = 0 if app.exact else rtol * max(1.0, float(col_scale))
+        col_scale = max(1, *(abs(grid[i][j].coeff(d[j])) for i in range(3)))
         for i in range(3):
             s = grid[i][j]
-            junk = [(p, c) for p, c in s.coeffs if p > d[j] and abs(c) > tol]
-            if junk:
-                failures.append((i, j, f"grows like power {junk[0][0]} > {d[j]}"))
-                continue
+            junk = [(p, c) for p, c in s.coeffs if p > d[j] and c != 0]
             lead = s.coeff(d[j])
             expect = 1 if i == j else 0
-            if abs(lead - expect) > tol:
+            worst = max(worst, abs(lead - expect) / col_scale,
+                        *(abs(c) / col_scale for _, c in junk))
+            if junk:
+                failures.append((i, j, f"grows like power {junk[0][0]} > {d[j]}"))
+            elif lead != expect:
                 failures.append((i, j,
                                  f"coefficient at power {d[j]} is {lead}, "
                                  f"expected {expect}"))
-    return AsymptoticCertificate(which, n, d, not failures, tuple(failures))
+    return AsymptoticCertificate(which, n, d, worst, tuple(failures))
 
 
 def extract_constants(app: Apparatus, n: int):

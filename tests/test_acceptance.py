@@ -143,8 +143,8 @@ def test_criterion_6_cd_identities(app6, six_atom_pair):
     pairs = list(zip(pts[::2], pts[1::2]))
     assert len(pairs) == 10
     for n in (2, 3):
-        verify_block_against_dense(app6, n, pts[0])
-        verify_block_against_dense(app6, n, pts[1])
+        assert verify_block_against_dense(app6, n, pts[0]) == 0
+        assert verify_block_against_dense(app6, n, pts[1]) == 0
         for x, y in pairs:
             assert cd_residual_plain(app6, n, x, y) == 0
             assert cd_residual_hat(app6, n, x, y) == 0

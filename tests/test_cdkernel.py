@@ -42,7 +42,7 @@ def test_block_linear_in_s(app6):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_block_matches_dense_commutator(app6, n):
     for s in (F(3, 7), F(-1, 2), F(11, 5)):
-        verify_block_against_dense(app6, n, s)
+        assert verify_block_against_dense(app6, n, s) == 0
 
 
 def test_dense_commutator_support(app6):
