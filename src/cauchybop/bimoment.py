@@ -217,9 +217,6 @@ class TotalPositivityCertificate:
     min_index: tuple                  # (k, row_start, col_start) of that minor
     violation: tuple | None           # first (k, row_start, col_start, value) <= 0
 
-    def __bool__(self):
-        return self.passed
-
 
 def check_total_positivity(I: BimomentMatrix, kmax: int | None = None,
                            tol: float = 0.0) -> TotalPositivityCertificate:

@@ -22,6 +22,8 @@ from .recurrence import (BandOperator, HattedFamily, build_A_Ahat, build_hatted,
 
 @dataclass(frozen=True)
 class Apparatus:
+    """The apparatus of one pair at degree N.  Three derived facts are
+    computed on first use and kept: ``ladder``, ``cap`` and ``markov``."""
     alpha: DiscreteMeasure
     beta: DiscreteMeasure
     N: int
@@ -46,6 +48,15 @@ class Apparatus:
     @cached_property
     def ladder(self):       # biorthonormality_defects once; None when exact
         return None if self.exact else biorthonormality_defects(self)
+
+    @cached_property
+    def cap(self) -> int:   # reliable_degree_cap once; N - 1 when exact
+        return reliable_degree_cap(self)
+
+    @cached_property
+    def markov(self) -> dict:   # tag -> nikishin.markov(alpha, beta, tag)
+        from .nikishin import MARKOV_TAGS, markov
+        return {tag: markov(self.alpha, self.beta, tag) for tag in MARKOV_TAGS}
 
     def beta_moment(self, j: int):
         return moment(self.beta, j)
@@ -84,7 +95,7 @@ def biorthonormality_defects(app: Apparatus):
 def reliable_degree_cap(app: Apparatus) -> int:
     """Largest window n whose checks only touch degrees with
     biorthonormality defect at most 1e-8 (degree n+1 included, since every
-    identity at window n reaches one degree past it)."""
+    identity at window n reaches one degree past it); read as ``app.cap``."""
     if app.exact:
         return app.N - 1
     # the ladder never decreases: its clean degrees k >= 1 are 1..clean
@@ -110,15 +121,18 @@ def build_apparatus(alpha: DiscreteMeasure | DensityMeasure,
                     N: int, kernel: Kernel = CAUCHY) -> Apparatus:
     """Build the full apparatus with family degrees 0..N.
 
-    Requires both measures to have at least N+1 points of increase
-    (otherwise a degenerate-matrix error propagates from the
-    factorization).  Density measures are discretized first and kept
-    alongside for the boundary-value machinery.
+    With m atoms on the smaller side, D_k > 0 exactly when k <= m, so
+    N + 1 > m raises the factorization's degenerate-matrix error at order
+    m + 1 before anything is built.  Density measures are discretized
+    first and kept alongside for the boundary-value machinery.
     """
     alpha_density = alpha if isinstance(alpha, DensityMeasure) else None
     beta_density = beta if isinstance(beta, DensityMeasure) else None
     alpha_d = discretize(alpha) if alpha_density else alpha
     beta_d = discretize(beta) if beta_density else beta
+    m = min(len(alpha_d), len(beta_d))
+    if N + 1 > m:
+        raise DegenerateMatrixError(m + 1)
     I = compute_bimoments(alpha_d, beta_d, kernel, N + 2)
     family = build_family(I, N, alpha_d, beta_d)
     X, Y = build_XY(family, I)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundle import Apparatus, reliable_degree_cap
+from .bundle import Apparatus
 from .polys import peval
 from .scalars import residual
 
@@ -81,11 +81,11 @@ def dense_commutator(app: Apparatus, n: int, s):
 def verify_block_against_dense(app: Apparatus, n: int, s):
     """Worst disagreement of the 4-entry block with the dense commutator
     (zero off the block) over the block scale, on the rows and columns
-    below ``reliable_degree_cap(app) + 2``: the whole stored truncation in
-    exact mode, and in float mode the window the defect ladder trusts."""
+    below ``app.cap + 2``: the whole stored truncation in exact mode, and
+    in float mode the window the defect ladder trusts."""
     block = commutator_block(app, n).at(s)
     dense = dense_commutator(app, n, s)
-    size = reliable_degree_cap(app) + 2
+    size = app.cap + 2
     worst = 0
     for i, row in enumerate(dense[:size]):
         for j, v in enumerate(row[:size]):

@@ -24,8 +24,8 @@ exact-mode results are reproducible bit for bit; rationals are emitted as
 "p/q" strings and floats as shortest round-trip decimals.
 
 Subcommands judge an identity by the verify suites' check for it.  Float
-degree windows come from one cap per command (``reliable_degree_cap``):
-``verify`` hands it to every suite; ``bop``, ``zeros`` and ``rhp`` refuse
+degree windows come from the apparatus's one degree cap (``app.cap``):
+every ``verify`` suite reads it, and ``bop``, ``zeros`` and ``rhp`` refuse
 a float degree past cap + 1.  Every residual is judged by one rule,
 ``bundle.tolerance``, at the highest family degree it reads (``Runner.run``).
 
@@ -227,25 +227,25 @@ class Runner:
                 "checks": self.checks}
 
 
+# unused: perfbench's tracer test still looks for this binding
 float_degree_cap = reliable_degree_cap
 
 
 def _refuse_past_cap(app: Apparatus, n: int):
     """Refuse a degree past cap + 1 (never exact, where the cap is N - 1)."""
-    cap = float_degree_cap(app)
-    if n > cap + 1:
+    if n > app.cap + 1:
         raise PrecisionExhaustedError(
             f"precision exhausted: degree {n} exceeds the float degree cap "
-            f"{cap + 1} set by the biorthonormality defect ladder")
+            f"{app.cap + 1} set by the biorthonormality defect ladder")
 
 
-def _windows(r: Runner, app: Apparatus, cap: int, degrees, name: str):
+def _windows(r: Runner, app: Apparatus, degrees, name: str):
     """The degrees n a check can run at; past N - 1 or past the float
     degree cap it is listed as a skip of name.format(n), with the reason."""
     for n in degrees:
         if n > app.N - 1:
             r.skip(name.format(n), f"needs N >= {n + 1}")
-        elif n > cap:
+        elif n > app.cap:
             r.skip(name.format(n), "float conditioning")
         else:
             yield n
@@ -303,7 +303,7 @@ def _check_jump_slope(r: Runner, app: Apparatus, n: int, eps_list):
     return (w0, *study)
 
 
-def _suite_tp(r: Runner, app: Apparatus, cap, kmax, eps_list):
+def _suite_tp(r: Runner, app: Apparatus, kmax, eps_list):
     label = ("consecutive minors positive" if app.exact
              else "no negative consecutive minor")
     cert = None
@@ -327,8 +327,8 @@ def _suite_tp(r: Runner, app: Apparatus, cap, kmax, eps_list):
     _check_shift(r, app.I, app.alpha, app.beta)
 
 
-def _suite_recurrence(r: Runner, app: Apparatus, cap, kmax, eps_list):
-    win = min(cap + 2, app.N + 1)
+def _suite_recurrence(r: Runner, app: Apparatus, kmax, eps_list):
+    win = min(app.cap + 2, app.N + 1)
 
     def rank_one():
         res = rank_one_XY_residual(app.X, app.Y, app.family)
@@ -348,7 +348,7 @@ def _suite_recurrence(r: Runner, app: Apparatus, cap, kmax, eps_list):
               lambda: max((abs(v) for *_, v in window(op).band_violations()),
                           default=0) / scale, win)
     pts = _sample_points([app.alpha, app.beta], 5)
-    for n in _windows(r, app, cap, range(1, min(4, app.N - 1) + 1),
+    for n in _windows(r, app, range(1, min(4, app.N - 1) + 1),
                       "four-term recurrence residual, degree {}"):
         r.run(f"four-term recurrence residual, degree {n}",
               lambda: max(0, *(v for pt in pts for v in four_term_residual(
@@ -360,12 +360,12 @@ def _suite_recurrence(r: Runner, app: Apparatus, cap, kmax, eps_list):
           lambda: tn_oscillatory_certificate(window(app.X), zero).oscillatory)
 
 
-def _suite_cdi(r: Runner, app: Apparatus, cap, kmax, eps_list):
+def _suite_cdi(r: Runner, app: Apparatus, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 6)
     # not (x, -x): at x + y = 0 both sides vanish, and a float residual is
     # then the window's rounding noise measured against 1
     pairs = list(zip(pts[:3], pts[3:]))
-    for n in _windows(r, app, cap, range(2, min(5, app.N - 1) + 1),
+    for n in _windows(r, app, range(2, min(5, app.N - 1) + 1),
                       "CD identities, n={}"):
         r.run(f"commutator block equals dense commutator, n={n}",
               lambda: verify_block_against_dense(app, n, pts[0]), n + 2)
@@ -377,11 +377,11 @@ def _suite_cdi(r: Runner, app: Apparatus, cap, kmax, eps_list):
                           for x, y in pairs), n + 2)
 
 
-def _suite_pade(r: Runner, app: Apparatus, cap, kmax, eps_list):
+def _suite_pade(r: Runner, app: Apparatus, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 10)
     r.run("product identity of the two Nikishin chains",
           lambda: max(plucker_residual(app.alpha, app.beta, z) for z in pts))
-    top = min(4, app.N) if app.exact else cap
+    top = min(4, app.N) if app.exact else app.cap
     for problem in ("q", "p", "switched"):
         for n in range(0, top + 1):
             r.run(f"approximation orders, problem={problem}, n={n}",
@@ -389,17 +389,17 @@ def _suite_pade(r: Runner, app: Apparatus, cap, kmax, eps_list):
                   n)
 
 
-def _suite_duality(r: Runner, app: Apparatus, cap, kmax, eps_list):
+def _suite_duality(r: Runner, app: Apparatus, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 4)
     w, z = pts[0], pts[3]     # not antipodal, as in _suite_cdi
-    for n in _windows(r, app, cap, (2, 3), "extended CD, n={}"):
+    for n in _windows(r, app, (2, 3), "extended CD, n={}"):
 
         def ecd():
             aux = aux_vectors(app, n, w, z)
             return max(ecd_residual(app, a, b, n, w, z, aux)
                        for a in range(3) for b in range(3))
         r.run(f"extended CD residual, all 9 windows, n={n}", ecd, n + 2)
-    for n in _windows(r, app, cap, (2, 3, 4), "perfect duality pairing, n={}"):
+    for n in _windows(r, app, (2, 3, 4), "perfect duality pairing, n={}"):
 
         def pairing():
             aux = aux_vectors(app, n, -pts[2], pts[2])
@@ -408,7 +408,7 @@ def _suite_duality(r: Runner, app: Apparatus, cap, kmax, eps_list):
         r.run(f"perfect duality pairing, n={n}", pairing, n + 2)
 
 
-def _suite_rhp(r: Runner, app: Apparatus, cap, kmax, eps_list):
+def _suite_rhp(r: Runner, app: Apparatus, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 3)
     n = min(3, app.N - 1) if app.exact else min(2, app.N - 1)
     for w in pts:
@@ -432,7 +432,7 @@ def _suite_rhp(r: Runner, app: Apparatus, cap, kmax, eps_list):
         _check_jump_slope(r, app, n, eps_list)
 
 
-#: name -> suite(runner, apparatus, float cap, kmax or None, eps ladder)
+#: name -> suite(runner, apparatus, kmax or None, eps ladder)
 SUITES = {"tp": _suite_tp, "recurrence": _suite_recurrence, "cdi": _suite_cdi,
           "pade": _suite_pade, "duality": _suite_duality, "rhp": _suite_rhp}
 
@@ -482,11 +482,10 @@ def cmd_bimoments(args) -> int:
 def cmd_verify(args) -> int:
     alpha, beta = load_spec(args)
     app = build_apparatus(alpha, beta, args.order)
-    cap = float_degree_cap(app)
     runner = Runner(app.ladder)
     eps_list = args.eps or [1e-4, 1e-5, 1e-6]
     for name in (list(SUITES) if args.suite == "all" else [args.suite]):
-        SUITES[name](runner, app, cap, args.kmax, eps_list)
+        SUITES[name](runner, app, args.kmax, eps_list)
     report = runner.report(args.suite, args.order)
     _emit(report, args.output,
           csv_rows=[[c["name"], c["status"], c["residual"], c["mode"]]

@@ -75,10 +75,6 @@ class DiscreteMeasure:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def positions(self):
-        """Unreflected positions (all > 0), ascending."""
-        return tuple(a.position for a in self.atoms)
-
     def weights(self):
         return tuple(a.weight for a in self.atoms)
 

@@ -40,7 +40,8 @@ The auxiliary vectors have one evaluator, :func:`aux_columns`: for each
 degree the polynomial (q*_j or p_j), its transform against the first
 measure (db, resp. da), the transform of that against the reflected
 second measure (da*, resp. db*), and the hatted combinations.  A backend
-with ``poly(coeffs)`` and ``transform(app, which, g, reflected)`` says
+with ``poly(coeffs)`` and ``transform(app, which, g, reflected)`` (the
+measure's weights times g at the placed atom, -t when reflected) says
 what evaluating means: :class:`PointBackend` sums over the atoms at one
 point (exact at rational points), :class:`SeriesBackend` turns the sums
 into moment streams at infinity, and ``rhp.DensityBackend`` takes the
@@ -83,7 +84,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 
 from .bundle import Apparatus
@@ -157,36 +157,28 @@ class MarkovFunction:
 
 def _weighted(m: DiscreteMeasure, g=None, reflected: bool = False,
               tag: str = "weighted") -> MarkovFunction:
-    """Transform of m with each atom t reweighted by g(t), on the reflected
-    copy (atoms at -t) if asked; g None keeps the weights."""
-    ts, ws = m.signed_positions(), m.weights()
-    if g is not None:
-        ws = tuple(w * g(t) for t, w in zip(ts, ws))
-    return MarkovFunction(tag, tuple(-t for t in ts) if reflected else ts, ws)
+    """Transform of m, its atoms placed at -t if reflected, each weight
+    multiplied by g at the placed atom (as ``MarkovFunction.weighted``);
+    g None keeps the weights."""
+    ts = tuple(-t if reflected else t for t in m.signed_positions())
+    ws = tuple(w if g is None else w * g(t) for t, w in zip(ts, m.weights()))
+    return MarkovFunction(tag, ts, ws)
 
 
 def markov(alpha: DiscreteMeasure, beta: DiscreteMeasure, tag: str
            ) -> MarkovFunction:
     """One of the eight canonical transforms of the pair (da, db), built
-    from its recipe; the folding transforms are plain ones.  The result is
-    frozen, so each is built once per pair and shared by every caller."""
+    from its recipe; the folding transforms are plain ones.  Nothing is
+    kept: ``Apparatus.markov`` holds the eight of an apparatus."""
     if tag not in _RECIPES:
         raise ValueError(
             f"unknown Markov tag {tag!r}; expected one of {MARKOV_TAGS}")
-    return _markov(alpha, beta, tag, alpha.is_exact, beta.is_exact)
-
-
-@lru_cache(maxsize=len(_RECIPES))
-def _markov(alpha, beta, tag, alpha_exact, beta_exact):
-    # the exactness flags are part of the key because a float measure
-    # compares and hashes equal to the rational one with the same values
     measures = {"alpha": alpha, "beta": beta}
     which, reflected, fold = _RECIPES[tag]
     g = None
     if fold is not None:
         fold_which, fold_reflected, _ = _RECIPES[fold]
-        f = _weighted(measures[fold_which], None, fold_reflected, fold)
-        g = (lambda t: f(-t)) if reflected else f
+        g = _weighted(measures[fold_which], None, fold_reflected, fold)
     return _weighted(measures[which], g, reflected, tag)
 
 
@@ -261,7 +253,7 @@ def pade_solve(app: Apparatus, n: int, problem: str = "q") -> PadeSolution:
         Q = preflect(app.family.p_monic[n])
     else:
         raise ValueError(f"unknown problem {problem!r}")
-    F1, F2, G1, G2 = (markov(app.alpha, app.beta, t) for t in _CHAINS[problem])
+    F1, F2, G1, G2 = (app.markov[t] for t in _CHAINS[problem])
 
     def qval(t):
         return peval(Q, t)
@@ -391,7 +383,9 @@ def aux_columns(app: Apparatus, side: str, top: int, backend):
     da* of that first transform; hatted qhat_j = -q_j/eta*_j +
     q_{j+1}/eta*_{j+1} for j < top.  side "p": the same with p_j, da and
     db*; hatted phat_j = -sum_{i<=j} eta*_i p_i - (0, 1, W_beta_star) for
-    j <= top.  Returns (cols, hatted), each indexed [component][degree].
+    j <= top.  The second transform weights each reflected atom -t by the
+    first transform at -t.  Returns (cols, hatted), each indexed
+    [component][degree].
     """
     fam = app.family
     if side == "q":
@@ -404,13 +398,10 @@ def aux_columns(app: Apparatus, side: str, top: int, backend):
     for P in polys:
         def poly(t, P=P):
             return peval(P, t)
-        # the second transform weights each reflected atom -t by the first
-        # transform there, summed over the discrete atoms
         inner = _weighted(getattr(app, first), poly, tag=f"{first}[weighted]")
         cols[0].append(backend.poly(P))
         cols[1].append(backend.transform(app, first, poly, False))
-        cols[2].append(backend.transform(app, second,
-                                         lambda t, f=inner: f(-t), True))
+        cols[2].append(backend.transform(app, second, inner, True))
     es = [fam.eta_star(j) for j in range(top + 1)]
     if side == "q":
         hatted = tuple(tuple(-c[j] / es[j] + c[j + 1] / es[j + 1]
@@ -437,14 +428,14 @@ def aux_vectors(app: Apparatus, n: int, w, z) -> AuxVectors:
 
 def f_matrix(app: Apparatus, w, z):
     """The constant matrix of the plain extended identity."""
-    a, b = app.alpha, app.beta
+    W = app.markov
     one = Fraction(1) if app.exact else 1.0
-    W_bs = markov(a, b, "W_beta_star")(z)
-    W_b = markov(a, b, "W_beta")(w)
-    W_a = markov(a, b, "W_alpha")(z)
-    W_as = markov(a, b, "W_alpha_star")(w)
-    W_asb = markov(a, b, "W_alpha_star_beta")(w)
-    W_bsa = markov(a, b, "W_beta_star_alpha")(z)
+    W_bs = W["W_beta_star"](z)
+    W_b = W["W_beta"](w)
+    W_a = W["W_alpha"](z)
+    W_as = W["W_alpha_star"](w)
+    W_asb = W["W_alpha_star_beta"](w)
+    W_bsa = W["W_beta_star_alpha"](z)
     return ((0 * one, 0 * one, one),
             (0 * one, one, W_bs + W_b),
             (one, W_a + W_as, W_as * W_bs + W_asb + W_bsa))
@@ -459,16 +450,16 @@ def f_hat_matrix(app: Apparatus, w, z, correction: str = "derived"):
     (2,0) -- see :func:`transcription_diagnostic`.
     """
     F = f_matrix(app, w, z)
-    a, b = app.alpha, app.beta
+    W = app.markov
     one = Fraction(1) if app.exact else 1.0
-    W_bs_z = markov(a, b, "W_beta_star")(z)
-    W_b_w = markov(a, b, "W_beta")(w)
-    W_asb_w = markov(a, b, "W_alpha_star_beta")(w)
+    W_bs_z = W["W_beta_star"](z)
+    W_b_w = W["W_beta"](w)
+    W_asb_w = W["W_alpha_star_beta"](w)
     if correction == "derived":
         mid = W_b_w
         corner = 0 * one
     elif correction == "literal":
-        mid = markov(a, b, "W_beta")(z)
+        mid = W["W_beta"](z)
         corner = one
     else:
         raise ValueError(f"unknown correction {correction!r}")

@@ -247,9 +247,6 @@ class OscillationCertificate:
         return (self.tn_passed and self.invertible
                 and self.subdiagonal_positive and self.supradiagonal_positive)
 
-    def __bool__(self):
-        return self.oscillatory
-
 
 def _neville(rows, tol):
     """Neville elimination, each column zeroed bottom up by the row above,

@@ -32,7 +32,7 @@ integrand is split at x0 = Re w into a subtracted part (smooth, handled by
 the quadrature rule) plus the exactly integrated log term
 F(x0) (log(w-a) - log(w-b)), whose complex branch carries the principal
 value and the +-i pi density term on the two sides of the cut; the
-reflected cut uses -T(g, -w), so one log branch serves both cuts.  The
+reflected cut uses -T(g(-y), -w), so one log branch serves both cuts.  The
 residual Gamma_+ - Gamma_- J(w0) is then O(eps) up to quadrature error,
 and is expected to fall linearly as eps shrinks.
 
@@ -232,13 +232,14 @@ def cauchy_transform_density(dm: DensityMeasure, g, w):
 
 class DensityBackend(PointBackend):
     """Values at a (possibly complex) point near either cut of
-    density-backed measures, by the split Cauchy transform; the reflected
-    transform is -T(g, -s)."""
+    density-backed measures, by the split Cauchy transform.  g is read at
+    the placed atom, so the reflected transform, with atoms at -y, is
+    -T(g(-y), -s)."""
 
     def transform(self, app: Apparatus, which: str, g, reflected: bool):
         dm = app.alpha_density if which == "alpha" else app.beta_density
         if reflected:
-            return -cauchy_transform_density(dm, g, -self.s)
+            return -cauchy_transform_density(dm, lambda y: g(-y), -self.s)
         return cauchy_transform_density(dm, g, self.s)
 
 

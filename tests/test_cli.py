@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -110,6 +111,28 @@ def test_verify_tp_fails_on_degenerate(spec_file, capsys):
     # order 3 > points of increase: the family build degenerates -> usage error
     code = main(["verify", spec_file(doc), "-N", "3", "--suite", "tp"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["bop", "-n", "400"], ["verify", "-N", "9"]],
+                         ids=["bop -n 400", "verify -N 9"])
+def test_order_past_the_atoms_refused_before_bimoments(argv, monkeypatch,
+                                                       spec_file, capsys):
+    # six atoms a side support degrees 0..5 (D_k > 0 exactly for k <= 6)
+    from cauchybop.bimoment import compute_bimoments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("bimoments computed for an order the atoms "
+                             "cannot support")
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cauchybop":
+            for attr, value in list(vars(module).items()):
+                if value is compute_bimoments:
+                    monkeypatch.setattr(module, attr, refuse)
+    code = main([argv[0], spec_file(SIX_ATOM)] + argv[1:])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: degenerate bimoment matrix at order 7\n"
 
 
 def test_verify_tp_reports_degenerate_minor(spec_file, capsys):
@@ -532,14 +555,18 @@ def test_float_degree_past_cap_exit_2(argv, spec, spec_file, capsys):
 
 
 def test_verify_computes_the_float_cap_once(monkeypatch, spec_file, capsys):
-    from cauchybop import cli
+    # counted under every name that binds it, as perfbench's tracer does
+    from cauchybop.bundle import reliable_degree_cap
     calls = []
-    cap = cli.float_degree_cap
 
     def counted(app):
         calls.append(app.N)
-        return cap(app)
-    monkeypatch.setattr(cli, "float_degree_cap", counted)
+        return reliable_degree_cap(app)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cauchybop":
+            for attr, value in list(vars(module).items()):
+                if value is reliable_degree_cap:
+                    monkeypatch.setattr(module, attr, counted)
     code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "5",
                                  "--suite", "all", "--mode", "float"])
     assert code == 0 and payload["status"] == "pass"

@@ -87,7 +87,7 @@ def test_float_verify_passes_on_quadrature_pairs(job):
 def _suites(app, names):
     runner = cli.Runner(app.ladder)
     for name in names:
-        cli.SUITES[name](runner, app, reliable_degree_cap(app), None, None)
+        cli.SUITES[name](runner, app, None, None)
     return {c["name"]: c["status"] for c in runner.checks}
 
 

@@ -82,16 +82,18 @@ def test_markov_mirror_swaps_the_measures(six_atom_pair, tag, exact):
 
 def test_markov_is_built_once_per_pair_and_lane(two_atom_pair):
     # the float copy of these dyadic atoms compares and hashes equal to the
-    # rational pair, yet must get float transforms of its own
+    # rational pair, yet its apparatus must hold float transforms of its own
     flt = tuple(DiscreteMeasure(tuple(Atom(float(a.position), float(a.weight))
                                       for a in m.atoms))
                 for m in two_atom_pair)
     assert flt == two_atom_pair
+    app, app_flt = (build_apparatus(*ms, N=1) for ms in (two_atom_pair, flt))
     for tag in MARKOV_TAGS:
-        w = markov(*two_atom_pair, tag)
-        assert markov(*two_atom_pair, tag) is w
+        w = app.markov[tag]
+        assert app.markov[tag] is w
+        assert w == markov(*two_atom_pair, tag)
         assert all(type(m) is F for m in w.masses)
-        assert all(type(m) is float for m in markov(*flt, tag).masses)
+        assert all(type(m) is float for m in app_flt.markov[tag].masses)
 
 
 def test_pole_evaluation_raises(six_atom_pair):
