@@ -12,7 +12,7 @@ collapses the correction matrix to the antidiagonal: perfect duality.
 from fractions import Fraction as F
 
 from cauchybop import (aux_vectors, build_apparatus, duality_check,
-                       ecd_residual, markov, measure_from_strings,
+                       ecd_residual, measure_from_strings,
                        order_check, pade_solve, plucker_residual,
                        transcription_diagnostic)
 
@@ -27,8 +27,8 @@ app = build_apparatus(alpha, beta, N=5)
 z = F(23, 2)
 print("pointwise values at z = 23/2:")
 for tag in ("W_beta", "W_alpha_star", "W_beta_alpha_star", "W_alpha_star_beta"):
-    print(f"  {tag}: {markov(alpha, beta, tag)(z)}")
-print("product identity residual:", plucker_residual(alpha, beta, z))
+    print(f"  {tag}: {app.markov[tag](z)}")
+print("product identity residual:", plucker_residual(app, z))
 
 print("\nsimultaneous approximation, degree 3:")
 sol = pade_solve(app, 3, "q")

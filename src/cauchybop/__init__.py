@@ -22,11 +22,9 @@ quadrature and run in floats.
 
 __version__ = "0.1.0"
 
-from .bimoment import (CAUCHY, BimomentMatrix, Kernel, bareiss_det,
-                       check_total_positivity, compute_bimoments,
-                       leading_minors, oracle_dn, rank_one_shift_residual)
-from .bop import (PolynomialFamily, averages, build_family,
-                  determinantal_oracle, evaluate, pair)
+from .bimoment import (BimomentMatrix, bareiss_det, check_total_positivity,
+                       compute_bimoments, oracle_dn, rank_one_shift_residual)
+from .bop import PolynomialFamily, averages, build_family, evaluate, pair
 from .bundle import Apparatus, build_apparatus
 from .cdkernel import (CommutatorBlock, cd_residual_hat, cd_residual_plain,
                        commutator_block, dense_commutator,

@@ -1,16 +1,17 @@
 """Bimoment matrices, their minors, and total-positivity certificates.
 
-For a kernel K and measures da, db on the positive axis the bimoment
-matrix is
+For measures da, db on the positive axis the Cauchy bimoment matrix is
 
-    I[i][j] = integral integral  x**i y**j K(x, y) da(x) db(y).
+    I[i][j] = integral integral  x**i y**j / (x + y)  da(x) db(y).
 
-For the Cauchy kernel K(x, y) = 1/(x + y) this matrix is totally positive
-whenever both measures have enough points of increase; by Fekete's
-criterion strict positivity of all minors taken from consecutive rows and
-consecutive columns is sufficient, which is what the certificate checks.
-The certificate is restricted to consecutive-index minors precisely for
-that reason; full minor enumeration is exponential.
+It is totally positive whenever both measures have enough points of
+increase; by Fekete's criterion strict positivity of all minors taken
+from consecutive rows and consecutive columns is sufficient, which is what
+the certificate checks.  The certificate is restricted to
+consecutive-index minors precisely for that reason; full minor
+enumeration is exponential.  Only this kernel is built here; another
+kernel's matrix, as a :class:`BimomentMatrix`, still factors through
+:func:`~cauchybop.bop.build_family`, without the theorems behind the checks.
 
 Two independent routes compute the leading principal minors D_n:
 
@@ -41,17 +42,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from typing import Callable
 
 from .errors import KernelSingularityError, TheoryViolationError
 from .measure import DiscreteMeasure, moment
 from .scalars import guard_precision, is_exact
-
-
-@dataclass(frozen=True)
-class Kernel:
-    tag: str
-    evaluate: Callable
 
 
 def _cauchy_sum(x, y):
@@ -60,13 +54,6 @@ def _cauchy_sum(x, y):
     if x + y == 0:
         raise KernelSingularityError(f"kernel singularity: x + y = 0 at ({x}, {y})")
     return Fraction(x + y) if is_exact(x) and is_exact(y) else x + y
-
-
-def _cauchy(x, y):
-    return 1 / _cauchy_sum(x, y)
-
-
-CAUCHY = Kernel("Cauchy", _cauchy)
 
 
 # -- exact linear algebra helpers ---------------------------------------------
@@ -136,7 +123,6 @@ def vandermonde(xs):
 class BimomentMatrix:
     order: int
     entries: tuple            # order x order grid, row-major
-    kernel_tag: str
     exact: bool
 
     def __getitem__(self, ij):
@@ -162,31 +148,33 @@ class BimomentMatrix:
         n = self.order - max(di, dj)
         sub = tuple(tuple(self.entries[di + i][dj + j] for j in range(n))
                     for i in range(n))
-        return BimomentMatrix(n, sub, self.kernel_tag, self.exact)
+        return BimomentMatrix(n, sub, self.exact)
 
 
 def compute_bimoments(alpha: DiscreteMeasure, beta: DiscreteMeasure,
-                      kernel: Kernel = CAUCHY, N: int = 4) -> BimomentMatrix:
-    """Bimoment matrix of order N as the factored sum I = V_a^T (K V_b).
+                      N: int) -> BimomentMatrix:
+    """Cauchy bimoment matrix of order N as the factored sum
+    I = V_a^T (K V_b), K[a][b] = 1 / (x_a + y_b).
 
     For each alpha atom x_a, in atom order, the weighted kernel row
-    K(x_a, y_b) w_a w_b is contracted with the beta powers,
-    inner_a[j] = sum_b K(x_a, y_b) w_a w_b y_b**j; then
+    w_a w_b / (x_a + y_b) is contracted with the beta powers,
+    inner_a[j] = sum_b w_a w_b y_b**j / (x_a + y_b); then
     I[i][j] = sum_a x_a**i inner_a[j].  Every sum runs in atom order, so
     exact input gives the same rationals as the plain double sum over atom
     pairs and float input has one fixed rounding order.  The work is
-    O(N |alpha| |beta| + N**2 |alpha|) in both lanes.
+    O(N |alpha| |beta| + N**2 |alpha|) in both lanes.  Raises
+    KernelSingularityError when some x_a + y_b = 0.
     """
     xs = alpha.signed_positions()
     ys = beta.signed_positions()
     ws_b = beta.weights()
-    exact = (alpha.is_exact and beta.is_exact and kernel.tag == "Cauchy")
+    exact = alpha.is_exact and beta.is_exact
     ypow = [[y ** j for j in range(N)] for y in ys]
     inner = []
     for x, wa in zip(xs, alpha.weights()):
         row = [0] * N
         for y, wb, yp in zip(ys, ws_b, ypow):
-            kw = kernel.evaluate(x, y) * wa * wb
+            kw = 1 / _cauchy_sum(x, y) * wa * wb
             for j in range(N):
                 row[j] += kw * yp[j]
         inner.append(([x ** i for i in range(N)], row))
@@ -199,11 +187,7 @@ def compute_bimoments(alpha: DiscreteMeasure, beta: DiscreteMeasure,
         for v in acc:
             guard_precision(v)
         entries.append(tuple(acc))
-    return BimomentMatrix(N, tuple(entries), kernel.tag, exact)
-
-
-def leading_minors(I: BimomentMatrix):
-    return I.leading_minors()
+    return BimomentMatrix(N, tuple(entries), exact)
 
 
 # -- total positivity ----------------------------------------------------------
@@ -218,19 +202,18 @@ class TotalPositivityCertificate:
     violation: tuple | None           # first (k, row_start, col_start, value) <= 0
 
 
-def check_total_positivity(I: BimomentMatrix, kmax: int | None = None,
+def check_total_positivity(I: BimomentMatrix, kmax: int,
                            tol: float = 0.0) -> TotalPositivityCertificate:
     """Evaluate every minor of k consecutive rows and k consecutive columns
-    for k <= kmax.  A nonpositive minor is a reported outcome, not an error:
-    degenerate measures legitimately produce vanishing minors.
+    for k <= kmax (clipped to the order of I).  A nonpositive minor is a
+    reported outcome, not an error: degenerate measures legitimately
+    produce vanishing minors.
 
     Exact mode (tol = 0) demands strict positivity.  With tol > 0 (float
     data, where a high-order minor may vanish below the rounding floor) a
     violation is only declared below -tol; the certificate then asserts
     "no negative minor detected", which is the most doubles can promise."""
     N = I.order
-    if kmax is None:
-        kmax = min(N, 6)
     kmax = min(kmax, N)
     best = None
     best_idx = None

@@ -11,16 +11,15 @@ S_p = L^{-1} and S_q = U^{-T}, so p = S_p [x] and q = S_q [y] in the
 monomial basis.  The family keeps L and D U too: they are the pairings
 <x^i | q*_k> = L[i][k] and <p_n | y^j> = h_n U[n][j] that X and Y are
 expanded from (to power N+1 when I has order N+2).  In exact mode every
-statement below is literal rational equality.
-
-An independent construction -- cofactor expansion of the bordered
-determinant formulas -- is provided as :func:`determinantal_oracle` and
-must coincide with the factorization path coefficient by coefficient.
+statement below is literal rational equality.  The factorization is the
+one construction; the tests hold the independent one (cofactor expansion
+of the bordered determinants) and assert coefficient-by-coefficient
+agreement.
 
 The exact pipeline works exclusively with monic data (and the rescaled
 family q_n / h_n, which pairs with monic p_n to a biorthoNORMAL system
-without any square roots).  Normalized quantities p_n/sqrt(h_n) and the
-constants c_n = sqrt(h_n) exist only in the float layer.
+without any square roots).  The constants c_n = sqrt(h_n) exist only in
+the float layer: a normalized value is ``evaluate(...) / family.c(n)``.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bimoment import BimomentMatrix, minor
+from .bimoment import BimomentMatrix
 from .errors import (DegenerateMatrixError, PrecisionExhaustedError,
                      TheoryViolationError)
 from .measure import DiscreteMeasure, moment
@@ -154,28 +153,6 @@ def build_family(I: BimomentMatrix, N: int,
     return family
 
 
-def determinantal_oracle(I: BimomentMatrix, n: int):
-    """Monic coefficients of (p_n, q_n) by cofactor expansion of the
-    bordered determinants, bypassing the factorization entirely."""
-    one = Fraction(1) if I.exact else 1.0
-    D_n = minor(I.entries, range(n), range(n), I.exact) if n else one
-    if D_n == 0:
-        raise DegenerateMatrixError(n)
-    p_coeffs = []
-    for i in range(n + 1):
-        m = minor(I.entries, [r for r in range(n + 1) if r != i], range(n),
-                  I.exact) if n else one
-        sign = -1 if (i + n) % 2 else 1
-        p_coeffs.append(sign * m / D_n)
-    q_coeffs = []
-    for j in range(n + 1):
-        m = minor(I.entries, range(n), [c for c in range(n + 1) if c != j],
-                  I.exact) if n else one
-        sign = -1 if (j + n) % 2 else 1
-        q_coeffs.append(sign * m / D_n)
-    return tuple(p_coeffs), tuple(q_coeffs)
-
-
 def averages(family: PolynomialFamily, alpha: DiscreteMeasure,
              beta: DiscreteMeasure):
     """Monic averages pi_n = int p_n da, eta_n = int q_n db.
@@ -205,17 +182,8 @@ def averages(family: PolynomialFamily, alpha: DiscreteMeasure,
     return pi, eta
 
 
-def evaluate(family: PolynomialFamily, which: str, n: int, point,
-             basis: str = "monic"):
-    """Horner evaluation of p_n or q_n at a point.
-
-    basis="monic" stays in the exact layer; basis="normalized" divides by
-    sqrt(h_n) and returns a float.
-    """
+def evaluate(family: PolynomialFamily, which: str, n: int, point):
+    """Horner evaluation of the monic p_n or q_n at a point; exact for
+    exact coefficients and point."""
     coeffs = {"p": family.p_monic, "q": family.q_monic}[which][n]
-    value = peval(coeffs, point)
-    if basis == "monic":
-        return value
-    if basis == "normalized":
-        return float(value) / family.c(n)
-    raise ValueError(f"unknown basis {basis!r}")
+    return peval(coeffs, point)

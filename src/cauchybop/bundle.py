@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .bimoment import CAUCHY, BimomentMatrix, Kernel, compute_bimoments
+from .bimoment import BimomentMatrix, compute_bimoments
 from .bop import PolynomialFamily, build_family
 from .errors import DegenerateMatrixError, OrderUnderflowError
 from .measure import DensityMeasure, DiscreteMeasure, discretize, moment
@@ -118,7 +118,7 @@ def tolerance(ladder, d: int):
 
 def build_apparatus(alpha: DiscreteMeasure | DensityMeasure,
                     beta: DiscreteMeasure | DensityMeasure,
-                    N: int, kernel: Kernel = CAUCHY) -> Apparatus:
+                    N: int) -> Apparatus:
     """Build the full apparatus with family degrees 0..N.
 
     With m atoms on the smaller side, D_k > 0 exactly when k <= m, so
@@ -133,7 +133,7 @@ def build_apparatus(alpha: DiscreteMeasure | DensityMeasure,
     m = min(len(alpha_d), len(beta_d))
     if N + 1 > m:
         raise DegenerateMatrixError(m + 1)
-    I = compute_bimoments(alpha_d, beta_d, kernel, N + 2)
+    I = compute_bimoments(alpha_d, beta_d, N + 2)
     family = build_family(I, N, alpha_d, beta_d)
     X, Y = build_XY(family, I)
     L, Lhat = build_L_Lhat(family)

@@ -48,8 +48,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
-from .bimoment import (CAUCHY, check_total_positivity, compute_bimoments,
-                       leading_minors, oracle_dn, rank_one_shift_residual)
+from .bimoment import (check_total_positivity, compute_bimoments, oracle_dn,
+                       rank_one_shift_residual)
 from .bop import evaluate
 from .bundle import Apparatus, build_apparatus, reliable_degree_cap, tolerance
 from .cdkernel import (cd_residual_hat, cd_residual_plain,
@@ -313,7 +313,7 @@ def _suite_tp(r: Runner, app: Apparatus, kmax, eps_list):
         cert = _tp_certificate(app.I, kmax)
         return cert.passed
     r.run(lambda: f"{label} through {cert.kmax}x{cert.kmax}", tp)
-    D = leading_minors(app.I)
+    D = app.I.leading_minors()
     # the tuple-sum oracle enumerates C(atoms, n)^2 index pairs, O(n) work
     # each through the closed-form Cauchy determinant, too many past 16 atoms
     many = max(len(app.alpha), len(app.beta)) > 16
@@ -380,7 +380,7 @@ def _suite_cdi(r: Runner, app: Apparatus, kmax, eps_list):
 def _suite_pade(r: Runner, app: Apparatus, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 10)
     r.run("product identity of the two Nikishin chains",
-          lambda: max(plucker_residual(app.alpha, app.beta, z) for z in pts))
+          lambda: max(plucker_residual(app, z) for z in pts))
     top = min(4, app.N) if app.exact else app.cap
     for problem in ("q", "p", "switched"):
         for n in range(0, top + 1):
@@ -450,8 +450,8 @@ def cmd_bimoments(args) -> int:
     warnings = []
     if args.kmax and args.kmax > N:
         warnings.append(f"kmax {args.kmax} clipped to order {N}")
-    I = compute_bimoments(alpha, beta, CAUCHY, N)
-    D = leading_minors(I)
+    I = compute_bimoments(alpha, beta, N)
+    D = I.leading_minors()
     cert = _tp_certificate(I, args.kmax)
     # no family: the shift reads degree 0, where the ladder is at the floor
     shift_ok = _check_shift(Runner(None if I.exact else (0,)), I, alpha, beta)

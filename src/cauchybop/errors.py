@@ -36,9 +36,9 @@ class DegenerateMatrixError(CauchybopError):
     """A leading principal minor vanished; the measure has too few points
     of increase for the requested order."""
 
-    def __init__(self, order: int, message: str | None = None):
+    def __init__(self, order: int):
         self.order = order
-        super().__init__(message or f"degenerate bimoment matrix at order {order}")
+        super().__init__(f"degenerate bimoment matrix at order {order}")
 
 
 class TheoryViolationError(CauchybopError):

@@ -182,14 +182,13 @@ def markov(alpha: DiscreteMeasure, beta: DiscreteMeasure, tag: str
     return _weighted(measures[which], g, reflected, tag)
 
 
-def plucker_residual(alpha: DiscreteMeasure, beta: DiscreteMeasure, z):
+def plucker_residual(app: Apparatus, z):
     """Relative residual of W_beta W_alpha_star = W_beta_alpha_star +
-    W_alpha_star_beta at z; zero off the supports, exactly so for rational
-    z."""
-    return residual(markov(alpha, beta, "W_beta")(z)
-                    * markov(alpha, beta, "W_alpha_star")(z),
-                    markov(alpha, beta, "W_beta_alpha_star")(z)
-                    + markov(alpha, beta, "W_alpha_star_beta")(z))
+    W_alpha_star_beta at z, from the transforms ``app.markov`` holds; zero
+    off the supports, exactly so for rational z."""
+    W = app.markov
+    return residual(W["W_beta"](z) * W["W_alpha_star"](z),
+                    W["W_beta_alpha_star"](z) + W["W_alpha_star_beta"](z))
 
 
 # -- simultaneous approximation --------------------------------------------------

@@ -198,11 +198,10 @@ def four_term_residual(family: PolynomialFamily, A: BandOperator,
 
 @dataclass(frozen=True)
 class HattedFamily:
-    """Coefficient triangles for phat_n (degree n) and qhat_n (degree n+1)."""
-    N: int                      # phat degrees 0..N, qhat degrees 0..N-1
+    """Coefficient triangles for phat_n (degree n, n = 0..N) and qhat_n
+    (degree n+1, n = 0..N-1)."""
     p_hat: tuple
     q_hat: tuple
-    exact: bool
 
 
 def build_hatted(family: PolynomialFamily) -> HattedFamily:
@@ -223,7 +222,7 @@ def build_hatted(family: PolynomialFamily) -> HattedFamily:
         psub(pscale(family.q_monic[n + 1], 1 / family.eta_monic[n + 1]),
              pscale(family.q_monic[n], 1 / family.eta_monic[n]))
         for n in range(N))
-    return HattedFamily(N, tuple(p_hat), q_hat, family.exact)
+    return HattedFamily(tuple(p_hat), q_hat)
 
 
 # -- total nonnegativity / oscillation ------------------------------------------

@@ -8,18 +8,18 @@ multiplication operators:
 (monic normalization; the rational frame used throughout the library is a
 positive diagonal conjugation of the normalized one, so eigenvalues and
 characteristic polynomials agree between frames).  Zeros are therefore
-computed as eigenvalues of the balanced float truncation, cross-checked
-against companion-matrix roots of the coefficient vector, and certified --
-when a rigorous count is requested on exact data -- by exact sign changes
-at rational points straddling each float zero.
+computed as eigenvalues of the balanced float truncation, and certified
+-- when a rigorous count is requested on exact data -- by exact sign
+changes at rational points straddling each float zero.  The tests hold
+the second routes (companion-matrix roots of the coefficient vector, and
+p_n at its own eigenvalues) as oracles.
 
 Theory guarantees the zeros are simple, strictly positive, inside the
 convex hull of the relevant support, and interlaced between consecutive
 degrees.  Those are *checked* properties here, reported per degree.
 
-Eigenvalues and companion roots are float work: numpy is imported when
-:func:`zeros_of` runs, not with the module, so the exact lane never loads
-it.
+Eigenvalues are float work: numpy is imported when :func:`zeros_of` runs,
+not with the module, so the exact lane never loads it.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ class ZeroReport:
     all_positive: bool
     inside_hull: bool
     interlaced_with_previous: bool | None
-    charpoly_residual: float
     numerically_coincident: bool
-    companion_max_deviation: float
 
 
 def _eigs_real_sorted(block):
@@ -73,16 +71,11 @@ def zeros_of(app: Apparatus, which: str, n: int) -> ZeroReport:
     if not 0 <= n <= app.N:
         raise OrderUnderflowError(f"degree {n} outside built range 0..{app.N}")
     if n == 0:
-        return ZeroReport(0, (), float("inf"), True, True, None, 0.0, False, 0.0)
+        return ZeroReport(0, (), float("inf"), True, True, None, False)
     import numpy as np
     op = app.X if which == "p" else app.Y
     block = [row[:n] for row in op.entries[:n]]
     eigs = _eigs_real_sorted(block)
-
-    coeffs = (app.family.p_monic if which == "p" else app.family.q_monic)[n]
-    roots = np.sort(np.roots(np.array([float(c) for c in reversed(coeffs)])).real)
-    scale = max(1.0, float(np.max(np.abs(eigs))))
-    companion_dev = float(np.max(np.abs(eigs - roots))) / scale if n else 0.0
 
     measure = app.alpha if which == "p" else app.beta
     lo, hi = measure.support_hull()
@@ -95,9 +88,6 @@ def zeros_of(app: Apparatus, which: str, n: int) -> ZeroReport:
         prev = _eigs_real_sorted([row[: n - 1] for row in op.entries[: n - 1]])
         prev_interlaced = bool(_interlacing_margin(eigs, prev) > 0)
 
-    charpoly_res = max(
-        (abs(float(peval(coeffs, z))) for z in eigs), default=0.0) / scale ** n
-
     return ZeroReport(
         degree=n,
         zeros=tuple(float(z) for z in eigs),
@@ -106,9 +96,7 @@ def zeros_of(app: Apparatus, which: str, n: int) -> ZeroReport:
         inside_hull=bool(np.all((eigs > float(lo) - 1e-12 * span)
                                 & (eigs < float(hi) + 1e-12 * span))),
         interlaced_with_previous=prev_interlaced,
-        charpoly_residual=charpoly_res,
         numerically_coincident=bool(min_gap < COINCIDENCE_RTOL * span),
-        companion_max_deviation=companion_dev,
     )
 
 

@@ -5,7 +5,9 @@ from random import Random
 
 import pytest
 
-from cauchybop import Atom, DiscreteMeasure, build_apparatus, measure_from_strings
+from cauchybop import (Atom, DegenerateMatrixError, DiscreteMeasure,
+                       build_apparatus, measure_from_strings)
+from cauchybop.bimoment import minor
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +60,25 @@ def rational_points_off(measures, count: int, start: int = 1):
                 pts.append(cand)
         k += 1
     return pts
+
+
+def determinantal_oracle(I, n: int):
+    """Monic coefficients of (p_n, q_n) by cofactor expansion of the
+    bordered determinants, bypassing the factorization entirely."""
+    one = Fraction(1) if I.exact else 1.0
+    D_n = minor(I.entries, range(n), range(n), I.exact) if n else one
+    if D_n == 0:
+        raise DegenerateMatrixError(n)
+    p_coeffs = []
+    for i in range(n + 1):
+        m = minor(I.entries, [r for r in range(n + 1) if r != i], range(n),
+                  I.exact) if n else one
+        sign = -1 if (i + n) % 2 else 1
+        p_coeffs.append(sign * m / D_n)
+    q_coeffs = []
+    for j in range(n + 1):
+        m = minor(I.entries, range(n), [c for c in range(n + 1) if c != j],
+                  I.exact) if n else one
+        sign = -1 if (j + n) % 2 else 1
+        q_coeffs.append(sign * m / D_n)
+    return tuple(p_coeffs), tuple(q_coeffs)

@@ -13,21 +13,21 @@ from random import Random
 
 import pytest
 
-from cauchybop import (CAUCHY, DegenerateMatrixError, DensityMeasure,
+from cauchybop import (DegenerateMatrixError, DensityMeasure,
                        assemble_gamma, assemble_gamma_hat, asymptotic_check,
                        aux_vectors, build_apparatus, build_family,
                        cd_residual_hat, cd_residual_plain,
                        check_total_positivity, compute_bimoments,
                        duality_check, ecd_residual, extract_constants,
-                       four_term_residual, jump_slope_study, leading_minors,
+                       four_term_residual, jump_slope_study,
                        measure_from_strings, oracle_dn, order_check,
                        pade_solve, pair, plucker_residual,
                        rank_one_shift_residual, rank_one_XY_residual,
                        verify_block_against_dense, zeros_of,
-                       determinantal_oracle, interlacing_check,
-                       charpoly_identity_residual)
+                       interlacing_check, charpoly_identity_residual)
 
-from .conftest import random_rational_measure, rational_points_off
+from .conftest import (determinantal_oracle, random_rational_measure,
+                       rational_points_off)
 
 SEED = 20260809
 
@@ -64,10 +64,10 @@ def appd():
 def test_criterion_1_bimoment_tp_and_oracle(random_pairs):
     t0 = time.monotonic()
     for alpha, beta in random_pairs:
-        I = compute_bimoments(alpha, beta, CAUCHY, 6)
+        I = compute_bimoments(alpha, beta, 6)
         cert = check_total_positivity(I, 4)
         assert cert.passed and cert.min_minor > 0
-        D = leading_minors(I)
+        D = I.leading_minors()
         for n in range(1, 5):
             assert D[n - 1] == oracle_dn(alpha, beta, n)
     elapsed = time.monotonic() - t0
@@ -78,7 +78,7 @@ def test_criterion_1_bimoment_tp_and_oracle(random_pairs):
 
 def test_criterion_2_rank_one_shift(random_pairs):
     for alpha, beta in random_pairs:
-        I = compute_bimoments(alpha, beta, CAUCHY, 6)
+        I = compute_bimoments(alpha, beta, 6)
         res = rank_one_shift_residual(I, alpha, beta)
         assert len(res) == 5 and len(res[0]) == 5
         assert all(v == 0 for row in res for v in row)
@@ -155,7 +155,7 @@ def test_criterion_6_cd_identities(app6, six_atom_pair):
 def test_criterion_7_pade_nikishin(app6, six_atom_pair):
     alpha, beta = six_atom_pair
     for z in rational_points_off([alpha, beta], 10):
-        assert plucker_residual(alpha, beta, z) == 0
+        assert plucker_residual(app6, z) == 0
     for n in range(0, 5):
         assert order_check(pade_solve(app6, n, "q")).passed
         switched = pade_solve(app6, n, "switched")
@@ -208,8 +208,8 @@ def test_criterion_9_rhp(app6, six_atom_pair, appd):
 def test_criterion_10_degenerate_handling():
     alpha = measure_from_strings([("1", "1")])
     beta = measure_from_strings([("2", "3")])
-    I = compute_bimoments(alpha, beta, CAUCHY, 2)
-    D = leading_minors(I)
+    I = compute_bimoments(alpha, beta, 2)
+    D = I.leading_minors()
     assert D[1] == 0                              # clean zero, no crash
     cert = check_total_positivity(I, 2)
     assert not cert.passed                        # never a false TP pass

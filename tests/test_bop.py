@@ -3,15 +3,16 @@ from fractions import Fraction as F
 
 import pytest
 
-from cauchybop import (CAUCHY, DegenerateMatrixError, build_family,
-                       compute_bimoments, determinantal_oracle, evaluate,
-                       measure_from_strings, pair)
+from cauchybop import (DegenerateMatrixError, build_family,
+                       compute_bimoments, evaluate, measure_from_strings, pair)
+
+from .conftest import determinantal_oracle
 
 
 @pytest.fixture(scope="module")
 def fam2(two_atom_pair):
     alpha, beta = two_atom_pair
-    I = compute_bimoments(alpha, beta, CAUCHY, 3)
+    I = compute_bimoments(alpha, beta, 3)
     return build_family(I, 1, alpha, beta), I
 
 
@@ -63,7 +64,7 @@ def test_determinantal_oracle_agrees(app6):
 
 def test_degenerate_when_too_few_atoms():
     m = measure_from_strings([("1", "1")])
-    I = compute_bimoments(m, m, CAUCHY, 3)
+    I = compute_bimoments(m, m, 3)
     with pytest.raises(DegenerateMatrixError) as err:
         build_family(I, 1)
     assert err.value.order == 2
@@ -88,10 +89,8 @@ def test_evaluate_monic_and_normalized(fam2):
     assert evaluate(fam, "p", 1, F(109, 77)) == 0
     assert evaluate(fam, "q", 0, F(5, 3)) == 1
     # normalized p_0 = 1 / sqrt(h_0) = sqrt(60/77)
-    assert math.isclose(evaluate(fam, "p", 0, F(1), basis="normalized"),
+    assert math.isclose(float(evaluate(fam, "p", 0, F(1))) / fam.c(0),
                         math.sqrt(60 / 77), rel_tol=1e-14)
-    with pytest.raises(ValueError):
-        evaluate(fam, "p", 0, 1, basis="chebyshev")
 
 
 def test_normalized_q_leading_coefficient_is_reciprocal_norm(app6):

@@ -66,9 +66,9 @@ def test_cd_identities_degree_five_and_deep_oracle():
     # the n = 5 window needs seven points of increase
     from random import Random
 
-    from cauchybop import build_apparatus, determinantal_oracle
+    from cauchybop import build_apparatus
 
-    from .conftest import random_rational_measure
+    from .conftest import determinantal_oracle, random_rational_measure
     rng = Random(777)
     alpha = random_rational_measure(rng, 8)
     beta = random_rational_measure(rng, 8)

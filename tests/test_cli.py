@@ -61,12 +61,12 @@ def test_bimoments_round_trips_exact_rationals(spec_file, capsys):
     code, payload = run(capsys, ["bimoments", spec_file(SIX_ATOM), "-N", "4"])
     assert code == 0
     reparsed = [[F(v) for v in row] for row in payload["I"]]
-    from cauchybop import CAUCHY, compute_bimoments, measure_from_strings
+    from cauchybop import compute_bimoments, measure_from_strings
     alpha = measure_from_strings([(a["x"], a["w"])
                                   for a in SIX_ATOM["alpha"]["atoms"]])
     beta = measure_from_strings([(a["x"], a["w"])
                                  for a in SIX_ATOM["beta"]["atoms"]])
-    I = compute_bimoments(alpha, beta, CAUCHY, 4)
+    I = compute_bimoments(alpha, beta, 4)
     assert reparsed == [list(row) for row in I.entries]
 
 
@@ -571,6 +571,22 @@ def test_verify_computes_the_float_cap_once(monkeypatch, spec_file, capsys):
                                  "--suite", "all", "--mode", "float"])
     assert code == 0 and payload["status"] == "pass"
     assert calls == [5]
+
+
+def test_pade_suite_builds_each_markov_transform_once(monkeypatch, spec_file,
+                                                      capsys):
+    from cauchybop import nikishin
+    tags = []
+
+    def counted(alpha, beta, tag):
+        tags.append(tag)
+        return markov(alpha, beta, tag)
+    markov = nikishin.markov
+    monkeypatch.setattr(nikishin, "markov", counted)
+    code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "5",
+                                 "--suite", "pade"])
+    assert code == 0 and payload["status"] == "pass"
+    assert sorted(tags) == sorted(nikishin.MARKOV_TAGS)
 
 
 # exp(-(0.38 x + 0.23 x^2)) on [0.3, 1.75] against exp(-(0.72 y + 0.29 y^2))

@@ -108,20 +108,20 @@ def test_unknown_tag_rejected(six_atom_pair):
         markov(*six_atom_pair, "W_gamma")
 
 
-def test_plucker_exact_at_rational_points(six_atom_pair):
-    alpha, beta = six_atom_pair
-    for z in rational_points_off([alpha, beta], 10):
-        assert plucker_residual(alpha, beta, z) == 0
+def test_plucker_exact_at_rational_points(app6, six_atom_pair):
+    for z in rational_points_off(six_atom_pair, 10):
+        assert plucker_residual(app6, z) == 0
 
 
 def test_plucker_swapped_family(six_atom_pair):
     alpha, beta = six_atom_pair
+    app = build_apparatus(beta, alpha, N=5)
     for z in rational_points_off([alpha, beta], 3):
-        assert plucker_residual(beta, alpha, z) == 0
+        assert plucker_residual(app, z) == 0
 
 
-def test_plucker_float_point(six_atom_pair):
-    assert abs(plucker_residual(*six_atom_pair, 1j)) < 1e-12
+def test_plucker_float_point(app6):
+    assert abs(plucker_residual(app6, 1j)) < 1e-12
 
 
 @settings(max_examples=15, deadline=None)
@@ -131,7 +131,8 @@ def test_plucker_random_measures(seed):
     alpha = random_rational_measure(rng, rng.randint(1, 3))
     beta = random_rational_measure(rng, rng.randint(1, 3))
     z = F(200, 3)
-    assert plucker_residual(alpha, beta, z) == 0
+    app = build_apparatus(alpha, beta, N=min(len(alpha), len(beta)) - 1)
+    assert plucker_residual(app, z) == 0
 
 
 # -- simultaneous approximation ----------------------------------------------------

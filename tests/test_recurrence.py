@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cauchybop import (CAUCHY, BandOperator, DensityMeasure,
+from cauchybop import (BandOperator, DensityMeasure,
                        OrderUnderflowError, build_apparatus, build_family,
                        build_XY, compute_bimoments, dense_commutator,
                        four_term_residual, moment, pair,
@@ -146,8 +146,8 @@ def test_products_match_dense_route_float():
 
 
 def test_build_XY_needs_tables_one_power_past_the_family(six_atom_pair):
-    short = compute_bimoments(*six_atom_pair, CAUCHY, 4)
-    full = compute_bimoments(*six_atom_pair, CAUCHY, 5)
+    short = compute_bimoments(*six_atom_pair, 4)
+    full = compute_bimoments(*six_atom_pair, 5)
     for family, I in ((build_family(short, 3), full),
                       (build_family(full, 3), short)):
         with pytest.raises(OrderUnderflowError):
