@@ -7,14 +7,15 @@ the supports.  q_n solves the simultaneous approximation problem of the
 first chain; p_n(-z) solves the switched one.  The extended identities
 pair auxiliary windows against the commutator block, and setting w = -z
 collapses the correction matrix to the antidiagonal: perfect duality.
+That the customary transcription of the hatted correction matrix fails at
+exactly two entries is asserted in tests/test_nikishin.py.
 """
 
 from fractions import Fraction as F
 
 from cauchybop import (aux_vectors, build_apparatus, duality_check,
                        ecd_residual, measure_from_strings,
-                       order_check, pade_solve, plucker_residual,
-                       transcription_diagnostic)
+                       order_check, pade_solve, plucker_residual)
 
 alpha = measure_from_strings(
     [("1", "1"), ("2", "1"), ("3.5", "0.25"), ("4", "2"), ("1.25", "0.8"),
@@ -52,8 +53,3 @@ for nn in (2, 3, 4):
            for a in range(3)]
     print(f"  n={nn}: residual matrix max:",
           max(abs(v) for r in row for v in r))
-
-print("\nhatted-identity transcription audit (exact-mode diagnostic):")
-diag = transcription_diagnostic(app, 3, w, z)
-print("  entries where the published correction matrix fails while the")
-print("  constructively derived one vanishes:", [(a, b) for a, b, _ in diag])

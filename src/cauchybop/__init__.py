@@ -30,17 +30,16 @@ from .cdkernel import (CommutatorBlock, cd_residual_hat, cd_residual_plain,
                        commutator_block, dense_commutator,
                        verify_block_against_dense)
 from .errors import (CauchybopError, DegenerateMatrixError,
-                     InvalidDensityError, KernelSingularityError,
-                     OrderUnderflowError, PoleEvaluationError,
-                     PrecisionExhaustedError, TheoryViolationError)
-from .measure import (Atom, DensityMeasure, DiscreteMeasure, Measure,
-                      discretize, measure_from_strings, moment, reflect)
+                     InvalidDensityError, OrderUnderflowError,
+                     PoleEvaluationError, PrecisionExhaustedError,
+                     TheoryViolationError)
+from .measure import (Atom, DensityMeasure, DiscreteMeasure, discretize,
+                      measure_from_strings, moment)
 from .nikishin import (MARKOV_TAGS, AuxVectors, MarkovFunction,
                        OrderCertificate, PadeSolution, aux_vectors,
                        duality_check, ecd_hat_residual, ecd_residual,
                        f_hat_matrix, f_matrix, markov, order_check,
-                       pade_solve, plucker_residual, polynomial_part,
-                       transcription_diagnostic)
+                       pade_solve, plucker_residual, polynomial_part)
 from .recurrence import (BandOperator, HattedFamily, OscillationCertificate,
                          build_A_Ahat, build_hatted, build_L_Lhat, build_XY,
                          four_term_residual, rank_one_XY_residual,

@@ -43,16 +43,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 
-from .errors import KernelSingularityError, TheoryViolationError
+from .errors import TheoryViolationError
 from .measure import DiscreteMeasure, moment
 from .scalars import guard_precision, is_exact
 
 
 def _cauchy_sum(x, y):
-    """x + y, a Fraction for exact input, refused where the Cauchy kernel
-    1/(x + y) is singular."""
-    if x + y == 0:
-        raise KernelSingularityError(f"kernel singularity: x + y = 0 at ({x}, {y})")
+    """x + y, a Fraction for exact input (int atoms included); positive,
+    since atoms sit on the positive axis."""
     return Fraction(x + y) if is_exact(x) and is_exact(y) else x + y
 
 
@@ -162,11 +160,10 @@ def compute_bimoments(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     I[i][j] = sum_a x_a**i inner_a[j].  Every sum runs in atom order, so
     exact input gives the same rationals as the plain double sum over atom
     pairs and float input has one fixed rounding order.  The work is
-    O(N |alpha| |beta| + N**2 |alpha|) in both lanes.  Raises
-    KernelSingularityError when some x_a + y_b = 0.
+    O(N |alpha| |beta| + N**2 |alpha|) in both lanes.
     """
-    xs = alpha.signed_positions()
-    ys = beta.signed_positions()
+    xs = alpha.positions()
+    ys = beta.positions()
     ws_b = beta.weights()
     exact = alpha.is_exact and beta.is_exact
     ypow = [[y ** j for j in range(N)] for y in ys]
@@ -248,15 +245,14 @@ def oracle_dn(alpha: DiscreteMeasure, beta: DiscreteMeasure, n: int):
 
     Both lanes sum the terms in tuple order; exact input gives one exact
     Fraction.  Returns 0 when n exceeds an atom count (a repeated atom
-    kills the Vandermonde); raises KernelSingularityError when some
-    x_a + y_b = 0.
+    kills the Vandermonde).
     """
     exact = alpha.is_exact and beta.is_exact
     if n == 0:
         return Fraction(1) if exact else 1.0
     if n > len(alpha) or n > len(beta):
         return Fraction(0) if exact else 0.0
-    xs, ys = alpha.signed_positions(), beta.signed_positions()
+    xs, ys = alpha.positions(), beta.positions()
     sums = [[_cauchy_sum(x, y) for y in ys] for x in xs]
 
     def tuple_factors(pts, ws):

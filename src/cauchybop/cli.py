@@ -19,9 +19,11 @@ or
      "potential": {"coeffs": [...], "hbar": 1.0},
      "quadrature": {"rule": "gauss-legendre", "order": 64}}
 
-Positions and weights are decimal strings parsed to exact rationals, so
-exact-mode results are reproducible bit for bit; rationals are emitted as
-"p/q" strings and floats as shortest round-trip decimals.
+Gauss-Legendre is the only quadrature rule.  Positions and weights are
+decimal strings parsed to exact rationals, so exact-mode results are
+reproducible bit for bit.  Every subcommand prints one JSON document;
+rationals are emitted as "p/q" strings and floats as shortest round-trip
+decimals.
 
 Subcommands judge an identity by the verify suites' check for it.  Float
 degree windows come from the apparatus's one degree cap (``app.cap``):
@@ -38,8 +40,6 @@ or an internal bug -- never seen on valid data).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -93,11 +93,13 @@ def _measure_from_dict(d, float_mode: bool):
         if kind == "density":
             pot = d["potential"]
             quad = d.get("quadrature", {})
+            rule = quad.get("rule", "gauss-legendre")
+            if rule != "gauss-legendre":
+                raise ValueError(f"unsupported quadrature rule {rule!r}")
             return DensityMeasure(
                 support=tuple(float(v) for v in d["support"]),
                 potential=[float(c) for c in pot["coeffs"]],
                 hbar=float(pot.get("hbar", 1.0)),
-                quadrature=quad.get("rule", "gauss-legendre"),
                 order=int(quad.get("order", 64)),
             )
         raise UsageError(f"unknown measure type {kind!r}")
@@ -111,8 +113,11 @@ def load_spec(args):
     on both sides, and a density needs --mode float."""
     float_mode = args.mode == "float"
     try:
-        text = (sys.stdin.read() if args.spec == "-"
-                else open(args.spec).read())
+        if args.spec == "-":
+            text = sys.stdin.read()
+        else:
+            with open(args.spec) as fh:
+                text = fh.read()
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise UsageError("malformed JSON spec: the top level must be an "
@@ -145,23 +150,16 @@ def _grid(rows):
     return [[format_scalar(v) for v in row] for row in rows]
 
 
-def _emit(payload, fmt: str, csv_rows=None):
-    if fmt == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        out = io.StringIO()
-        writer = csv.writer(out)
-        for row in (csv_rows if csv_rows is not None else []):
-            writer.writerow(row)
-        print(out.getvalue(), end="")
+def _emit(payload):
+    print(json.dumps(payload, indent=2))
 
 
 def _sample_points(measures, count: int):
     """Deterministic rational evaluation points off every pole set."""
-    hull_max = max(max(abs(p) for p in m.signed_positions()) for m in measures)
+    hull_max = max(max(abs(p) for p in m.positions()) for m in measures)
     poles = set()
     for m in measures:
-        for p in m.signed_positions():
+        for p in m.positions():
             poles.add(Fraction(p))
             poles.add(-Fraction(p))
     base = Fraction(int(hull_max) + 2)
@@ -475,7 +473,7 @@ def cmd_bimoments(args) -> int:
         "rank_one_shift": "pass" if shift_ok else "fail",
         "warnings": warnings,
     }
-    _emit(payload, args.output, csv_rows=payload["I"])
+    _emit(payload)
     return EXIT_PASS if shift_ok else EXIT_CHECK_FAILED
 
 
@@ -486,10 +484,7 @@ def cmd_verify(args) -> int:
     eps_list = args.eps or [1e-4, 1e-5, 1e-6]
     for name in (list(SUITES) if args.suite == "all" else [args.suite]):
         SUITES[name](runner, app, args.kmax, eps_list)
-    report = runner.report(args.suite, args.order)
-    _emit(report, args.output,
-          csv_rows=[[c["name"], c["status"], c["residual"], c["mode"]]
-                    for c in report["checks"]])
+    _emit(runner.report(args.suite, args.order))
     return EXIT_PASS if runner.passed else EXIT_CHECK_FAILED
 
 
@@ -513,8 +508,7 @@ def cmd_bop(args) -> int:
         pt = point if app.exact else float(point)
         payload["p_at_point"] = format_scalar(evaluate(fam, "p", n, pt))
         payload["q_at_point"] = format_scalar(evaluate(fam, "q", n, pt))
-    _emit(payload, args.output,
-          csv_rows=[payload["p_monic"], payload["q_monic"]])
+    _emit(payload)
     return EXIT_PASS
 
 
@@ -540,9 +534,7 @@ def cmd_zeros(args) -> int:
         ok = ok and rep.all_positive and rep.inside_hull \
             and rep.interlaced_with_previous is not False \
             and not rep.numerically_coincident
-    _emit(payload, args.output,
-          csv_rows=[[which] + list(payload[which]["zeros"])
-                    for which in ("p", "q")])
+    _emit(payload)
     return EXIT_PASS if ok else EXIT_CHECK_FAILED
 
 
@@ -559,7 +551,7 @@ def cmd_recurrence(args) -> int:
                           "A": list(app.A.support),
                           "Ahat": list(app.Ahat.support)},
     }
-    _emit(payload, args.output, csv_rows=payload["X"])
+    _emit(payload)
     return EXIT_PASS
 
 
@@ -582,8 +574,7 @@ def cmd_rhp(args) -> int:
         for key, m in zip(("gamma", "gamma_hat"), matrices):
             payload[key] = _grid(m.entries)
             payload[f"det_{key}"] = format_scalar(m.determinant)
-    _emit(payload, args.output,
-          csv_rows=payload.get("gamma", [["jump_study"]]))
+    _emit(payload)
     return EXIT_PASS if r.passed else EXIT_CHECK_FAILED
 
 
@@ -605,7 +596,6 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("-N", "--order", type=int, required=True)
         p.add_argument("--mode", choices=("exact", "float"), default="exact")
-        p.add_argument("--output", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("bimoments", help="bimoment matrix, minors, certificates")
     common(p)

@@ -2,8 +2,9 @@
 
 The library distinguishes three kinds of failure:
 
-* bad input (malformed measures, unsupported quadrature, evaluation on a
-  pole or cut) -- ordinary ``ValueError``-style exceptions;
+* bad input (malformed measures, a non-positive density at a quadrature
+  node, evaluation on a pole or cut) -- ``ValueError``,
+  :class:`InvalidDensityError` and :class:`PoleEvaluationError`;
 * degeneracy (a measure with too few points of increase makes a leading
   minor vanish) -- reported, recoverable;
 * theory violations -- an identity that is a theorem for valid input fails
@@ -22,10 +23,6 @@ class PrecisionExhaustedError(CauchybopError):
     configured bit bound, or float data lost too many digits to give a
     result that holds for valid input (e.g. non-real eigenvalues of an
     oscillatory truncation)."""
-
-
-class KernelSingularityError(CauchybopError):
-    """Kernel evaluated at a singular point (x + y = 0 for the Cauchy kernel)."""
 
 
 class InvalidDensityError(CauchybopError):

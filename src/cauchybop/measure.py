@@ -1,4 +1,4 @@
-"""Positive measures on a half-line.
+"""Positive measures on the positive axis.
 
 Two concrete representations:
 
@@ -10,10 +10,9 @@ Two concrete representations:
   :class:`DiscreteMeasure` by Gauss-Legendre quadrature before anything
   else touches it.
 
-Reflection about the origin is a flag, not a data rewrite: the measure
-``m*`` obtained by reflecting the support shares the atom list with ``m``
-and evaluators consult ``orientation``.  Consequently
-``moment(reflect(m), j) == (-1)**j * moment(m, j)`` holds exactly.
+Every measure lives on the positive axis.  The reflected measure dm*
+appears only inside the Markov transforms, whose recipes place its atoms
+at -t (``nikishin.markov``).
 
 Measures with unbounded support are handled only through a user-supplied
 truncation interval.  The density of polynomials in the associated L2
@@ -26,7 +25,7 @@ rule and the density values), so discrete measures never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -51,15 +50,12 @@ class Atom:
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Finitely many atoms; ``orientation=-1`` marks the reflected copy."""
+    """Finitely many atoms, sorted by position."""
     atoms: tuple[Atom, ...]
-    orientation: int = 1
 
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("a discrete measure needs at least one atom")
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
         positions = [a.position for a in self.atoms]
         if len(set(positions)) != len(positions):
             raise ValueError("atom positions must be pairwise distinct")
@@ -78,13 +74,12 @@ class DiscreteMeasure:
     def weights(self):
         return tuple(a.weight for a in self.atoms)
 
-    def signed_positions(self):
-        """Actual supports: positions with the orientation applied."""
-        return tuple(self.orientation * a.position for a in self.atoms)
+    def positions(self):
+        return tuple(a.position for a in self.atoms)
 
     def support_hull(self):
-        """(min, max) of the actual support."""
-        pts = self.signed_positions()
+        """(min, max) of the support."""
+        pts = self.positions()
         return min(pts), max(pts)
 
     def total_mass(self):
@@ -102,8 +97,7 @@ class DensityMeasure:
     density: Callable[[float], float] | None = None
     potential: Sequence[float] | None = None   # polynomial coefficients of U
     hbar: float = 1.0
-    quadrature: str = "gauss-legendre"
-    order: int = 64
+    order: int = 64             # Gauss-Legendre nodes
 
     def __post_init__(self):
         a, b = self.support
@@ -115,8 +109,6 @@ class DensityMeasure:
             raise ValueError("quadrature node count must be >= 1")
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
-        if self.quadrature != "gauss-legendre":
-            raise ValueError(f"unsupported quadrature rule {self.quadrature!r}")
 
     def density_at(self, x: float) -> float:
         if self.density is not None:
@@ -125,30 +117,18 @@ class DensityMeasure:
         return float(np.exp(-peval(tuple(self.potential), x) / self.hbar))
 
 
-Measure = DiscreteMeasure | DensityMeasure
-
-
 # -- operations ---------------------------------------------------------------
 
 
-def moment(m: Measure, j: int):
+def moment(m: DiscreteMeasure, j: int):
     """j-th power moment; exact rational for discrete-rational measures."""
     if j < 0:
         raise ValueError("moment order must be nonnegative")
-    if isinstance(m, DensityMeasure):
-        m = discretize(m)
     total = 0
     for atom in m.atoms:
-        total += atom.weight * (m.orientation * atom.position) ** j
+        total += atom.weight * atom.position ** j
         guard_precision(total)
     return total
-
-
-def reflect(m: Measure) -> Measure:
-    """Reflect the support about the origin (an involution on the flag)."""
-    if isinstance(m, DensityMeasure):
-        raise ValueError("reflect a density measure after discretization")
-    return replace(m, orientation=-m.orientation)
 
 
 def discretize(m: DensityMeasure) -> DiscreteMeasure:

@@ -59,21 +59,17 @@ is transcribed literally and verified exactly.  Its hatted analogue
 
     (w+z) qhat_a^T(w) Pi phat_b(z) = q_a^T(w) B_n(z) phat_b(z) - FFhat[a][b]
 
-carries a correction matrix whose customary transcription contains two
-defects and one symbol that the surrounding definitions never introduce.
-This module therefore ships two conventions:
+has the constant matrix derived here from the definitions and verified
+exactly,
 
-* ``correction="derived"`` (default): the matrix obtained constructively
-  from the definitions and verified exactly here,
+    FFhat = FF - (w+z)/beta_0 * [[0, 1,        W_bs(z)        ],
+                                 [0, W_b(w),   W_b(w) W_bs(z) ],
+                                 [0, W_asb(w), W_asb(w) W_bs(z)]]
 
-      FFhat = FF - (w+z)/beta_0 * [[0, 1,        W_bs(z)        ],
-                                   [0, W_b(w),   W_b(w) W_bs(z) ],
-                                   [0, W_asb(w), W_asb(w) W_bs(z)]]
-
-  (W_b = W_beta, W_bs = W_beta_star, W_asb = W_alpha_star_beta);
-* ``correction="literal"``: the literal transcription, with the
-  undefined symbol read as W_alpha_star_beta(w).  Its exact-mode failures
-  are surfaced by :func:`transcription_diagnostic`, never auto-corrected.
+(W_b = W_beta, W_bs = W_beta_star, W_asb = W_alpha_star_beta).  The
+customary transcription reads W_beta(z) at (1,1), 1 at (2,0), and a symbol
+the definitions never introduce (read as W_asb(w)); it fails exactly at
+those two entries, as ``tests/test_nikishin.py`` pins.
 
 Setting w = -z kills the left-hand side of the plain extended identity and
 the constant matrix collapses to the antidiagonal: the perfect-duality
@@ -160,7 +156,7 @@ def _weighted(m: DiscreteMeasure, g=None, reflected: bool = False,
     """Transform of m, its atoms placed at -t if reflected, each weight
     multiplied by g at the placed atom (as ``MarkovFunction.weighted``);
     g None keeps the weights."""
-    ts = tuple(-t if reflected else t for t in m.signed_positions())
+    ts = tuple(-t if reflected else t for t in m.positions())
     ws = tuple(w if g is None else w * g(t) for t, w in zip(ts, m.weights()))
     return MarkovFunction(tag, ts, ws)
 
@@ -440,31 +436,17 @@ def f_matrix(app: Apparatus, w, z):
             (one, W_a + W_as, W_as * W_bs + W_asb + W_bsa))
 
 
-def f_hat_matrix(app: Apparatus, w, z, correction: str = "derived"):
-    """The constant matrix of the hatted extended identity.
-
-    correction="derived" is the constructively verified form;
-    "literal" reproduces the customary transcription (undefined symbol
-    read as W_alpha_star_beta) and fails exactly at entries (1,1) and
-    (2,0) -- see :func:`transcription_diagnostic`.
-    """
+def f_hat_matrix(app: Apparatus, w, z):
+    """The constant matrix of the hatted extended identity."""
     F = f_matrix(app, w, z)
     W = app.markov
-    one = Fraction(1) if app.exact else 1.0
+    zero = Fraction(0) if app.exact else 0.0
     W_bs_z = W["W_beta_star"](z)
     W_b_w = W["W_beta"](w)
     W_asb_w = W["W_alpha_star_beta"](w)
-    if correction == "derived":
-        mid = W_b_w
-        corner = 0 * one
-    elif correction == "literal":
-        mid = W["W_beta"](z)
-        corner = one
-    else:
-        raise ValueError(f"unknown correction {correction!r}")
-    C = ((0 * one, one, W_bs_z),
-         (0 * one, mid, W_b_w * W_bs_z),
-         (corner, W_asb_w, W_asb_w * W_bs_z))
+    C = ((zero, 1, W_bs_z),
+         (zero, W_b_w, W_b_w * W_bs_z),
+         (zero, W_asb_w, W_asb_w * W_bs_z))
     scale = (w + z) / app.beta_moment(0)
     return tuple(tuple(F[i][j] - scale * C[i][j] for j in range(3))
                  for i in range(3))
@@ -480,38 +462,12 @@ def ecd_residual(app: Apparatus, a: int, b: int, n: int, w, z,
 
 
 def ecd_hat_residual(app: Apparatus, a: int, b: int, n: int, w, z,
-                     correction: str = "derived",
                      aux: AuxVectors | None = None):
     """Residual of the hatted extended identity for the (a, b) pair."""
     app.require_window(n)
     aux = aux or aux_vectors(app, n, w, z)
     return _cd_residual(app, n, w + z, aux.qhat[a], aux.phat[b], aux.q[a],
-                        aux.phat[b], z,
-                        f_hat_matrix(app, w, z, correction)[a][b])
-
-
-def transcription_diagnostic(app: Apparatus, n: int, w, z):
-    """First-class report of where the literal transcription of the hatted
-    correction matrix disagrees with the constructively derived one.
-    The derived form is the ground truth here: it is re-verified on the
-    spot and any failure raises.
-
-    Returns a list of (a, b, literal_residual) for entries whose literal
-    residual is nonzero while the derived residual vanishes; exact mode
-    distinguishes a transcription defect from a code bug unambiguously.
-    """
-    aux = aux_vectors(app, n, w, z)
-    out = []
-    for a in range(3):
-        for b in range(3):
-            derived = ecd_hat_residual(app, a, b, n, w, z, "derived", aux)
-            literal = ecd_hat_residual(app, a, b, n, w, z, "literal", aux)
-            if derived == 0 and literal != 0:
-                out.append((a, b, literal))
-            elif derived != 0:
-                raise AssertionError(
-                    f"derived correction fails at ({a},{b}): {derived}")
-    return out
+                        aux.phat[b], z, f_hat_matrix(app, w, z)[a][b])
 
 
 def duality_check(app: Apparatus, a: int, b: int, n: int, z,

@@ -71,20 +71,13 @@ class PowerTail:
         lead = self.leading()
         return lead[0] if lead else None
 
-    def is_big_o(self, k: int) -> bool:
-        """Certify f = O(z**(-k)): powers above -k are known and vanish."""
-        if self.valid_lo is not None and self.valid_lo > -k + 1:
-            raise ValueError(
-                f"cannot certify O(z**-{k}): only known down to z**{self.valid_lo}")
-        return all(p <= -k for p, _ in self.coeffs)
-
-    def is_zero_through(self, lo_power: int) -> bool:
-        """All known coefficients with power >= lo_power vanish (and are known)."""
-        if self.valid_lo is not None and self.valid_lo > lo_power:
-            raise ValueError("validity horizon above requested window")
-        return all(p < lo_power for p, _ in self.coeffs)
-
     def max_abs_through(self, lo_power: int):
+        """Largest |coefficient| with power >= lo_power, those powers being
+        known; 0 certifies that they all vanish."""
+        if self.valid_lo is not None and self.valid_lo > lo_power:
+            raise ValueError(
+                f"coefficients down to z**{lo_power} requested, known only "
+                f"down to z**{self.valid_lo}")
         vals = [abs(c) for p, c in self.coeffs if p >= lo_power]
         return max(vals) if vals else 0
 
@@ -143,8 +136,3 @@ class PowerTail:
                 contaminated.append(other.valid_lo - 1 + self_top)
         lo = max(contaminated) + 1 if contaminated else None
         return PowerTail.make(out, lo)
-
-    def shift(self, k: int) -> "PowerTail":
-        """Multiply by z**k."""
-        lo = None if self.valid_lo is None else self.valid_lo + k
-        return PowerTail(tuple((p + k, c) for p, c in self.coeffs), lo)

@@ -150,7 +150,7 @@ def certify_sign_changes(app: Apparatus, which: str, n: int) -> bool:
     coeffs = (app.family.p_monic if which == "p" else app.family.q_monic)[n]
     zs = report.zeros
     hi = max(float(max((app.alpha if which == "p" else app.beta)
-                       .signed_positions())), zs[-1] if zs else 1.0)
+                       .positions())), zs[-1] if zs else 1.0)
     points = [Fraction(0)]
     for k in range(len(zs) - 1):
         points.append(Fraction((zs[k] + zs[k + 1]) / 2).limit_denominator(10 ** 9))

@@ -48,7 +48,7 @@ def rational_points_off(measures, count: int, start: int = 1):
     """Deterministic rational points avoiding every atom and reflected atom."""
     poles = set()
     for m in measures:
-        for p in m.signed_positions():
+        for p in m.positions():
             poles.add(Fraction(p))
             poles.add(-Fraction(p))
     pts = []

@@ -234,14 +234,6 @@ def test_rhp_command_jump_table(spec_file, capsys):
     assert 0.5 <= study["slope"] <= 2.0
 
 
-def test_csv_output(spec_file, capsys):
-    code = main(["bimoments", spec_file(TWO_ATOM), "-N", "2",
-                 "--output", "csv"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert out.splitlines()[0].split(",") == ["77/60", "131/60"]
-
-
 def test_malformed_json_is_usage_error(tmp_path, capsys):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -331,6 +323,8 @@ ZERO_HBAR = {"alpha": {**DENSITY["alpha"], "potential": {"coeffs": [],
              "beta": DENSITY["beta"]}
 # exact atoms against a density: the float lane, with one density only
 MIXED = {"alpha": SIX_ATOM["alpha"], "beta": DENSITY["beta"]}
+CLENSHAW_CURTIS = {"alpha": DENSITY["alpha"], "beta": {
+    **DENSITY["beta"], "quadrature": {"rule": "clenshaw-curtis"}}}
 MESSAGES = {
     ("rhp", "-n", "1"): "error: -n must be at least 2, got 1\n",
     ("verify", "-N", "2"): "error: -N must be at least 3, got 2\n",
@@ -342,6 +336,8 @@ MESSAGES = {
         "error: --eps (the jump study) needs density measures on both sides\n",
     ("rhp", "-n", "2", "--mode", "float", "--eps", "1e-4", "1e-5", "--point",
      "3"): "error: --point is not read by the jump study (--eps)\n",
+    ("bimoments", "-N", "3", "--mode", "float"): "error: malformed measure "
+        "spec: unsupported quadrature rule 'clenshaw-curtis'\n",
 }
 
 
@@ -377,6 +373,8 @@ MESSAGES = {
          SIX_ATOM, ""),
         (["rhp", "-n", "2", "--mode", "float", "--eps", "1e-4", "1e-5",
           "--point", "3"], DENSITY, ""),
+        (["bimoments", "-N", "3", "--mode", "float"], CLENSHAW_CURTIS,
+         " [clenshaw-curtis]"),
     ]])
 def test_bad_order_arguments_exit_2(argv, spec, spec_file, capsys):
     code = main([argv[0], spec_file(spec)] + argv[1:])

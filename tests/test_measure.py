@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cauchybop import (Atom, DensityMeasure, DiscreteMeasure,
                        InvalidDensityError, PrecisionExhaustedError,
-                       discretize, measure_from_strings, moment, reflect)
+                       discretize, markov, measure_from_strings, moment)
 from cauchybop import scalars
 
 
@@ -28,20 +28,6 @@ def test_moment_is_exact_rational():
     assert moment(m, 1) == Fraction(3, 100) + Fraction(5, 2)
 
 
-def test_reflect_flips_flag_and_odd_moments():
-    m = measure_from_strings([("1", "1")])
-    r = reflect(m)
-    assert r.orientation == -1
-    assert r.atoms == m.atoms          # shared data, no rewrite
-    assert moment(r, 1) == -1
-
-
-def test_reflect_involution():
-    m = measure_from_strings([("1", "1"), ("3", "2")])
-    assert reflect(reflect(m)) == m
-    assert moment(reflect(m), 2) == moment(m, 2) == 19
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 50), st.integers(1, 8),
                           st.integers(1, 9), st.integers(1, 7)),
@@ -52,7 +38,8 @@ def test_reflect_negates_exactly_odd_moments(raw, j):
     for pn, pd, wn, wd in raw:
         atoms[Fraction(pn, pd)] = Fraction(wn, wd)
     m = DiscreteMeasure(tuple(Atom(p, w) for p, w in atoms.items()))
-    assert moment(reflect(m), j) == (-1) ** j * moment(m, j)
+    # the reflected measure m* exists only inside the Markov transforms
+    assert markov(m, m, "W_alpha_star").moment(j) == (-1) ** j * moment(m, j)
 
 
 def test_atom_validation():
@@ -103,9 +90,6 @@ def test_density_measure_validation():
         DensityMeasure(support=(0.0, 1.0))           # neither density nor potential
     with pytest.raises(ValueError):
         DensityMeasure(support=(0.0, 1.0), density=lambda x: 1.0, order=0)
-    with pytest.raises(ValueError):
-        DensityMeasure(support=(0.0, 1.0), density=lambda x: 1.0,
-                       quadrature="clenshaw-curtis")
 
 
 def test_precision_guard_trips_and_restores(monkeypatch):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from cauchybop import (Atom, DiscreteMeasure, PoleEvaluationError,
                        aux_vectors, build_apparatus, duality_check,
-                       ecd_hat_residual, ecd_residual, markov,
+                       ecd_hat_residual, ecd_residual, f_hat_matrix, markov,
                        measure_from_strings, moment, order_check, pade_solve,
-                       pair, plucker_residual, polynomial_part,
-                       transcription_diagnostic)
+                       pair, plucker_residual, polynomial_part)
+from cauchybop.cdkernel import _cd_residual
 from cauchybop.nikishin import MARKOV_TAGS, PointBackend, aux_columns
 
 from .conftest import random_rational_measure, rational_points_off
@@ -100,7 +100,7 @@ def test_pole_evaluation_raises(six_atom_pair):
     alpha, beta = six_atom_pair
     w = markov(alpha, beta, "W_beta")
     with pytest.raises(PoleEvaluationError):
-        w(beta.signed_positions()[0])
+        w(beta.positions()[0])
 
 
 def test_unknown_tag_rejected(six_atom_pair):
@@ -269,17 +269,25 @@ def test_extended_cd_hatted_derived_exact(app6, aux23, n):
     auxmap, (w, z) = aux23
     for a in range(3):
         for b in range(3):
-            assert ecd_hat_residual(app6, a, b, n, w, z, "derived",
-                                    auxmap[n]) == 0
+            assert ecd_hat_residual(app6, a, b, n, w, z, auxmap[n]) == 0
 
 
-def test_transcription_diagnostic_pins_defective_entries(app6):
-    # the literal transcription of the hatted correction matrix fails at
-    # exactly two entries; the derived one vanishes everywhere
-    diag = transcription_diagnostic(app6, 3, F(19, 4), F(22, 7))
-    assert [(a, b) for a, b, _ in diag] == [(1, 1), (2, 0)]
-    for _, _, residual in diag:
-        assert residual != 0
+def test_transcription_diagnostic_pins_defective_entries(app6, aux23):
+    # the customary transcription of the hatted correction matrix is the
+    # derived one with two defects: W_beta(z) for W_beta(w) at (1,1) and
+    # 1 for 0 at (2,0); it fails there and nowhere else
+    auxmap, (w, z) = aux23
+    aux = auxmap[3]
+    W_b = app6.markov["W_beta"]
+    scale = (w + z) / app6.beta_moment(0)
+    literal = [list(row) for row in f_hat_matrix(app6, w, z)]
+    literal[1][1] -= scale * (W_b(z) - W_b(w))
+    literal[2][0] -= scale
+    for a in range(3):
+        for b in range(3):
+            residual = _cd_residual(app6, 3, w + z, aux.qhat[a], aux.phat[b],
+                                    aux.q[a], aux.phat[b], z, literal[a][b])
+            assert (residual != 0) == ((a, b) in ((1, 1), (2, 0)))
 
 
 def lemma_constructive_residuals(app, n, w, z):
@@ -366,7 +374,7 @@ def test_duality_with_shared_aux_matches_own_aux(app6, six_atom_pair, exact):
 
 
 def test_aux_pole_detection(app6):
-    y0 = app6.beta.signed_positions()[0]
+    y0 = app6.beta.positions()[0]
     with pytest.raises(PoleEvaluationError):
         aux_vectors(app6, 2, y0, F(1, 2))
 
@@ -386,5 +394,5 @@ def test_extended_cd_and_duality_random_measures(seed):
     for a in range(3):
         for b in range(3):
             assert ecd_residual(app, a, b, 2, w, z, aux) == 0
-            assert ecd_hat_residual(app, a, b, 2, w, z, "derived", aux) == 0
+            assert ecd_hat_residual(app, a, b, 2, w, z, aux) == 0
             assert duality_check(app, a, b, 2, pts[0]) == 0

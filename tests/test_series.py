@@ -66,19 +66,22 @@ def test_pure_error_term_contaminates():
 
 
 def test_is_big_o_certification():
+    # O(z**-k) is max_abs_through(-k + 1) == 0
     r = PowerTail.from_moment_stream([F(0), F(0), F(7)])
-    assert r.is_big_o(3)
-    assert not r.is_big_o(4)
+    assert r.max_abs_through(-2) == 0
+    assert r.max_abs_through(-3) == 7
     with pytest.raises(ValueError):
         # cannot certify deeper than the horizon
-        PowerTail.from_moment_stream([F(0)]).is_big_o(3)
+        PowerTail.from_moment_stream([F(0)]).max_abs_through(-2)
 
 
 def test_scale_shift_neg():
     s = PowerTail.from_moment_stream([F(1), F(2)])
     assert (-s).coeff(-1) == -1
     assert s.scale(F(3)).coeff(-2) == 6
-    assert s.shift(2).coeff(1) == 1 and s.shift(2).valid_lo == 0
+    # multiplying by z**2 is the product with an exact monomial
+    z2 = s * PowerTail.from_poly((F(0), F(0), F(1)))
+    assert z2.coeff(1) == 1 and z2.valid_lo == 0
     assert s.scale(0).coeffs == ()
 
 
@@ -86,7 +89,8 @@ def test_leading_and_zero_through():
     s = PowerTail.make({3: F(0), 1: F(5), -1: F(2)}, valid_lo=-2)
     assert s.leading() == (1, 5)
     assert s.top_power() == 1
-    assert not s.is_zero_through(-1)
-    assert PowerTail.make({-3: F(1)}, None).is_zero_through(-2)
     assert s.max_abs_through(-1) == 5
+    assert PowerTail.make({-3: F(1)}, None).max_abs_through(-2) == 0
+    with pytest.raises(ValueError):
+        s.max_abs_through(-3)             # below the validity horizon
     assert s.max_abs_all() == 5
