@@ -140,14 +140,6 @@ class BimomentMatrix:
                     f"theory violation: leading minor D_{n + 1} = {d} < 0")
         return minors
 
-    def shifted(self, di: int, dj: int) -> "BimomentMatrix":
-        """The matrix with entries I[di+i][dj+j]: bimoments of the measures
-        multiplied by x**di and y**dj."""
-        n = self.order - max(di, dj)
-        sub = tuple(tuple(self.entries[di + i][dj + j] for j in range(n))
-                    for i in range(n))
-        return BimomentMatrix(n, sub, self.exact)
-
 
 def compute_bimoments(alpha: DiscreteMeasure, beta: DiscreteMeasure,
                       N: int) -> BimomentMatrix:

@@ -119,9 +119,6 @@ class PolynomialFamily:
         """Normalization constant c_n = sqrt(h_n) (float layer)."""
         return scalar_sqrt(self.h[n])
 
-    def eta_normalized(self, n: int) -> float:
-        return float(self.eta_monic[n]) / self.c(n)
-
 
 def build_family(I: BimomentMatrix, N: int,
                  alpha: DiscreteMeasure | None = None,

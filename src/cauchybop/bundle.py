@@ -22,8 +22,11 @@ from .recurrence import (BandOperator, HattedFamily, build_A_Ahat, build_hatted,
 
 @dataclass(frozen=True)
 class Apparatus:
-    """The apparatus of one pair at degree N.  Three derived facts are
-    computed on first use and kept: ``ladder``, ``cap`` and ``markov``."""
+    """The apparatus of one pair at degree N.  Its point-independent
+    derived data is computed on first use and kept: the float ``ladder``
+    and ``cap``, the eight Markov transforms (``markov``) with their moment
+    streams (``markov_moments``), and the auxiliary transforms of both
+    sides (``aux``)."""
     alpha: DiscreteMeasure
     beta: DiscreteMeasure
     N: int
@@ -57,6 +60,18 @@ class Apparatus:
     def markov(self) -> dict:   # tag -> nikishin.markov(alpha, beta, tag)
         from .nikishin import MARKOV_TAGS, markov
         return {tag: markov(self.alpha, self.beta, tag) for tag in MARKOV_TAGS}
+
+    @cached_property
+    def markov_moments(self) -> dict:
+        """tag -> moment stream of markov[tag] to depth 2N + 2, the
+        deepest any order check at degree n <= N reads (2n + 2)."""
+        return {tag: tuple(W.moments(2 * self.N + 2))
+                for tag, W in self.markov.items()}
+
+    @cached_property
+    def aux(self) -> dict:      # side -> nikishin.aux_transforms(self, side)
+        from .nikishin import aux_transforms
+        return {side: aux_transforms(self, side) for side in ("q", "p")}
 
     def beta_moment(self, j: int):
         return moment(self.beta, j)

@@ -58,8 +58,8 @@ from .errors import (CauchybopError, PrecisionExhaustedError,
                      TheoryViolationError)
 from .measure import (Atom, DensityMeasure, DiscreteMeasure, discretize,
                       measure_from_strings)
-from .nikishin import (aux_vectors, duality_check, ecd_residual, order_check,
-                       pade_solve, plucker_residual)
+from .nikishin import (aux_vectors, duality_check, ecd_residual, f_matrix,
+                       order_check, pade_solve, plucker_residual)
 from .recurrence import (four_term_residual, rank_one_XY_residual,
                          tn_oscillatory_certificate)
 from .rhp import (assemble_gamma, assemble_gamma_hat, asymptotic_check,
@@ -93,6 +93,8 @@ def _measure_from_dict(d, float_mode: bool):
         if kind == "density":
             pot = d["potential"]
             quad = d.get("quadrature", {})
+            if not isinstance(quad, dict):
+                raise ValueError(f"quadrature must be an object, got {quad!r}")
             rule = quad.get("rule", "gauss-legendre")
             if rule != "gauss-legendre":
                 raise ValueError(f"unsupported quadrature rule {rule!r}")
@@ -393,8 +395,8 @@ def _suite_duality(r: Runner, app: Apparatus, kmax, eps_list):
     for n in _windows(r, app, (2, 3), "extended CD, n={}"):
 
         def ecd():
-            aux = aux_vectors(app, n, w, z)
-            return max(ecd_residual(app, a, b, n, w, z, aux)
+            aux, F = aux_vectors(app, n, w, z), f_matrix(app, w, z)
+            return max(ecd_residual(app, a, b, n, w, z, aux, F)
                        for a in range(3) for b in range(3))
         r.run(f"extended CD residual, all 9 windows, n={n}", ecd, n + 2)
     for n in _windows(r, app, (2, 3, 4), "perfect duality pairing, n={}"):

@@ -82,9 +82,6 @@ class DiscreteMeasure:
         pts = self.positions()
         return min(pts), max(pts)
 
-    def total_mass(self):
-        return sum(self.weights())
-
 
 @dataclass(frozen=True)
 class DensityMeasure:

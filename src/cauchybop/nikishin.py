@@ -36,18 +36,20 @@ Asymptotic claims are checked as coefficient streams with explicit order
 tracking: O(1/z**k) means "coefficients through z**(-k+1) vanish", which
 is a finite exact statement.
 
-The auxiliary vectors have one evaluator, :func:`aux_columns`: for each
-degree the polynomial (q*_j or p_j), its transform against the first
-measure (db, resp. da), the transform of that against the reflected
-second measure (da*, resp. db*), and the hatted combinations.  A backend
-with ``poly(coeffs)`` and ``transform(app, which, g, reflected)`` (the
-measure's weights times g at the placed atom, -t when reflected) says
-what evaluating means: :class:`PointBackend` sums over the atoms at one
-point (exact at rational points), :class:`SeriesBackend` turns the sums
-into moment streams at infinity, and ``rhp.DensityBackend`` takes the
-split Cauchy transform of a density near its cut.  The extended
-identities, the duality pairing and both boundary-value matrices read
-windows of these columns.
+What does not depend on the point is built once per apparatus: the eight
+transforms (``app.markov``), their moment streams (``app.markov_moments``)
+and, per side and degree, the auxiliary transforms (``app.aux``, see
+:func:`aux_transforms`).  The auxiliary vectors have one evaluator,
+:func:`aux_columns`, which evaluates the latter and forms the hatted
+combinations.  A backend with ``poly(coeffs)`` and ``transform(fn, which,
+g, reflected)`` says what evaluating means; fn is the kept transform of
+the measure ``which``, its atoms at -t if reflected, each weight times g
+at the placed atom.  :class:`PointBackend` evaluates fn at one point
+(exact at rational points), :class:`SeriesBackend` expands it at
+infinity, and ``rhp.DensityBackend`` ignores fn and takes the split
+Cauchy transform of the density of ``which`` times g near its cut.  The
+extended identities, the duality pairing and both boundary-value
+matrices read windows of these columns.
 
 The extended identities pair the auxiliary vector windows of both families
 against the 3x3 commutator block, judged by the plain and hatted CD
@@ -80,7 +82,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
+from math import lcm
 
 from .bundle import Apparatus
 from .cdkernel import _cd_residual, _window_terms
@@ -128,31 +132,43 @@ class MarkovFunction:
 
     def moments(self, depth: int) -> list:
         """[moment(0), ..., moment(depth - 1)], one pass per atom with
-        running powers."""
+        running powers.  All-Fraction data runs that pass over integers:
+        with t_k = a_k / D and m_k = b_k / E (D, E the lcms of the
+        denominators), moment j is sum_k b_k a_k**j / (E D**j), one
+        Fraction per moment."""
+        exact = all(isinstance(v, Fraction)
+                    for v in self.points + self.masses)
+        if exact:
+            D = lcm(*(t.denominator for t in self.points))
+            E = lcm(*(m.denominator for m in self.masses))
+            atoms = [(t.numerator * (D // t.denominator),
+                      m.numerator * (E // m.denominator))
+                     for t, m in zip(self.points, self.masses)]
+        else:
+            atoms = zip(self.points, self.masses)
         out = [0] * depth
-        for t, m in zip(self.points, self.masses):
+        for t, m in atoms:
             for j in range(depth):
                 out[j] += m
                 m *= t
+        if exact:
+            out = [Fraction(s, E * D ** j) for j, s in enumerate(out)]
         return out
 
     def series(self, depth: int) -> PowerTail:
         """Expansion at infinity through z**(-depth)."""
         return PowerTail.from_moment_stream(self.moments(depth))
 
-    def weighted(self, fn, tag: str | None = None) -> "MarkovFunction":
+    def weighted(self, fn, tag: str) -> "MarkovFunction":
         """Transform of the same measure reweighted by fn(t) -- the
-        remainder construction."""
-        return MarkovFunction(tag or f"{self.tag}[weighted]", self.points,
+        remainder and auxiliary-column construction."""
+        return MarkovFunction(tag, self.points,
                               tuple(m * fn(t) for t, m in zip(self.points,
                                                               self.masses)))
 
-    def radius(self) -> float:
-        return max(abs(float(t)) for t in self.points)
 
-
-def _weighted(m: DiscreteMeasure, g=None, reflected: bool = False,
-              tag: str = "weighted") -> MarkovFunction:
+def _weighted(m: DiscreteMeasure, g, reflected: bool, tag: str
+              ) -> MarkovFunction:
     """Transform of m, its atoms placed at -t if reflected, each weight
     multiplied by g at the placed atom (as ``MarkovFunction.weighted``);
     g None keeps the weights."""
@@ -190,11 +206,11 @@ def plucker_residual(app: Apparatus, z):
 # -- simultaneous approximation --------------------------------------------------
 
 
-def polynomial_part(Q, W: MarkovFunction):
-    """Coefficients of the polynomial part of Q(z) W(z): degree deg(Q) - 1,
-    with P_i = sum_{k>i} Q_k mom_{k-1-i}."""
+def polynomial_part(Q, moms):
+    """Coefficients of the polynomial part of Q(z) W(z), W's moment stream
+    being moms (at least deg(Q) moments): degree deg(Q) - 1, with P_i =
+    sum_{k>i} Q_k mom_{k-1-i}."""
     n = len(Q) - 1
-    moms = W.moments(n)
     return tuple(sum(Q[k] * moms[k - 1 - i] for k in range(i + 1, n + 1))
                  for i in range(n))
 
@@ -205,18 +221,16 @@ class PadeSolution:
 
     problem is "q" (Q = q_n against the (beta, alpha*) chain), "p" (Q = p_n,
     measures switched) or "switched" (Q = p_n(-z) against the original
-    chain).  R1, R2, R3 are the remainder transforms; P1, P2 the polynomial
-    parts.
+    chain).  moments holds the moment streams of the chain's F1, F2, G1,
+    G2 (prefixes of ``app.markov_moments``); P1, P2 are the polynomial
+    parts and R1, R2, R3 the remainder transforms.
     """
     n: int
     problem: str
     Q: tuple
     P1: tuple
     P2: tuple
-    F1: MarkovFunction
-    F2: MarkovFunction
-    G1: MarkovFunction
-    G2: MarkovFunction
+    moments: tuple
     R1: MarkovFunction
     R2: MarkovFunction
     R3: MarkovFunction
@@ -248,16 +262,15 @@ def pade_solve(app: Apparatus, n: int, problem: str = "q") -> PadeSolution:
         Q = preflect(app.family.p_monic[n])
     else:
         raise ValueError(f"unknown problem {problem!r}")
-    F1, F2, G1, G2 = (app.markov[t] for t in _CHAINS[problem])
-
-    def qval(t):
-        return peval(Q, t)
-
+    tags = _CHAINS[problem]
+    F1, F2, G1 = (app.markov[t] for t in tags[:3])
+    moments = tuple(app.markov_moments[t] for t in tags)
+    qval = partial(peval, Q)
     R1 = F1.weighted(qval, "R1")
     return PadeSolution(
         n=n, problem=problem, Q=Q,
-        P1=polynomial_part(Q, F1), P2=polynomial_part(Q, F2),
-        F1=F1, F2=F2, G1=G1, G2=G2,
+        P1=polynomial_part(Q, moments[0]), P2=polynomial_part(Q, moments[1]),
+        moments=moments,
         R1=R1, R2=F2.weighted(qval, "R2"), R3=G1.weighted(R1, "R3"))
 
 
@@ -287,38 +300,33 @@ def order_check(sol: PadeSolution) -> OrderCertificate:
     """
     n = sol.n
     depth = 2 * n + 2
-    sQ = PowerTail.from_poly(sol.Q)
-    sP1 = PowerTail.from_poly(sol.P1)
-    sP2 = PowerTail.from_poly(sol.P2)
+    sQ, sP1, sP2 = (PowerTail.from_poly(c) for c in (sol.Q, sol.P1, sol.P2))
     checks = []
 
     def judge(name, diff: PowerTail, lo_power: int, scale):
         checks.append((name, diff.max_abs_through(lo_power) / max(1, scale)))
 
+    f1, f2, g1, g2 = (PowerTail.from_moment_stream(m[:depth])
+                      for m in sol.moments)
     # one moment stream per remainder; every expansion of it is a prefix
-    m1, m2, m3 = (R.moments(max(depth, n + 1))
-                  for R in (sol.R1, sol.R2, sol.R3))
-    r1, r2, r3 = (PowerTail.from_moment_stream(m[:depth])
-                  for m in (m1, m2, m3))
+    m3 = sol.R3.moments(depth)
+    r1, r2 = (R.series(depth) for R in (sol.R1, sol.R2))
+    r3 = PowerTail.from_moment_stream(m3)
     r3_lead = PowerTail.from_moment_stream(m3[:n + 1])
 
-    f1 = sol.F1.series(depth)
-    d1 = sQ * f1 - sP1 - r1
-    judge("Q F1 - P1 = R1 (series)", d1, -depth + n + 1,
-          (sQ * f1).max_abs_all())
+    qf1 = sQ * f1
+    judge("Q F1 - P1 = R1 (series)", qf1 - sP1 - r1, -depth + n + 1,
+          qf1.max_abs_all())
     judge("R1 = O(1/z)", r1, 0, r1.max_abs_all())
 
-    f2 = sol.F2.series(depth)
-    d2 = sQ * f2 - sP2 - r2
-    judge("Q F2 - P2 = R2 (series)", d2, -depth + n + 1,
-          (sQ * f2).max_abs_all())
+    qf2 = sQ * f2
+    judge("Q F2 - P2 = R2 (series)", qf2 - sP2 - r2, -depth + n + 1,
+          qf2.max_abs_all())
     judge("R2 = O(1/z)", r2, 0, r2.max_abs_all())
 
-    g1 = sol.G1.series(depth)
-    g2 = sol.G2.series(depth)
-    third = sQ * g2 - sP1 * g1 + sP2
-    judge(f"Q G2 - P1 G1 + P2 = O(1/z^{n + 1})", third, -n,
-          (sQ * g2).max_abs_all())
+    qg2 = sQ * g2
+    judge(f"Q G2 - P1 G1 + P2 = O(1/z^{n + 1})", qg2 - sP1 * g1 + sP2, -n,
+          qg2.max_abs_all())
 
     r1g1 = r1 * g1
     judge("R1 G1 - R2 = R3 (series)", r1g1 - r2 - r3, -depth + n + 2,
@@ -345,6 +353,37 @@ class AuxVectors:
 
 
 @dataclass(frozen=True)
+class AuxTransforms:
+    """The point-independent data of one side's auxiliary columns, degrees
+    0..N: the polynomials P_j, the first measure weighted by P_j (inner)
+    and the reflected second measure weighted by inner[j] at its placed
+    atoms (outer).  ``Apparatus.aux`` holds both sides."""
+    first: str          # "beta" for side "q", "alpha" for side "p"
+    second: str
+    polys: tuple        # q*_j or p_j, coefficients
+    inner: tuple        # MarkovFunction per degree
+    outer: tuple        # MarkovFunction per degree
+
+
+def aux_transforms(app: Apparatus, side: str) -> AuxTransforms:
+    """Side "q": q*_j, db weighted by q*_j, da* weighted by that; side
+    "p": p_j, da and db*.  Both transforms reweight the plain ones of
+    ``app.markov``.  Read as ``app.aux[side]``."""
+    fam = app.family
+    if side == "q":
+        first, second = "beta", "alpha"
+        polys = tuple(fam.q_star(j) for j in range(app.N + 1))
+    else:
+        first, second = "alpha", "beta"
+        polys = tuple(fam.p_monic[: app.N + 1])
+    W1, W2 = app.markov[f"W_{first}"], app.markov[f"W_{second}_star"]
+    inner = tuple(W1.weighted(partial(peval, P), f"{first}[weighted]")
+                  for P in polys)
+    outer = tuple(W2.weighted(f, f"{second}*[weighted]") for f in inner)
+    return AuxTransforms(first, second, polys, inner, outer)
+
+
+@dataclass(frozen=True)
 class PointBackend:
     """Values at one point s: finite Stieltjes sums over the atoms, exact
     at rational s; a pole raises PoleEvaluationError."""
@@ -353,9 +392,8 @@ class PointBackend:
     def poly(self, coeffs):
         return peval(coeffs, self.s)
 
-    def transform(self, app: Apparatus, which: str, g, reflected: bool):
-        tag = f"{which}{'*' if reflected else ''}[weighted]"
-        return _weighted(getattr(app, which), g, reflected, tag)(self.s)
+    def transform(self, fn: MarkovFunction, which: str, g, reflected: bool):
+        return fn(self.s)
 
 
 @dataclass(frozen=True)
@@ -366,44 +404,35 @@ class SeriesBackend:
     def poly(self, coeffs):
         return PowerTail.from_poly(coeffs)
 
-    def transform(self, app: Apparatus, which: str, g, reflected: bool):
-        return _weighted(getattr(app, which), g, reflected).series(self.depth)
+    def transform(self, fn: MarkovFunction, which: str, g, reflected: bool):
+        return fn.series(self.depth)
 
 
 def aux_columns(app: Apparatus, side: str, top: int, backend):
     """The three auxiliary columns of one side for degrees 0..top, and
     their hatted form, as values of ``backend``.
 
-    side "q": q*_j, its transform against db, and the transform against
-    da* of that first transform; hatted qhat_j = -q_j/eta*_j +
-    q_{j+1}/eta*_{j+1} for j < top.  side "p": the same with p_j, da and
-    db*; hatted phat_j = -sum_{i<=j} eta*_i p_i - (0, 1, W_beta_star) for
-    j <= top.  The second transform weights each reflected atom -t by the
-    first transform at -t.  Returns (cols, hatted), each indexed
-    [component][degree].
+    Columns: P_j and the two transforms of ``app.aux[side]``.  Hatted,
+    side "q": qhat_j = -q_j/eta*_j + q_{j+1}/eta*_{j+1} for j < top; side
+    "p": phat_j = -sum_{i<=j} eta*_i p_i - (0, 1, W_beta_star) for j <=
+    top.  Returns (cols, hatted), each indexed [component][degree].
     """
     fam = app.family
-    if side == "q":
-        first, second = "beta", "alpha"
-        polys = [fam.q_star(j) for j in range(top + 1)]
-    else:
-        first, second = "alpha", "beta"
-        polys = fam.p_monic[: top + 1]
+    aux = app.aux[side]
     cols = ([], [], [])
-    for P in polys:
-        def poly(t, P=P):
-            return peval(P, t)
-        inner = _weighted(getattr(app, first), poly, tag=f"{first}[weighted]")
+    for P, inner, outer in zip(aux.polys[: top + 1], aux.inner, aux.outer):
         cols[0].append(backend.poly(P))
-        cols[1].append(backend.transform(app, first, poly, False))
-        cols[2].append(backend.transform(app, second, inner, True))
+        cols[1].append(backend.transform(inner, aux.first, partial(peval, P),
+                                         False))
+        cols[2].append(backend.transform(outer, aux.second, inner, True))
     es = [fam.eta_star(j) for j in range(top + 1)]
     if side == "q":
         hatted = tuple(tuple(-c[j] / es[j] + c[j + 1] / es[j + 1]
                              for j in range(top)) for c in cols)
     else:
         shifts = (backend.poly(()), backend.poly((1,)),
-                  backend.transform(app, "beta", lambda t: 1, True))
+                  backend.transform(app.markov["W_beta_star"], "beta",
+                                    lambda t: 1, True))
         hatted = tuple(tuple(-acc - k for acc in
                              accumulate(e * v for e, v in zip(es, c)))
                        for c, k in zip(cols, shifts))
@@ -453,12 +482,14 @@ def f_hat_matrix(app: Apparatus, w, z):
 
 
 def ecd_residual(app: Apparatus, a: int, b: int, n: int, w, z,
-                 aux: AuxVectors | None = None):
-    """Residual of the plain extended identity for the (a, b) pair."""
+                 aux: AuxVectors | None = None, F=None):
+    """Residual of the plain extended identity for the (a, b) pair; F, if
+    given, must be ``f_matrix(app, w, z)``."""
     app.require_window(n)
     aux = aux or aux_vectors(app, n, w, z)
+    F = F or f_matrix(app, w, z)
     return _cd_residual(app, n, w + z, aux.q[a], aux.p[b], aux.q[a],
-                        aux.phat[b], -w, f_matrix(app, w, z)[a][b])
+                        aux.phat[b], -w, F[a][b])
 
 
 def ecd_hat_residual(app: Apparatus, a: int, b: int, n: int, w, z,

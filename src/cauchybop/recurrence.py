@@ -52,7 +52,7 @@ from .bimoment import BimomentMatrix
 from .bop import PolynomialFamily
 from .errors import OrderUnderflowError
 from .polys import peval, pscale, psub
-from .scalars import residual, scalar_sqrt
+from .scalars import residual
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,6 @@ class BandOperator:
         return [(i, j, self.entries[i][j]) for i in range(self.valid_rows)
                 for j in range(self.valid_cols)
                 if not a <= j - i <= b and self.entries[i][j] != 0]
-
-    def normalized_float(self, h):
-        """Entries conjugated back to the normalized (sqrt-h) basis."""
-        s = [scalar_sqrt(x) for x in h]
-        return tuple(
-            tuple(float(self.entries[i][j]) * s[j] / s[i]
-                  for j in range(self.valid_cols))
-            for i in range(self.valid_rows))
 
 
 def build_XY(family: PolynomialFamily, I: BimomentMatrix):

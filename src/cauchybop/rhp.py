@@ -230,14 +230,18 @@ def cauchy_transform_density(dm: DensityMeasure, g, w):
     return complex(np.sum(wts * fvals / (w - ys)))
 
 
+@dataclass(frozen=True)
 class DensityBackend(PointBackend):
     """Values at a (possibly complex) point near either cut of
-    density-backed measures, by the split Cauchy transform.  g is read at
-    the placed atom, so the reflected transform, with atoms at -y, is
-    -T(g(-y), -s)."""
+    density-backed measures, by the split Cauchy transform of the density
+    of ``which`` times g; the discrete transform fn is not read.  g is
+    read at the placed atom, so the reflected transform, with atoms at -y,
+    is -T(g(-y), -s)."""
+    alpha: DensityMeasure
+    beta: DensityMeasure
 
-    def transform(self, app: Apparatus, which: str, g, reflected: bool):
-        dm = app.alpha_density if which == "alpha" else app.beta_density
+    def transform(self, fn, which: str, g, reflected: bool):
+        dm = getattr(self, which)
         if reflected:
             return -cauchy_transform_density(dm, lambda y: g(-y), -self.s)
         return cauchy_transform_density(dm, g, self.s)
@@ -248,7 +252,8 @@ def boundary_matrix(app: Apparatus, n: int, point, which: str = "gamma"):
     singularity-aware column evaluation."""
     if app.alpha_density is None or app.beta_density is None:
         raise ValueError("jump check requires density measure")
-    return _rows(app, which, n, DensityBackend(point))
+    return _rows(app, which, n, DensityBackend(point, app.alpha_density,
+                                                app.beta_density))
 
 
 def jump_matrix(app: Apparatus, w0: float, which: str = "gamma"):

@@ -121,10 +121,6 @@ class PowerTail:
         return self.scale(1 / s)
 
     def __mul__(self, other: "PowerTail") -> "PowerTail":
-        out: dict = {}
-        for p, c in self.coeffs:
-            for q, d in other.coeffs:
-                out[p + q] = out.get(p + q, 0) + c * d
         contaminated = []
         if self.valid_lo is not None:
             other_top = other._eff_top()
@@ -135,4 +131,11 @@ class PowerTail:
             if self_top is not None:
                 contaminated.append(other.valid_lo - 1 + self_top)
         lo = max(contaminated) + 1 if contaminated else None
+        # powers descend, so each inner loop stops at the validity horizon
+        out: dict = {}
+        for p, c in self.coeffs:
+            for q, d in other.coeffs:
+                if lo is not None and p + q < lo:
+                    break
+                out[p + q] = out.get(p + q, 0) + c * d
         return PowerTail.make(out, lo)

@@ -7,7 +7,7 @@ import pytest
 
 from cauchybop import (Atom, DegenerateMatrixError, DiscreteMeasure,
                        build_apparatus, measure_from_strings)
-from cauchybop.bimoment import minor
+from cauchybop.bimoment import BimomentMatrix, minor
 
 
 @pytest.fixture(scope="session")
@@ -82,3 +82,12 @@ def determinantal_oracle(I, n: int):
         sign = -1 if (j + n) % 2 else 1
         q_coeffs.append(sign * m / D_n)
     return tuple(p_coeffs), tuple(q_coeffs)
+
+
+def shifted(I: BimomentMatrix, di: int, dj: int) -> BimomentMatrix:
+    """The matrix with entries I[di+i][dj+j]: bimoments of the measures
+    multiplied by x**di and y**dj."""
+    n = I.order - max(di, dj)
+    sub = tuple(tuple(I.entries[di + i][dj + j] for j in range(n))
+                for i in range(n))
+    return BimomentMatrix(n, sub, I.exact)

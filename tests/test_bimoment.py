@@ -14,7 +14,7 @@ from cauchybop import (Atom, DensityMeasure, DiscreteMeasure,
 from cauchybop.bimoment import (BimomentMatrix, _cauchy_sum, bareiss_det, det,
                                 vandermonde)
 
-from .conftest import random_rational_measure
+from .conftest import random_rational_measure, shifted
 
 
 def brute_force_bimoment(alpha, beta, i, j):
@@ -171,7 +171,7 @@ def test_tp_certificate_shifted_matrix(six_atom_pair):
     # total positivity survives
     I = compute_bimoments(*six_atom_pair, 6)
     for di, dj in ((1, 0), (0, 1), (2, 1)):
-        assert check_total_positivity(I.shifted(di, dj), 3).passed
+        assert check_total_positivity(shifted(I, di, dj), 3).passed
 
 
 def test_rank_one_shift_residual_zero(six_atom_pair):

@@ -325,6 +325,8 @@ ZERO_HBAR = {"alpha": {**DENSITY["alpha"], "potential": {"coeffs": [],
 MIXED = {"alpha": SIX_ATOM["alpha"], "beta": DENSITY["beta"]}
 CLENSHAW_CURTIS = {"alpha": DENSITY["alpha"], "beta": {
     **DENSITY["beta"], "quadrature": {"rule": "clenshaw-curtis"}}}
+QUADRATURE_STRING = {"alpha": DENSITY["alpha"], "beta": {
+    **DENSITY["beta"], "quadrature": "gauss-legendre"}}
 MESSAGES = {
     ("rhp", "-n", "1"): "error: -n must be at least 2, got 1\n",
     ("verify", "-N", "2"): "error: -N must be at least 3, got 2\n",
@@ -338,6 +340,8 @@ MESSAGES = {
      "3"): "error: --point is not read by the jump study (--eps)\n",
     ("bimoments", "-N", "3", "--mode", "float"): "error: malformed measure "
         "spec: unsupported quadrature rule 'clenshaw-curtis'\n",
+    ("bimoments", "-N", "4", "--mode", "float"): "error: malformed measure "
+        "spec: quadrature must be an object, got 'gauss-legendre'\n",
 }
 
 
@@ -375,6 +379,8 @@ MESSAGES = {
           "--point", "3"], DENSITY, ""),
         (["bimoments", "-N", "3", "--mode", "float"], CLENSHAW_CURTIS,
          " [clenshaw-curtis]"),
+        (["bimoments", "-N", "4", "--mode", "float"], QUADRATURE_STRING,
+         " [quadrature not an object]"),
     ]])
 def test_bad_order_arguments_exit_2(argv, spec, spec_file, capsys):
     code = main([argv[0], spec_file(spec)] + argv[1:])
@@ -585,6 +591,43 @@ def test_pade_suite_builds_each_markov_transform_once(monkeypatch, spec_file,
                                  "--suite", "pade"])
     assert code == 0 and payload["status"] == "pass"
     assert sorted(tags) == sorted(nikishin.MARKOV_TAGS)
+
+
+def test_verify_builds_each_side_of_the_aux_transforms_once(monkeypatch,
+                                                            spec_file, capsys):
+    from cauchybop import nikishin
+    sides = []
+
+    def counted(app, side):
+        sides.append(side)
+        return aux_transforms(app, side)
+    aux_transforms = nikishin.aux_transforms
+    monkeypatch.setattr(nikishin, "aux_transforms", counted)
+    code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "5",
+                                 "--suite", "all"])
+    assert code == 0 and payload["status"] == "pass"
+    assert sorted(sides) == ["p", "q"]
+
+
+def test_extended_cd_builds_f_matrix_once_per_window(monkeypatch, spec_file,
+                                                     capsys):
+    from cauchybop import nikishin
+    calls = []
+
+    def counted(app, w, z):
+        calls.append((w, z))
+        return f_matrix(app, w, z)
+    f_matrix = nikishin.f_matrix
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cauchybop" and \
+                getattr(module, "f_matrix", None) is f_matrix:
+            monkeypatch.setattr(module, "f_matrix", counted)
+    code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "5",
+                                 "--suite", "duality"])
+    assert code == 0 and payload["status"] == "pass"
+    windows = [c for c in payload["checks"]
+               if c["name"].startswith("extended CD residual")]
+    assert len(windows) == 2 and len(calls) == len(windows)
 
 
 # exp(-(0.38 x + 0.23 x^2)) on [0.3, 1.75] against exp(-(0.72 y + 0.29 y^2))

@@ -50,7 +50,8 @@ def density(draw, flawed):
             ("support", None, [2.0, 1.0]), ("support", None, [-1.0, 1.0]),
             ("potential", "coeffs", [0.0, -400.0]),
             ("potential", "hbar", 0.0), ("quadrature", "order", 0),
-            ("quadrature", "rule", "simpson")]))
+            ("quadrature", "rule", "simpson"),
+            ("quadrature", None, "gauss-legendre")]))
         if sub is None:
             doc[key] = value
         else:

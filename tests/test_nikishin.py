@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cauchybop import (Atom, DiscreteMeasure, PoleEvaluationError,
-                       aux_vectors, build_apparatus, duality_check,
-                       ecd_hat_residual, ecd_residual, f_hat_matrix, markov,
+from cauchybop import (Atom, DiscreteMeasure, MarkovFunction,
+                       PoleEvaluationError, PowerTail, aux_vectors,
+                       build_apparatus, duality_check, ecd_hat_residual,
+                       ecd_residual, f_hat_matrix, markov,
                        measure_from_strings, moment, order_check, pade_solve,
                        pair, plucker_residual, polynomial_part)
 from cauchybop.cdkernel import _cd_residual
-from cauchybop.nikishin import MARKOV_TAGS, PointBackend, aux_columns
+from cauchybop.nikishin import (MARKOV_TAGS, PointBackend, SeriesBackend,
+                                aux_columns)
+from cauchybop.polys import peval
 
 from .conftest import random_rational_measure, rational_points_off
 
@@ -47,7 +50,8 @@ def test_pointwise_matches_series_partial_sums(six_atom_pair):
     alpha, beta = six_atom_pair
     for tag in MARKOV_TAGS:
         w = markov(alpha, beta, tag)
-        z = F(10) * F(int(w.radius()) + 1)
+        radius = max(abs(float(t)) for t in w.points)
+        z = F(10) * F(int(radius) + 1)
         depth = 18
         partial = sum(w.moment(j) * z ** (-j - 1) for j in range(depth))
         first_omitted = abs(w.moment(depth) * z ** (-depth - 1))
@@ -189,7 +193,7 @@ def test_polynomial_part_helper(six_atom_pair):
     alpha, beta = six_atom_pair
     w = markov(alpha, beta, "W_beta")
     Q = (F(1), F(2), F(1))          # 1 + 2z + z^2
-    P = polynomial_part(Q, w)
+    P = polynomial_part(Q, w.moments(2))
     # P_i = sum_{k>i} Q_k mom_{k-1-i}
     assert P[1] == w.moment(0)
     assert P[0] == 2 * w.moment(0) + w.moment(1)
@@ -396,3 +400,76 @@ def test_extended_cd_and_duality_random_measures(seed):
             assert ecd_residual(app, a, b, 2, w, z, aux) == 0
             assert ecd_hat_residual(app, a, b, 2, w, z, aux) == 0
             assert duality_check(app, a, b, 2, pts[0]) == 0
+
+
+# -- fast paths against the routes they replaced ----------------------------------
+
+
+def running_power_moments(points, masses, depth):
+    """Moment stream by one pass per atom with running powers, in the
+    arithmetic of the data."""
+    out = [0] * depth
+    for t, m in zip(points, masses):
+        for j in range(depth):
+            out[j] += m
+            m *= t
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.fractions(min_value=-40, max_value=40, max_denominator=12),
+    st.fractions(min_value=-9, max_value=9, max_denominator=30)),
+    min_size=1, max_size=6), st.integers(0, 12))
+def test_integer_moment_stream_matches_fraction_loop(atoms, depth):
+    points, masses = (tuple(v) for v in zip(*atoms))
+    moms = MarkovFunction("m", points, masses).moments(depth)
+    assert moms == running_power_moments(points, masses, depth)
+    assert all(type(m) is F for m in moms)
+    # float data keeps the running-power loop itself, bit for bit
+    fp, fm = tuple(map(float, points)), tuple(map(float, masses))
+    assert MarkovFunction("m", fp, fm).moments(depth) == \
+        running_power_moments(fp, fm, depth)
+
+
+def per_call_columns(app, side, top, evaluate):
+    """Transform columns of aux_columns by the per-call route: each degree's
+    transforms rebuilt from the measures (the second with its atoms placed
+    at -t, weighted by the first there), then evaluated."""
+    fam = app.family
+    first, second = (app.beta, app.alpha) if side == "q" else (app.alpha,
+                                                                app.beta)
+    polys = ([fam.q_star(j) for j in range(top + 1)] if side == "q"
+             else fam.p_monic[: top + 1])
+    cols = ([], [])
+    for P in polys:
+        inner = MarkovFunction("inner", first.positions(), tuple(
+            w * peval(P, t) for t, w in zip(first.positions(),
+                                            first.weights())))
+        ts = tuple(-t for t in second.positions())
+        outer = MarkovFunction("outer", ts, tuple(
+            w * inner(t) for t, w in zip(ts, second.weights())))
+        cols[0].append(evaluate(inner))
+        cols[1].append(evaluate(outer))
+    return tuple(map(tuple, cols))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10 ** 6), st.sampled_from("qp"), st.data())
+def test_cached_aux_columns_match_per_call_route(seed, side, data):
+    rng = Random(seed)
+    alpha = random_rational_measure(rng, rng.randint(3, 5))
+    beta = random_rational_measure(rng, rng.randint(3, 5))
+    app = build_apparatus(alpha, beta, N=min(len(alpha), len(beta)) - 1)
+    top = data.draw(st.integers(0, app.N))
+    poles = {t for m in (alpha, beta) for t in m.positions()}
+    s = data.draw(st.fractions(min_value=-70, max_value=70,
+                               max_denominator=20).filter(
+        lambda v: v not in poles and -v not in poles))
+    cols, _ = aux_columns(app, side, top, PointBackend(s))
+    assert cols[1:] == per_call_columns(app, side, top, lambda f: f(s))
+    depth = data.draw(st.integers(1, 10))
+    cols, _ = aux_columns(app, side, top, SeriesBackend(depth))
+    assert cols[1:] == per_call_columns(
+        app, side, top, lambda f: PowerTail.from_moment_stream(
+            running_power_moments(f.points, f.masses, depth)))

@@ -133,8 +133,8 @@ def test_extract_constants_round_trip(app6, n):
     assert eta_sq == fam.eta_monic[n - 1] ** 2 / fam.h[n - 1]
     # the squared float constants agree too
     assert math.isclose(float(c_sq), fam.c(n - 1) ** 2, rel_tol=1e-14)
-    assert math.isclose(float(eta_sq), fam.eta_normalized(n - 1) ** 2,
-                        rel_tol=1e-14)
+    eta_normalized = float(fam.eta_monic[n - 1]) / fam.c(n - 1)
+    assert math.isclose(float(eta_sq), eta_normalized ** 2, rel_tol=1e-14)
 
 
 def test_window_underflow(app6):

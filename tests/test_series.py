@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cauchybop import PowerTail
 
@@ -94,3 +96,30 @@ def test_leading_and_zero_through():
     with pytest.raises(ValueError):
         s.max_abs_through(-3)             # below the validity horizon
     assert s.max_abs_all() == 5
+
+
+def full_product(a: PowerTail, b: PowerTail) -> dict:
+    """Every coefficient of a * b, the ones below its horizon included."""
+    out = {}
+    for p, c in a.coeffs:
+        for q, d in b.coeffs:
+            out[p + q] = out.get(p + q, 0) + c * d
+    return out
+
+
+@st.composite
+def tails(draw):
+    """A PowerTail with powers -8..4, rational or float coefficients, exact
+    or known down to a horizon."""
+    coeff = draw(st.sampled_from((
+        st.fractions(min_value=-50, max_value=50, max_denominator=9),
+        st.floats(min_value=-1e3, max_value=1e3))))
+    coeffs = draw(st.dictionaries(st.integers(-8, 4), coeff, max_size=8))
+    return PowerTail.make(coeffs, draw(st.none() | st.integers(-9, 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tails(), tails())
+def test_product_stops_at_horizon_like_full_product_truncated(a, b):
+    prod = a * b
+    assert prod == PowerTail.make(full_product(a, b), prod.valid_lo)
