@@ -22,11 +22,9 @@ beta = measure_from_strings(
 app = build_apparatus(alpha, beta, N=5)
 
 n = 3
-blk = commutator_block(app, n)
 print(f"commutator block at level n={n} "
-      f"(rows {blk.row_offset}..{blk.row_offset + 2}, "
-      f"cols {blk.col_offset}..{blk.col_offset + 2}), at s = 1/2:")
-for row in blk.at(F(1, 2)):
+      f"(rows {n - 1}..{n + 1}, cols {n - 2}..{n}), at s = 1/2:")
+for row in commutator_block(app, n, F(1, 2)):
     print("  ", [str(v) for v in row])
 print("only four entries are nonzero; the middle one is linear in s.")
 

@@ -26,9 +26,8 @@ from .bimoment import (BimomentMatrix, bareiss_det, check_total_positivity,
                        compute_bimoments, oracle_dn, rank_one_shift_residual)
 from .bop import PolynomialFamily, averages, build_family, evaluate, pair
 from .bundle import Apparatus, build_apparatus
-from .cdkernel import (CommutatorBlock, cd_residual_hat, cd_residual_plain,
-                       commutator_block, dense_commutator,
-                       verify_block_against_dense)
+from .cdkernel import (cd_residual_hat, cd_residual_plain, commutator_block,
+                       dense_commutator, verify_block_against_dense)
 from .errors import (CauchybopError, DegenerateMatrixError,
                      InvalidDensityError, OrderUnderflowError,
                      PoleEvaluationError, PrecisionExhaustedError,

@@ -15,7 +15,7 @@ from functools import cached_property
 from .bimoment import BimomentMatrix, compute_bimoments
 from .bop import PolynomialFamily, build_family
 from .errors import DegenerateMatrixError, OrderUnderflowError
-from .measure import DensityMeasure, DiscreteMeasure, discretize, moment
+from .measure import DensityMeasure, DiscreteMeasure, discretize
 from .recurrence import (BandOperator, HattedFamily, build_A_Ahat, build_hatted,
                          build_L_Lhat, build_XY)
 
@@ -72,9 +72,6 @@ class Apparatus:
     def aux(self) -> dict:      # side -> nikishin.aux_transforms(self, side)
         from .nikishin import aux_transforms
         return {side: aux_transforms(self, side) for side in ("q", "p")}
-
-    def beta_moment(self, j: int):
-        return moment(self.beta, j)
 
     def require_window(self, n: int, lo: int = 2):
         if not lo <= n <= self.N - 1:

@@ -13,8 +13,9 @@ sitting in rows n-1..n+1 and columns n-2..n:
     row n:    (-Ahat[n][n-2],  s/eta_n - Ahat[n][n-1],    0)
     row n+1:  (0,              -Ahat[n+1][n-1],           0)
 
-The identities are evaluated through this block acting on 3-windows, so
-the semi-infinite projector is never materialized and truncation error is
+The block is a function of (n, s), returned by :func:`commutator_block`.
+The identities are evaluated through it acting on 3-windows, so the
+semi-infinite projector is never materialized and truncation error is
 exactly zero.  These two and the extended pair in ``nikishin`` all read
 (w+z) sum_{j<n} u_j(w) v_j(z) = q^T(w) B_n(s) phat(z) - C and share one
 evaluator, :func:`_cd_residual`, which returns |lhs - rhs| / max(1, |lhs|,
@@ -26,44 +27,23 @@ are rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bundle import Apparatus
 from .polys import peval
 from .scalars import residual
 
 
-@dataclass(frozen=True)
-class CommutatorBlock:
-    """The 3x3 nontrivial block of [Pi_n, (-s - Y^T) Lhat], degree 1 in s.
-
-    ``constant`` and ``slope`` give the block as constant + s * slope;
-    rows are indices n-1..n+1 and columns n-2..n of the ambient operator.
-    """
-    n: int
-    constant: tuple
-    slope: tuple
-    row_offset: int
-    col_offset: int
-
-    def at(self, s):
-        return tuple(tuple(self.constant[i][j] + s * self.slope[i][j]
-                           for j in range(3)) for i in range(3))
-
-
-def commutator_block(app: Apparatus, n: int) -> CommutatorBlock:
-    """Build the block from the four Ahat entries; needs 2 <= n <= N-1."""
+def commutator_block(app: Apparatus, n: int, s):
+    """The 3x3 block of [Pi_n, (-s - Y^T) Lhat] at s, from the four Ahat
+    entries: rows n-1..n+1 and columns n-2..n of the ambient operator.
+    Needs 2 <= n <= N-1."""
     app.require_window(n)
     Ah = app.Ahat
     zero = 0 * Ah[0, 0]
-    const = ((zero, zero, Ah[n - 1, n]),
-             (-Ah[n, n - 2], -Ah[n, n - 1], zero),
-             (zero, -Ah[n + 1, n - 1], zero))
-    slope_mid = 1 / app.family.eta_star(n)
-    slope = ((zero, zero, zero),
-             (zero, slope_mid, zero),
-             (zero, zero, zero))
-    return CommutatorBlock(n, const, slope, n - 1, n - 2)
+    return ((zero, zero, Ah[n - 1, n]),
+            # s * (1/eta), not s/eta: float residuals read these bits
+            (-Ah[n, n - 2], -Ah[n, n - 1] + s * (1 / app.family.eta_star(n)),
+             zero),
+            (zero, -Ah[n + 1, n - 1], zero))
 
 
 def dense_commutator(app: Apparatus, n: int, s):
@@ -83,7 +63,7 @@ def verify_block_against_dense(app: Apparatus, n: int, s):
     (zero off the block) over the block scale, on the rows and columns
     below ``app.cap + 2``: the whole stored truncation in exact mode, and
     in float mode the window the defect ladder trusts."""
-    block = commutator_block(app, n).at(s)
+    block = commutator_block(app, n, s)
     dense = dense_commutator(app, n, s)
     size = app.cap + 2
     worst = 0
@@ -97,7 +77,7 @@ def verify_block_against_dense(app: Apparatus, n: int, s):
 
 def _window_terms(app: Apparatus, n: int, s, q_values, phat_values):
     """The nonzero terms of q-window . block(s) . phat-window."""
-    block = commutator_block(app, n).at(s)
+    block = commutator_block(app, n, s)
     return [q_values[n - 1 + i] * block[i][j] * phat_values[n - 2 + j]
             for i in range(3) if q_values[n - 1 + i] != 0
             for j in range(3) if block[i][j] != 0]

@@ -63,7 +63,7 @@ from .nikishin import (aux_vectors, duality_check, ecd_residual, f_matrix,
 from .recurrence import (four_term_residual, rank_one_XY_residual,
                          tn_oscillatory_certificate)
 from .rhp import (assemble_gamma, assemble_gamma_hat, asymptotic_check,
-                  extract_constants, jump_slope_study)
+                  extract_constants, jump_slope_study, series_at_infinity)
 from .scalars import format_scalar, parse_exact
 from .zeros import charpoly_identity_residual, zeros_of
 
@@ -413,15 +413,19 @@ def _suite_rhp(r: Runner, app: Apparatus, kmax, eps_list):
     n = min(3, app.N - 1) if app.exact else min(2, app.N - 1)
     for w in pts:
         _check_unit_dets(r, app, n, w)
+    grids = {}      # which -> its expansion at infinity, built once
+
+    def asymptotic(which):
+        grids[which] = series_at_infinity(app, n, which)
+        return asymptotic_check(app, n, which, grids[which]).residual
     for which, label in (("gamma", "Gamma"), ("gamma_hat", "Gammahat")):
-        r.run(f"asymptotic powers of {label}",
-              lambda: asymptotic_check(app, n, which).residual, n)
+        r.run(f"asymptotic powers of {label}", lambda: asymptotic(which), n)
     h = app.family.h[n - 1]
     eta_sq = None
 
     def recovered_c():
         nonlocal eta_sq
-        c_sq, eta_sq = extract_constants(app, n)
+        c_sq, eta_sq = extract_constants(app, n, grids["gamma"])
         return (c_sq - h) / h
     r.run("recovered c^2 matches family norm", recovered_c, n)
     eta_ref = app.family.eta_monic[n - 1] ** 2 / h

@@ -7,11 +7,13 @@ signed measure once the input measures are discrete:
     W(z) = sum_k  m_k / (z - t_k),
 
 so pointwise values are exact rationals at rational z and the expansion at
-infinity is the moment stream m_j = sum_k m_k t_k**j.  The eight canonical
-transforms attached to a pair (da, db) on the positive axis are the plain
-and reflected Stieltjes transforms of each measure and the four "folded"
-functions of the two associated Nikishin chains; they satisfy the product
-identity
+infinity is the moment stream m_j = sum_k m_k t_k**j
+(:meth:`MarkovFunction.moments`).  The eight canonical transforms
+attached to a pair (da, db) on the positive axis are the plain and
+reflected Stieltjes transforms of each measure and the four "folded"
+functions of the two associated Nikishin chains: one measure's transform
+reweighted (:meth:`MarkovFunction.weighted`) by the other measure's at
+its placed atoms.  They satisfy the product identity
 
     W_beta(z) W_alpha_star(z) = W_beta_alpha_star(z) + W_alpha_star_beta(z)
 
@@ -52,8 +54,9 @@ extended identities, the duality pairing and both boundary-value
 matrices read windows of these columns.
 
 The extended identities pair the auxiliary vector windows of both families
-against the 3x3 commutator block, judged by the plain and hatted CD
-identities' evaluator, ``cdkernel._cd_residual``.  The constant matrix in
+against the 3x3 commutator block B_n(s), a function of (n, s)
+(``cdkernel.commutator_block(app, n, s)``), judged by the plain and hatted
+CD identities' evaluator, ``cdkernel._cd_residual``.  The constant matrix in
 
     (w+z) q_a^T(w) Pi p_b(z) = q_a^T(w) B_n(-w) phat_b(z) - FF(w,z)[a][b]
 
@@ -89,7 +92,7 @@ from math import lcm
 from .bundle import Apparatus
 from .cdkernel import _cd_residual, _window_terms
 from .errors import OrderUnderflowError, PoleEvaluationError
-from .measure import DiscreteMeasure
+from .measure import DiscreteMeasure, moment
 from .polys import peval, preflect
 from .scalars import residual
 from .series import PowerTail
@@ -127,11 +130,8 @@ class MarkovFunction:
             out += m / d
         return out
 
-    def moment(self, j: int):
-        return sum(m * t ** j for t, m in zip(self.points, self.masses))
-
     def moments(self, depth: int) -> list:
-        """[moment(0), ..., moment(depth - 1)], one pass per atom with
+        """The first depth moments sum_k m_k t_k**j, one pass per atom with
         running powers.  All-Fraction data runs that pass over integers:
         with t_k = a_k / D and m_k = b_k / E (D, E the lcms of the
         denominators), moment j is sum_k b_k a_k**j / (E D**j), one
@@ -161,20 +161,16 @@ class MarkovFunction:
 
     def weighted(self, fn, tag: str) -> "MarkovFunction":
         """Transform of the same measure reweighted by fn(t) -- the
-        remainder and auxiliary-column construction."""
+        folded, remainder and auxiliary-column construction."""
         return MarkovFunction(tag, self.points,
                               tuple(m * fn(t) for t, m in zip(self.points,
                                                               self.masses)))
 
 
-def _weighted(m: DiscreteMeasure, g, reflected: bool, tag: str
-              ) -> MarkovFunction:
-    """Transform of m, its atoms placed at -t if reflected, each weight
-    multiplied by g at the placed atom (as ``MarkovFunction.weighted``);
-    g None keeps the weights."""
-    ts = tuple(-t if reflected else t for t in m.positions())
-    ws = tuple(w if g is None else w * g(t) for t, w in zip(ts, m.weights()))
-    return MarkovFunction(tag, ts, ws)
+def _placed(m: DiscreteMeasure, reflected: bool, tag: str) -> MarkovFunction:
+    """Transform of m, its atoms placed at -t if reflected."""
+    return MarkovFunction(tag, tuple(-t if reflected else t
+                                     for t in m.positions()), m.weights())
 
 
 def markov(alpha: DiscreteMeasure, beta: DiscreteMeasure, tag: str
@@ -187,11 +183,11 @@ def markov(alpha: DiscreteMeasure, beta: DiscreteMeasure, tag: str
             f"unknown Markov tag {tag!r}; expected one of {MARKOV_TAGS}")
     measures = {"alpha": alpha, "beta": beta}
     which, reflected, fold = _RECIPES[tag]
-    g = None
-    if fold is not None:
-        fold_which, fold_reflected, _ = _RECIPES[fold]
-        g = _weighted(measures[fold_which], None, fold_reflected, fold)
-    return _weighted(measures[which], g, reflected, tag)
+    W = _placed(measures[which], reflected, tag)
+    if fold is None:
+        return W
+    fold_which, fold_reflected, _ = _RECIPES[fold]
+    return W.weighted(_placed(measures[fold_which], fold_reflected, fold), tag)
 
 
 def plucker_residual(app: Apparatus, z):
@@ -476,7 +472,7 @@ def f_hat_matrix(app: Apparatus, w, z):
     C = ((zero, 1, W_bs_z),
          (zero, W_b_w, W_b_w * W_bs_z),
          (zero, W_asb_w, W_asb_w * W_bs_z))
-    scale = (w + z) / app.beta_moment(0)
+    scale = (w + z) / moment(app.beta, 0)
     return tuple(tuple(F[i][j] - scale * C[i][j] for j in range(3))
                  for i in range(3))
 

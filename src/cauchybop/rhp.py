@@ -14,7 +14,11 @@ Two matrices are assembled from windows of the auxiliary vectors:
   with diag(z^n, 1, z^-n) asymptotics.
 
 Each matrix has one row combiner, fed by ``nikishin.aux_columns`` with
-point values, series at infinity or :class:`DensityBackend` values.
+point values, series at infinity or :class:`DensityBackend` values.  The
+expansion at infinity of either matrix, keyed by ``which``, comes from
+:func:`series_at_infinity`; :func:`asymptotic_check` and
+:func:`extract_constants` read it, and the rhp suite builds Gamma's once
+for both.
 Every entry is a square-root-free combination of monic data, so at
 rational points of discrete-rational input the matrices are exactly
 rational and det = 1 is asserted as literal equality.
@@ -56,7 +60,6 @@ from .scalars import is_exact
 
 @dataclass(frozen=True)
 class RHMatrix:
-    which: str              # "gamma" | "gamma_hat"
     n: int
     point: object
     entries: tuple          # 3x3
@@ -107,7 +110,7 @@ def _rows(app: Apparatus, which: str, n: int, backend):
 def _assemble(app: Apparatus, which: str, n: int, point) -> RHMatrix:
     rows = _rows(app, which, n, PointBackend(point))
     d = det([list(r) for r in rows], app.exact and is_exact(point))
-    return RHMatrix(which, n, point, rows, d)
+    return RHMatrix(n, point, rows, d)
 
 
 def assemble_gamma(app: Apparatus, n: int, w) -> RHMatrix:
@@ -123,14 +126,10 @@ def assemble_gamma_hat(app: Apparatus, n: int, z) -> RHMatrix:
 # -- exact expansions at infinity -------------------------------------------------
 
 
-def gamma_series(app: Apparatus, n: int):
-    """3x3 grid of PowerTails for Gamma's expansion at infinity, known
-    through w**(-2n-4)."""
-    return _rows(app, "gamma", n, SeriesBackend(2 * n + 4))
-
-
-def gamma_hat_series(app: Apparatus, n: int):
-    return _rows(app, "gamma_hat", n, SeriesBackend(2 * n + 4))
+def series_at_infinity(app: Apparatus, n: int, which: str = "gamma"):
+    """3x3 grid of PowerTails for the expansion of Gamma or Gammahat at
+    infinity, known through w**(-2n-4)."""
+    return _rows(app, which, n, SeriesBackend(2 * n + 4))
 
 
 @dataclass(frozen=True)
@@ -146,16 +145,18 @@ class AsymptoticCertificate:
         return not self.failures
 
 
-def asymptotic_check(app: Apparatus, n: int,
-                     which: str = "gamma") -> AsymptoticCertificate:
+def asymptotic_check(app: Apparatus, n: int, which: str = "gamma",
+                     grid=None) -> AsymptoticCertificate:
     """Entrywise power-law verification by series: the matrix equals
     (identity + O(1/w)) times diag(w**d_j), coefficient by coefficient.
 
     Every coefficient off its expected value is a failure; the residual is
     the worst such difference over its column scale (at least 1), which
-    float data (a discretized density) leaves as dust.
+    float data (a discretized density) leaves as dust.  grid, if given,
+    must be ``series_at_infinity(app, n, which)``.
     """
-    grid = (gamma_series if which == "gamma" else gamma_hat_series)(app, n)
+    if grid is None:
+        grid = series_at_infinity(app, n, which)
     d = (n, -1, -n + 1) if which == "gamma" else (n, 0, -n)
     failures = []
     worst = 0
@@ -177,16 +178,18 @@ def asymptotic_check(app: Apparatus, n: int,
     return AsymptoticCertificate(which, n, d, worst, tuple(failures))
 
 
-def extract_constants(app: Apparatus, n: int):
+def extract_constants(app: Apparatus, n: int, grid=None):
     """(c_{n-1}**2, eta_{n-1}**2) recovered from the series of the middle
     row of Gamma.
 
     The squared constants are rational and must reproduce the family data
     exactly: c**2 = h_{n-1} and eta**2 = eta~_{n-1}**2 / h_{n-1}.  Row and
     column indices follow the assembly order of the rows above (1-based
-    (2,1) and (2,3) entries).
+    (2,1) and (2,3) entries).  grid, if given, must be
+    ``series_at_infinity(app, n, "gamma")``.
     """
-    grid = gamma_series(app, n)
+    if grid is None:
+        grid = series_at_infinity(app, n)
     g21, g23 = grid[1][0], grid[1][2]
     a21 = g21.coeff(n - 1)
     a23 = g23.coeff(-n)

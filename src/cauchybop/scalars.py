@@ -51,8 +51,6 @@ def format_scalar(x) -> str:
     """Lossless string form: "p/q" for rationals, repr for floats."""
     if isinstance(x, (int, Fraction)):
         return str(Fraction(x))
-    if isinstance(x, complex):
-        return repr(x)
     return repr(float(x))
 
 

@@ -63,14 +63,6 @@ class PowerTail:
                 return c
         return 0
 
-    def leading(self):
-        """(power, coefficient) of the top nonzero known term, or None."""
-        return self.coeffs[0] if self.coeffs else None
-
-    def top_power(self):
-        lead = self.leading()
-        return lead[0] if lead else None
-
     def max_abs_through(self, lo_power: int):
         """Largest |coefficient| with power >= lo_power, those powers being
         known; 0 certifies that they all vanish."""
@@ -89,11 +81,12 @@ class PowerTail:
 
     def _eff_top(self):
         """Top power of the function including its error term, for validity
-        propagation.  A pure error term sits at valid_lo - 1."""
-        top = self.top_power()
-        cands = [t for t in (top, None if self.valid_lo is None else self.valid_lo - 1)
-                 if t is not None]
-        return max(cands) if cands else None
+        propagation: the top nonzero known power, or valid_lo - 1 where the
+        error term sits higher; None for the exact zero."""
+        tops = [self.coeffs[0][0]] if self.coeffs else []
+        if self.valid_lo is not None:
+            tops.append(self.valid_lo - 1)
+        return max(tops, default=None)
 
     def __add__(self, other: "PowerTail") -> "PowerTail":
         merged = _as_dict(self.coeffs).copy()

@@ -327,6 +327,8 @@ CLENSHAW_CURTIS = {"alpha": DENSITY["alpha"], "beta": {
     **DENSITY["beta"], "quadrature": {"rule": "clenshaw-curtis"}}}
 QUADRATURE_STRING = {"alpha": DENSITY["alpha"], "beta": {
     **DENSITY["beta"], "quadrature": "gauss-legendre"}}
+LATTICE = {"alpha": {"type": "lattice", "step": "1"}, "beta": SIX_ATOM["beta"]}
+MISSING = None      # no spec file: the path names nothing
 MESSAGES = {
     ("rhp", "-n", "1"): "error: -n must be at least 2, got 1\n",
     ("verify", "-N", "2"): "error: -N must be at least 3, got 2\n",
@@ -342,6 +344,9 @@ MESSAGES = {
         "spec: unsupported quadrature rule 'clenshaw-curtis'\n",
     ("bimoments", "-N", "4", "--mode", "float"): "error: malformed measure "
         "spec: quadrature must be an object, got 'gauss-legendre'\n",
+    ("bimoments", "-N", "5"): "error: unknown measure type 'lattice'\n",
+    ("zeros", "-n", "2"): "error: cannot read spec: [Errno 2] No such file "
+        "or directory: '{path}'\n",
 }
 
 
@@ -381,9 +386,13 @@ MESSAGES = {
          " [clenshaw-curtis]"),
         (["bimoments", "-N", "4", "--mode", "float"], QUADRATURE_STRING,
          " [quadrature not an object]"),
+        (["bimoments", "-N", "5"], LATTICE, " [unknown measure type]"),
+        (["zeros", "-n", "2"], MISSING, " [unreadable spec]"),
     ]])
-def test_bad_order_arguments_exit_2(argv, spec, spec_file, capsys):
-    code = main([argv[0], spec_file(spec)] + argv[1:])
+def test_bad_order_arguments_exit_2(argv, spec, spec_file, tmp_path, capsys):
+    path = (str(tmp_path / "missing.json") if spec is MISSING
+            else spec_file(spec))
+    code = main([argv[0], path] + argv[1:])
     captured = capsys.readouterr()
     assert code == 2
     assert "Traceback" not in captured.out + captured.err
@@ -391,7 +400,17 @@ def test_bad_order_arguments_exit_2(argv, spec, spec_file, capsys):
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
     if tuple(argv) in MESSAGES:
-        assert captured.err == MESSAGES[tuple(argv)]
+        assert captured.err == MESSAGES[tuple(argv)].format(path=path)
+
+
+def test_bimoments_float_on_density(spec_file, capsys):
+    # a density spec is discretized before the bimoments are formed
+    code, payload = run(capsys, ["bimoments", spec_file(DENSITY), "-N", "3",
+                                 "--mode", "float"])
+    assert code == 0 and payload["rank_one_shift"] == "pass"
+    assert payload["total_positivity"]["passed"]
+    assert len(payload["I"]) == 3 and len(payload["D"]) == 3
+    assert all(float(d) > 0 for d in payload["D"])
 
 
 def test_bimoments_float_order_one(spec_file, capsys):
@@ -399,6 +418,25 @@ def test_bimoments_float_order_one(spec_file, capsys):
     code, payload = run(capsys, ["bimoments", spec_file(SIX_ATOM), "-N", "1",
                                  "--mode", "float"])
     assert code == 0 and payload["rank_one_shift"] == "pass"
+
+
+def test_rhp_suite_builds_the_gamma_expansion_once(monkeypatch, spec_file,
+                                                  capsys):
+    # the asymptotic check and the constant recovery read one expansion of
+    # Gamma (q side); Gammahat (p side) is expanded once too
+    from cauchybop import rhp
+    from cauchybop.nikishin import SeriesBackend
+    aux_columns, builds = rhp.aux_columns, []
+
+    def counted(app, side, top, backend):
+        if isinstance(backend, SeriesBackend):
+            builds.append(side)
+        return aux_columns(app, side, top, backend)
+    monkeypatch.setattr(rhp, "aux_columns", counted)
+    code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "5",
+                                 "--suite", "rhp"])
+    assert code == 0 and payload["status"] == "pass"
+    assert sorted(builds) == ["p", "q"]
 
 
 def test_verify_one_density_skips_the_jump_study(spec_file, capsys):

@@ -39,7 +39,8 @@ def test_reflect_negates_exactly_odd_moments(raw, j):
         atoms[Fraction(pn, pd)] = Fraction(wn, wd)
     m = DiscreteMeasure(tuple(Atom(p, w) for p, w in atoms.items()))
     # the reflected measure m* exists only inside the Markov transforms
-    assert markov(m, m, "W_alpha_star").moment(j) == (-1) ** j * moment(m, j)
+    assert markov(m, m, "W_alpha_star").moments(j + 1)[j] == \
+        (-1) ** j * moment(m, j)
 
 
 def test_atom_validation():

@@ -89,8 +89,10 @@ def test_scale_shift_neg():
 
 def test_leading_and_zero_through():
     s = PowerTail.make({3: F(0), 1: F(5), -1: F(2)}, valid_lo=-2)
-    assert s.leading() == (1, 5)
-    assert s.top_power() == 1
+    assert s.coeffs[0] == (1, 5)
+    assert s._eff_top() == 1              # above the error term at z**-3
+    assert PowerTail.zero(-2)._eff_top() == -3
+    assert PowerTail.zero()._eff_top() is None
     assert s.max_abs_through(-1) == 5
     assert PowerTail.make({-3: F(1)}, None).max_abs_through(-2) == 0
     with pytest.raises(ValueError):
