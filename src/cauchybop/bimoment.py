@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from .errors import TheoryViolationError
-from .measure import DiscreteMeasure, moment
+from .measure import DiscreteMeasure, power_sums
 from .scalars import guard_precision, is_exact
 
 
@@ -144,39 +144,22 @@ class BimomentMatrix:
 def compute_bimoments(alpha: DiscreteMeasure, beta: DiscreteMeasure,
                       N: int) -> BimomentMatrix:
     """Cauchy bimoment matrix of order N as the factored sum
-    I = V_a^T (K V_b), K[a][b] = 1 / (x_a + y_b).
-
-    For each alpha atom x_a, in atom order, the weighted kernel row
-    w_a w_b / (x_a + y_b) is contracted with the beta powers,
-    inner_a[j] = sum_b w_a w_b y_b**j / (x_a + y_b); then
-    I[i][j] = sum_a x_a**i inner_a[j].  Every sum runs in atom order, so
-    exact input gives the same rationals as the plain double sum over atom
-    pairs and float input has one fixed rounding order.  The work is
+    I = V_a^T (K V_b), K[a][b] = 1 / (x_a + y_b), in two passes of
+    :func:`~cauchybop.measure.power_sums`: for each alpha atom x_a,
+    inner_a[j] = sum_b w_a w_b y_b**j / (x_a + y_b); then column j of I is
+    the power sum over the alpha atoms with weights inner_a[j].  Exact
+    input gives the rationals of the plain double sum over atom pairs, and
+    float input has one fixed rounding order.  The work is
     O(N |alpha| |beta| + N**2 |alpha|) in both lanes.
     """
-    xs = alpha.positions()
-    ys = beta.positions()
+    xs, ys = alpha.positions(), beta.positions()
     ws_b = beta.weights()
-    exact = alpha.is_exact and beta.is_exact
-    ypow = [[y ** j for j in range(N)] for y in ys]
-    inner = []
-    for x, wa in zip(xs, alpha.weights()):
-        row = [0] * N
-        for y, wb, yp in zip(ys, ws_b, ypow):
-            kw = 1 / _cauchy_sum(x, y) * wa * wb
-            for j in range(N):
-                row[j] += kw * yp[j]
-        inner.append(([x ** i for i in range(N)], row))
-    entries = []
-    for i in range(N):
-        acc = [0] * N
-        for xp, row in inner:
-            for j in range(N):
-                acc[j] += xp[i] * row[j]
-        for v in acc:
-            guard_precision(v)
-        entries.append(tuple(acc))
-    return BimomentMatrix(N, tuple(entries), exact)
+    inner = [power_sums(ys, [1 / _cauchy_sum(x, y) * wa * wb
+                             for y, wb in zip(ys, ws_b)], N)
+             for x, wa in zip(xs, alpha.weights())]
+    columns = [power_sums(xs, [row[j] for row in inner], N) for j in range(N)]
+    return BimomentMatrix(N, tuple(zip(*columns)),
+                          alpha.is_exact and beta.is_exact)
 
 
 # -- total positivity ----------------------------------------------------------
@@ -270,8 +253,8 @@ def rank_one_shift_residual(I: BimomentMatrix, alpha: DiscreteMeasure,
     Identically zero for the Cauchy kernel, exactly so in exact mode.
     """
     n = I.order - 1
-    a = [moment(alpha, j) for j in range(n)]
-    b = [moment(beta, j) for j in range(n)]
+    a = power_sums(alpha.positions(), alpha.weights(), n)
+    b = power_sums(beta.positions(), beta.weights(), n)
     return tuple(tuple(I[i + 1, j] + I[i, j + 1] - a[i] * b[j]
                        for j in range(n)) for i in range(n))
 

@@ -31,7 +31,7 @@ from fractions import Fraction
 from .bimoment import BimomentMatrix
 from .errors import (DegenerateMatrixError, PrecisionExhaustedError,
                      TheoryViolationError)
-from .measure import DiscreteMeasure, moment
+from .measure import DiscreteMeasure, power_sums
 from .polys import peval, pscale
 from .scalars import scalar_sqrt
 
@@ -160,8 +160,8 @@ def averages(family: PolynomialFamily, alpha: DiscreteMeasure,
     keeps out of every check, but a zero or non-finite one cannot be
     divided by, and is refused as exhausted precision.
     """
-    a_moms = [moment(alpha, j) for j in range(family.N + 1)]
-    b_moms = [moment(beta, j) for j in range(family.N + 1)]
+    a_moms = power_sums(alpha.positions(), alpha.weights(), family.N + 1)
+    b_moms = power_sums(beta.positions(), beta.weights(), family.N + 1)
     pi = tuple(sum(c * a_moms[j] for j, c in enumerate(family.p_monic[n]))
                for n in range(family.N + 1))
     eta = tuple(sum(c * b_moms[j] for j, c in enumerate(family.q_monic[n]))

@@ -105,7 +105,8 @@ def _measure_from_dict(d, float_mode: bool):
                 order=int(quad.get("order", 64)),
             )
         raise UsageError(f"unknown measure type {kind!r}")
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError,
+            OverflowError) as exc:
         raise UsageError(f"malformed measure spec: {exc}") from exc
 
 

@@ -10,6 +10,9 @@ Two concrete representations:
   :class:`DiscreteMeasure` by Gauss-Legendre quadrature before anything
   else touches it.
 
+Every power sum -- a measure's moments, the bimoments and the Markov
+moment streams -- comes from one kernel, :func:`power_sums`.
+
 Every measure lives on the positive axis.  The reflected measure dm*
 appears only inside the Markov transforms, whose recipes place its atoms
 at -t (``nikishin.markov``).
@@ -27,9 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Sequence
 
-from .errors import InvalidDensityError
+from .errors import InvalidDensityError, PrecisionExhaustedError
 from .polys import peval
 from .scalars import guard_precision, is_exact, parse_exact
 
@@ -117,15 +121,45 @@ class DensityMeasure:
 # -- operations ---------------------------------------------------------------
 
 
+def power_sums(points, weights, depth: int) -> list:
+    """[sum_k w_k t_k**j for j < depth] in atom order, the one route to
+    every power sum (moments, bimoments, Markov moment streams).  Exact
+    data (int or Fraction) runs over integers: with t_k = a_k / D and
+    w_k = b_k / E (D, E the lcms of the denominators), sum j is
+    sum_k b_k a_k**j / (E D**j), one Fraction per sum.  Float data sums
+    w * t**j term by term; a power past the float range raises
+    :class:`PrecisionExhaustedError`."""
+    if all(is_exact(v) for v in (*points, *weights)):
+        D = lcm(*(t.denominator for t in points))
+        E = lcm(*(w.denominator for w in weights))
+        sums = [0] * depth
+        for t, w in zip(points, weights):
+            a = t.numerator * (D // t.denominator)
+            b = w.numerator * (E // w.denominator)
+            for j in range(depth):
+                sums[j] += b
+                b *= a
+        out = [Fraction(s, E * D ** j) for j, s in enumerate(sums)]
+    else:
+        out = [0] * depth
+        try:
+            for t, w in zip(points, weights):
+                for j in range(depth):
+                    out[j] += w * t ** j
+        except OverflowError as exc:
+            raise PrecisionExhaustedError(
+                f"precision exhausted: {t!r} ** {j} overflows a float"
+            ) from exc
+    for v in out:
+        guard_precision(v)
+    return out
+
+
 def moment(m: DiscreteMeasure, j: int):
     """j-th power moment; exact rational for discrete-rational measures."""
     if j < 0:
         raise ValueError("moment order must be nonnegative")
-    total = 0
-    for atom in m.atoms:
-        total += atom.weight * atom.position ** j
-        guard_precision(total)
-    return total
+    return power_sums(m.positions(), m.weights(), j + 1)[j]
 
 
 def discretize(m: DensityMeasure) -> DiscreteMeasure:

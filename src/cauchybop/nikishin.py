@@ -8,12 +8,12 @@ signed measure once the input measures are discrete:
 
 so pointwise values are exact rationals at rational z and the expansion at
 infinity is the moment stream m_j = sum_k m_k t_k**j
-(:meth:`MarkovFunction.moments`).  The eight canonical transforms
-attached to a pair (da, db) on the positive axis are the plain and
-reflected Stieltjes transforms of each measure and the four "folded"
-functions of the two associated Nikishin chains: one measure's transform
-reweighted (:meth:`MarkovFunction.weighted`) by the other measure's at
-its placed atoms.  They satisfy the product identity
+(:meth:`MarkovFunction.moments`, by ``measure.power_sums``).  The eight
+canonical transforms attached to a pair (da, db) on the positive axis are
+the plain and reflected Stieltjes transforms of each measure and the four
+"folded" functions of the two associated Nikishin chains: one measure's
+transform reweighted (:meth:`MarkovFunction.weighted`) by the other
+measure's at its placed atoms.  They satisfy the product identity
 
     W_beta(z) W_alpha_star(z) = W_beta_alpha_star(z) + W_alpha_star_beta(z)
 
@@ -87,12 +87,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
-from math import lcm
 
 from .bundle import Apparatus
 from .cdkernel import _cd_residual, _window_terms
 from .errors import OrderUnderflowError, PoleEvaluationError
-from .measure import DiscreteMeasure, moment
+from .measure import DiscreteMeasure, power_sums
 from .polys import peval, preflect
 from .scalars import residual
 from .series import PowerTail
@@ -131,29 +130,9 @@ class MarkovFunction:
         return out
 
     def moments(self, depth: int) -> list:
-        """The first depth moments sum_k m_k t_k**j, one pass per atom with
-        running powers.  All-Fraction data runs that pass over integers:
-        with t_k = a_k / D and m_k = b_k / E (D, E the lcms of the
-        denominators), moment j is sum_k b_k a_k**j / (E D**j), one
-        Fraction per moment."""
-        exact = all(isinstance(v, Fraction)
-                    for v in self.points + self.masses)
-        if exact:
-            D = lcm(*(t.denominator for t in self.points))
-            E = lcm(*(m.denominator for m in self.masses))
-            atoms = [(t.numerator * (D // t.denominator),
-                      m.numerator * (E // m.denominator))
-                     for t, m in zip(self.points, self.masses)]
-        else:
-            atoms = zip(self.points, self.masses)
-        out = [0] * depth
-        for t, m in atoms:
-            for j in range(depth):
-                out[j] += m
-                m *= t
-        if exact:
-            out = [Fraction(s, E * D ** j) for j, s in enumerate(out)]
-        return out
+        """The first depth moments sum_k m_k t_k**j, by
+        :func:`~cauchybop.measure.power_sums`."""
+        return power_sums(self.points, self.masses, depth)
 
     def series(self, depth: int) -> PowerTail:
         """Expansion at infinity through z**(-depth)."""
@@ -339,9 +318,6 @@ class AuxVectors:
     """Values of the main and auxiliary vectors on the degrees needed by the
     extended identities at level n: q-side entries 0..n+1 at w, p-side
     entries 0..n+1 at z, hatted q-side entries 0..n."""
-    n: int
-    w: object
-    z: object
     q: tuple        # q[a][j]
     p: tuple        # p[b][j]
     phat: tuple     # phat[b][j]
@@ -440,7 +416,7 @@ def aux_vectors(app: Apparatus, n: int, w, z) -> AuxVectors:
         raise OrderUnderflowError(f"aux window needs 0 <= n <= {app.N - 1}")
     q_all, qhat = aux_columns(app, "q", n + 1, PointBackend(w))
     p_all, phat = aux_columns(app, "p", n + 1, PointBackend(z))
-    return AuxVectors(n, w, z, q_all, p_all, phat, qhat)
+    return AuxVectors(q_all, p_all, phat, qhat)
 
 
 # -- extended identities and duality --------------------------------------------
@@ -472,7 +448,7 @@ def f_hat_matrix(app: Apparatus, w, z):
     C = ((zero, 1, W_bs_z),
          (zero, W_b_w, W_b_w * W_bs_z),
          (zero, W_asb_w, W_asb_w * W_bs_z))
-    scale = (w + z) / moment(app.beta, 0)
+    scale = (w + z) / app.markov_moments["W_beta"][0]
     return tuple(tuple(F[i][j] - scale * C[i][j] for j in range(3))
                  for i in range(3))
 

@@ -174,14 +174,15 @@ def four_term_residual(family: PolynomialFamily, A: BandOperator,
     """
     if not 1 <= n <= family.N - 1:
         raise OrderUnderflowError(f"four-term window needs 1 <= n <= {family.N - 1}")
-    pv = [peval(family.p_monic[k], point) for k in range(family.N + 1)]
-    qv = [peval(family.q_star(k), point) for k in range(family.N + 1)]
+    ks = range(max(0, n - 2), n + 2)
+    pv = {k: peval(family.p_monic[k], point) for k in ks}
+    qv = {k: peval(family.q_star(k), point) for k in ks}
     lhs_p = point * (pv[n] / family.pi_monic[n]
                      - pv[n - 1] / family.pi_monic[n - 1])
-    rhs_p = sum(A[n - 1, k] * pv[k] for k in range(max(0, n - 2), n + 2))
+    rhs_p = sum(A[n - 1, k] * pv[k] for k in ks)
     lhs_q = point * (qv[n] / family.eta_star(n)
                      - qv[n - 1] / family.eta_star(n - 1))
-    rhs_q = sum(Bhat[n - 1, k] * qv[k] for k in range(max(0, n - 2), n + 2))
+    rhs_q = sum(Bhat[n - 1, k] * qv[k] for k in ks)
     return residual(lhs_p, rhs_p), residual(lhs_q, rhs_q)
 
 

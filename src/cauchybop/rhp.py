@@ -60,8 +60,6 @@ from .scalars import is_exact
 
 @dataclass(frozen=True)
 class RHMatrix:
-    n: int
-    point: object
     entries: tuple          # 3x3
     determinant: object
 
@@ -110,7 +108,7 @@ def _rows(app: Apparatus, which: str, n: int, backend):
 def _assemble(app: Apparatus, which: str, n: int, point) -> RHMatrix:
     rows = _rows(app, which, n, PointBackend(point))
     d = det([list(r) for r in rows], app.exact and is_exact(point))
-    return RHMatrix(n, point, rows, d)
+    return RHMatrix(rows, d)
 
 
 def assemble_gamma(app: Apparatus, n: int, w) -> RHMatrix:
@@ -134,8 +132,6 @@ def series_at_infinity(app: Apparatus, n: int, which: str = "gamma"):
 
 @dataclass(frozen=True)
 class AsymptoticCertificate:
-    which: str
-    n: int
     diag_powers: tuple
     residual: object           # worst offending coefficient / column scale
     failures: tuple            # (i, j, description)
@@ -175,7 +171,7 @@ def asymptotic_check(app: Apparatus, n: int, which: str = "gamma",
                 failures.append((i, j,
                                  f"coefficient at power {d[j]} is {lead}, "
                                  f"expected {expect}"))
-    return AsymptoticCertificate(which, n, d, worst, tuple(failures))
+    return AsymptoticCertificate(d, worst, tuple(failures))
 
 
 def extract_constants(app: Apparatus, n: int, grid=None):

@@ -62,6 +62,16 @@ def rational_points_off(measures, count: int, start: int = 1):
     return pts
 
 
+def term_by_term_power_sums(points, weights, depth: int) -> list:
+    """[sum_k w_k t_k**j for j < depth], one term w * t**j at a time in
+    atom order, in the arithmetic of the data."""
+    out = [0] * depth
+    for t, w in zip(points, weights):
+        for j in range(depth):
+            out[j] += w * t ** j
+    return out
+
+
 def determinantal_oracle(I, n: int):
     """Monic coefficients of (p_n, q_n) by cofactor expansion of the
     bordered determinants, bypassing the factorization entirely."""

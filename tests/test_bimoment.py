@@ -27,6 +27,30 @@ def brute_force_bimoment(alpha, beta, i, j):
     return total
 
 
+def factored_bimoments(alpha, beta, N):
+    """I = V_a^T (K V_b) with tables of powers: per alpha atom the kernel
+    row w_a w_b / (x_a + y_b) contracted with the beta powers, then the
+    rows summed against the alpha powers, every sum in atom order."""
+    xs, ys, ws_b = alpha.positions(), beta.positions(), beta.weights()
+    ypow = [[y ** j for j in range(N)] for y in ys]
+    inner = []
+    for x, wa in zip(xs, alpha.weights()):
+        row = [0] * N
+        for y, wb, yp in zip(ys, ws_b, ypow):
+            kw = 1 / _cauchy_sum(x, y) * wa * wb
+            for j in range(N):
+                row[j] += kw * yp[j]
+        inner.append(([x ** i for i in range(N)], row))
+    entries = []
+    for i in range(N):
+        acc = [0] * N
+        for xp, row in inner:
+            for j in range(N):
+                acc[j] += xp[i] * row[j]
+        entries.append(tuple(acc))
+    return tuple(entries)
+
+
 def cauchy_determinant_residual(xs, ys):
     """Residual of the closed form for the bordered Cauchy determinant.
 
@@ -221,6 +245,31 @@ def test_float_bimoments_match_fsum_double_sum():
                             * b.weight / (a.position + b.position)
                             for a in alpha.atoms for b in beta.atoms)
             assert abs(I[i, j] - ref) <= 1e-13 * abs(ref)
+
+
+def _floated(m):
+    return DiscreteMeasure(tuple(Atom(float(a.position), float(a.weight))
+                                 for a in m.atoms))
+
+
+@pytest.mark.parametrize("order", [8, 96])
+def test_float_bimoments_match_factored_loop_bit_for_bit(six_atom_pair,
+                                                         order):
+    # the float verdicts read the last bits of I, so the power-sum route
+    # must round exactly as the factored loop with power tables does
+    densities = [discretize(DensityMeasure(support=(a, a + L),
+                                           potential=[0.0, c1, c2],
+                                           order=order))
+                 for a, L, c1, c2 in ((0.3, 2.5, 1.1, 0.2),
+                                      (0.9, 1.4, 0.4, 0.05))]
+    for alpha, beta in (densities, [_floated(m) for m in six_atom_pair]):
+        I = compute_bimoments(alpha, beta, 10)
+        assert not I.exact
+        assert [[v.hex() for v in row] for row in I.entries] == \
+            [[v.hex() for v in row]
+             for row in factored_bimoments(alpha, beta, 10)]
+    I = compute_bimoments(*six_atom_pair, 7)
+    assert I.entries == factored_bimoments(*six_atom_pair, 7)
 
 
 @pytest.mark.parametrize("xs,ys", [

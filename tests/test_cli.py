@@ -329,6 +329,11 @@ QUADRATURE_STRING = {"alpha": DENSITY["alpha"], "beta": {
     **DENSITY["beta"], "quadrature": "gauss-legendre"}}
 LATTICE = {"alpha": {"type": "lattice", "step": "1"}, "beta": SIX_ATOM["beta"]}
 MISSING = None      # no spec file: the path names nothing
+#: an atom past the float range, and one whose square is past it
+BEYOND_FLOAT = {"alpha": {"type": "discrete", "atoms": [
+    {"x": "1e400", "w": "1"}, {"x": "2", "w": "1"}]}, "beta": TWO_ATOM["beta"]}
+SQUARE_BEYOND_FLOAT = {"alpha": {"type": "discrete", "atoms": [
+    {"x": "1e200", "w": "1"}, {"x": "2", "w": "1"}]}, "beta": TWO_ATOM["beta"]}
 MESSAGES = {
     ("rhp", "-n", "1"): "error: -n must be at least 2, got 1\n",
     ("verify", "-N", "2"): "error: -N must be at least 3, got 2\n",
@@ -347,6 +352,10 @@ MESSAGES = {
     ("bimoments", "-N", "5"): "error: unknown measure type 'lattice'\n",
     ("zeros", "-n", "2"): "error: cannot read spec: [Errno 2] No such file "
         "or directory: '{path}'\n",
+    ("bimoments", "-N", "1", "--mode", "float"): "error: malformed measure "
+        "spec: integer division result too large for a float\n",
+    ("bop", "-n", "1", "--mode", "float"): "error: precision exhausted: "
+        "1e+200 ** 2 overflows a float\n",
 }
 
 
@@ -388,6 +397,10 @@ MESSAGES = {
          " [quadrature not an object]"),
         (["bimoments", "-N", "5"], LATTICE, " [unknown measure type]"),
         (["zeros", "-n", "2"], MISSING, " [unreadable spec]"),
+        (["bimoments", "-N", "1", "--mode", "float"], BEYOND_FLOAT,
+         " [atom past the float range]"),
+        (["bop", "-n", "1", "--mode", "float"], SQUARE_BEYOND_FLOAT,
+         " [power past the float range]"),
     ]])
 def test_bad_order_arguments_exit_2(argv, spec, spec_file, tmp_path, capsys):
     path = (str(tmp_path / "missing.json") if spec is MISSING

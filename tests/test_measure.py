@@ -9,6 +9,9 @@ from cauchybop import (Atom, DensityMeasure, DiscreteMeasure,
                        InvalidDensityError, PrecisionExhaustedError,
                        discretize, markov, measure_from_strings, moment)
 from cauchybop import scalars
+from cauchybop.measure import power_sums
+
+from .conftest import term_by_term_power_sums
 
 
 def test_moment_single_atom_powers_of_one():
@@ -41,6 +44,30 @@ def test_reflect_negates_exactly_odd_moments(raw, j):
     # the reflected measure m* exists only inside the Markov transforms
     assert markov(m, m, "W_alpha_star").moments(j + 1)[j] == \
         (-1) ** j * moment(m, j)
+
+
+#: signed points and signed (or zero) weights, as ints or as Fractions
+_EXACT_SCALARS = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=40))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(_EXACT_SCALARS, _EXACT_SCALARS), min_size=1,
+                max_size=7), st.integers(0, 12))
+def test_power_sums_match_plain_loops(atoms, depth):
+    points, weights = (tuple(v) for v in zip(*atoms))
+    # exact data: the plain Fraction double loop, one Fraction per sum
+    sums = power_sums(points, weights, depth)
+    assert sums == [sum((Fraction(w) * Fraction(t) ** j
+                         for t, w in zip(points, weights)), Fraction(0))
+                    for j in range(depth)]
+    assert all(type(v) is Fraction for v in sums)
+    # float data: the term-by-term w * t**j sum, bit for bit
+    fp, fw = tuple(map(float, points)), tuple(map(float, weights))
+    floats = power_sums(fp, fw, depth)
+    assert [v.hex() for v in map(float, floats)] == \
+        [v.hex() for v in map(float, term_by_term_power_sums(fp, fw, depth))]
 
 
 def test_atom_validation():

@@ -16,7 +16,8 @@ from cauchybop.nikishin import (MARKOV_TAGS, PointBackend, SeriesBackend,
                                 aux_columns)
 from cauchybop.polys import peval
 
-from .conftest import random_rational_measure, rational_points_off
+from .conftest import (random_rational_measure, rational_points_off,
+                       term_by_term_power_sums)
 
 
 # -- Markov functions -------------------------------------------------------------
@@ -431,10 +432,10 @@ def test_integer_moment_stream_matches_fraction_loop(atoms, depth):
     moms = MarkovFunction("m", points, masses).moments(depth)
     assert moms == running_power_moments(points, masses, depth)
     assert all(type(m) is F for m in moms)
-    # float data keeps the running-power loop itself, bit for bit
+    # float data sums w * t**j term by term, bit for bit
     fp, fm = tuple(map(float, points)), tuple(map(float, masses))
     assert MarkovFunction("m", fp, fm).moments(depth) == \
-        running_power_moments(fp, fm, depth)
+        term_by_term_power_sums(fp, fm, depth)
 
 
 def per_call_columns(app, side, top, evaluate):
