@@ -7,8 +7,9 @@ shift identity that ties the matrix to the plain moment vectors.
 """
 
 from cauchybop import (check_total_positivity, compute_bimoments,
-                       measure_from_strings, moment, oracle_dn,
+                       measure_from_strings, oracle_dn,
                        rank_one_shift_residual)
+from cauchybop.measure import power_sums
 
 alpha = measure_from_strings([("1", "1"), ("2", "1")])
 beta = measure_from_strings([("1", "1"), ("3", "1")])
@@ -36,8 +37,8 @@ print("smallest minor seen:", cert.min_minor, "at (k, row, col) =",
 res = rank_one_shift_residual(I, alpha, beta)
 print("\nshift identity Lam I + I Lam^T - a b^T, max residual:",
       max(abs(v) for row in res for v in row))
-print("first moments: a =", [str(moment(alpha, j)) for j in range(3)],
-      " b =", [str(moment(beta, j)) for j in range(3)])
+a, b = (power_sums(m.positions(), m.weights(), 3) for m in (alpha, beta))
+print("first moments: a =", [str(v) for v in a], " b =", [str(v) for v in b])
 
 # a measure with a single point of increase degenerates at order 2,
 # and the certificate reports it instead of faking positivity

@@ -33,7 +33,7 @@ from .errors import (CauchybopError, DegenerateMatrixError,
                      PoleEvaluationError, PrecisionExhaustedError,
                      TheoryViolationError)
 from .measure import (Atom, DensityMeasure, DiscreteMeasure, discretize,
-                      measure_from_strings, moment)
+                      measure_from_strings)
 from .nikishin import (MARKOV_TAGS, AuxVectors, MarkovFunction,
                        OrderCertificate, PadeSolution, aux_vectors,
                        duality_check, ecd_hat_residual, ecd_residual,
@@ -44,9 +44,7 @@ from .recurrence import (BandOperator, HattedFamily, OscillationCertificate,
                          four_term_residual, rank_one_XY_residual,
                          tn_oscillatory_certificate)
 from .rhp import (RHMatrix, assemble_gamma, assemble_gamma_hat,
-                  asymptotic_check, constant_jump_postfactor,
-                  extract_constants, jump_residual, jump_slope_study,
-                  two_sided_difference)
+                  asymptotic_check, extract_constants, jump_residual,
+                  jump_slope_study)
 from .series import PowerTail
-from .zeros import (ZeroReport, certify_sign_changes,
-                    charpoly_identity_residual, interlacing_check, zeros_of)
+from .zeros import ZeroReport, charpoly_identity_residual, zeros_of

@@ -58,8 +58,9 @@ from .errors import (CauchybopError, PrecisionExhaustedError,
                      TheoryViolationError)
 from .measure import (Atom, DensityMeasure, DiscreteMeasure, discretize,
                       measure_from_strings)
-from .nikishin import (aux_vectors, duality_check, ecd_residual, f_matrix,
-                       order_check, pade_solve, plucker_residual)
+from .nikishin import (aux_vectors, duality_check, ecd_hat_residual,
+                       ecd_residual, f_hat_matrix, f_matrix, order_check,
+                       pade_solve, plucker_residual)
 from .recurrence import (four_term_residual, rank_one_XY_residual,
                          tn_oscillatory_certificate)
 from .rhp import (assemble_gamma, assemble_gamma_hat, asymptotic_check,
@@ -394,12 +395,17 @@ def _suite_duality(r: Runner, app: Apparatus, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 4)
     w, z = pts[0], pts[3]     # not antipodal, as in _suite_cdi
     for n in _windows(r, app, (2, 3), "extended CD, n={}"):
+        aux = aux_vectors(app, n, w, z)     # read by both identities
+        for label, residual, constants in (
+                ("", ecd_residual, f_matrix),
+                ("hatted ", ecd_hat_residual, f_hat_matrix)):
 
-        def ecd():
-            aux, F = aux_vectors(app, n, w, z), f_matrix(app, w, z)
-            return max(ecd_residual(app, a, b, n, w, z, aux, F)
-                       for a in range(3) for b in range(3))
-        r.run(f"extended CD residual, all 9 windows, n={n}", ecd, n + 2)
+            def ecd():
+                C = constants(app, w, z)
+                return max(residual(app, a, b, n, w, z, aux, C)
+                           for a in range(3) for b in range(3))
+            r.run(f"{label}extended CD residual, all 9 windows, n={n}", ecd,
+                  n + 2)
     for n in _windows(r, app, (2, 3, 4), "perfect duality pairing, n={}"):
 
         def pairing():

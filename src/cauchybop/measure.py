@@ -87,6 +87,13 @@ class DiscreteMeasure:
         return min(pts), max(pts)
 
 
+#: Most Gauss-Legendre nodes a density takes.  numpy's rule builds a dense
+#: order x order matrix, 8 MB at this bound and 728 TiB at 10**7 nodes, and
+#: the bimoments sum over order**2 atom pairs; the float lane's degree cap
+#: stays far below the 2 * order - 1 a rule integrates exactly.
+MAX_QUADRATURE_ORDER = 1000
+
+
 @dataclass(frozen=True)
 class DensityMeasure:
     """Absolutely continuous measure on [a, b] with strictly positive density.
@@ -106,8 +113,9 @@ class DensityMeasure:
             raise ValueError(f"support must satisfy 0 <= a < b, got [{a}, {b}]")
         if (self.density is None) == (self.potential is None):
             raise ValueError("give exactly one of density / potential")
-        if self.order < 1:
-            raise ValueError("quadrature node count must be >= 1")
+        if not 1 <= self.order <= MAX_QUADRATURE_ORDER:
+            raise ValueError(f"quadrature node count must be in 1.."
+                             f"{MAX_QUADRATURE_ORDER}, got {self.order}")
         if not self.hbar > 0:
             raise ValueError(f"hbar must be positive, got {self.hbar}")
 
@@ -153,13 +161,6 @@ def power_sums(points, weights, depth: int) -> list:
     for v in out:
         guard_precision(v)
     return out
-
-
-def moment(m: DiscreteMeasure, j: int):
-    """j-th power moment; exact rational for discrete-rational measures."""
-    if j < 0:
-        raise ValueError("moment order must be nonnegative")
-    return power_sums(m.positions(), m.weights(), j + 1)[j]
 
 
 def discretize(m: DensityMeasure) -> DiscreteMeasure:

@@ -72,7 +72,7 @@ exactly,
                                  [0, W_asb(w), W_asb(w) W_bs(z)]]
 
 (W_b = W_beta, W_bs = W_beta_star, W_asb = W_alpha_star_beta).  The
-customary transcription reads W_beta(z) at (1,1), 1 at (2,0), and a symbol
+duality suite judges both extended identities.  The customary transcription reads W_beta(z) at (1,1), 1 at (2,0), and a symbol
 the definitions never introduce (read as W_asb(w)); it fails exactly at
 those two entries, as ``tests/test_nikishin.py`` pins.
 
@@ -465,12 +465,14 @@ def ecd_residual(app: Apparatus, a: int, b: int, n: int, w, z,
 
 
 def ecd_hat_residual(app: Apparatus, a: int, b: int, n: int, w, z,
-                     aux: AuxVectors | None = None):
-    """Residual of the hatted extended identity for the (a, b) pair."""
+                     aux: AuxVectors | None = None, Fhat=None):
+    """Residual of the hatted extended identity for the (a, b) pair; Fhat,
+    if given, must be ``f_hat_matrix(app, w, z)``."""
     app.require_window(n)
     aux = aux or aux_vectors(app, n, w, z)
+    Fhat = Fhat or f_hat_matrix(app, w, z)
     return _cd_residual(app, n, w + z, aux.qhat[a], aux.phat[b], aux.q[a],
-                        aux.phat[b], z, f_hat_matrix(app, w, z)[a][b])
+                        aux.phat[b], z, Fhat[a][b])
 
 
 def duality_check(app: Apparatus, a: int, b: int, n: int, z,

@@ -38,7 +38,9 @@ F(x0) (log(w-a) - log(w-b)), whose complex branch carries the principal
 value and the +-i pi density term on the two sides of the cut; the
 reflected cut uses -T(g(-y), -w), so one log branch serves both cuts.  The
 residual Gamma_+ - Gamma_- J(w0) is then O(eps) up to quadrature error,
-and is expected to fall linearly as eps shrinks.
+and is expected to fall linearly as eps shrinks.  Its control experiment
+off the cuts, where Gamma_+ - Gamma_- itself shrinks with eps, is read
+from :func:`boundary_matrix` in the tests.
 
 numpy is imported only by the density-backed float code (the split
 Cauchy transform and the slope fit); assembly at rational points of
@@ -54,7 +56,6 @@ from .bimoment import det
 from .bundle import Apparatus
 from .measure import DensityMeasure, gauss_legendre
 from .nikishin import PointBackend, SeriesBackend, aux_columns
-from .polys import peval
 from .scalars import is_exact
 
 
@@ -293,15 +294,6 @@ def jump_residual(app: Apparatus, n: int, w0: float, eps: float,
     return worst / max(scale, 1.0)
 
 
-def two_sided_difference(app: Apparatus, n: int, w0: float, eps: float,
-                         which: str = "gamma") -> float:
-    """max |Gamma(w0 + i eps) - Gamma(w0 - i eps)|: tends to zero off the
-    cuts (analyticity), used as the control experiment for jump_residual."""
-    gp = boundary_matrix(app, n, complex(w0, eps), which)
-    gm = boundary_matrix(app, n, complex(w0, -eps), which)
-    return max(abs(gp[i][j] - gm[i][j]) for i in range(3) for j in range(3))
-
-
 def jump_slope_study(app: Apparatus, n: int, w0: float, eps_list,
                      which: str = "gamma"):
     """Residuals across an eps ladder plus the fitted log-log slope."""
@@ -312,15 +304,3 @@ def jump_slope_study(app: Apparatus, n: int, w0: float, eps_list,
     slope = float(np.polyfit(logs_e, logs_r, 1)[0])
     return residuals, slope
 
-
-def constant_jump_postfactor(U, V, hbar: float, w):
-    """Diagonal post-multiplier turning Gamma's jumps into constants when
-    the densities are exp(-U/hbar), exp(-V/hbar): e.g. the (1,2) jump
-    entry -2 pi i e^{-V/hbar} times the ratio of the first two diagonal
-    exponentials collapses to -2 pi i.  U is evaluated reflected (the
-    second cut lives on the negative axis)."""
-    u_star = peval(tuple(U), -w)
-    v = peval(tuple(V), w)
-    return (cmath.exp(-(2 * v + u_star) / (3 * hbar)),
-            cmath.exp((v - u_star) / (3 * hbar)),
-            cmath.exp((2 * u_star + v) / (3 * hbar)))

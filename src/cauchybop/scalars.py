@@ -15,7 +15,9 @@ noise on the way in.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import log10
 
 from .errors import PrecisionExhaustedError
 
@@ -23,6 +25,12 @@ from .errors import PrecisionExhaustedError
 #: exists to turn a runaway computation into a clean error instead of an
 #: apparent hang.
 _MAX_BITS = 1 << 20
+
+#: Decimal digits of a _MAX_BITS-bit integer: the longest literal, and the
+#: largest decimal exponent, that :func:`parse_exact` accepts.
+_MAX_DIGITS = int(_MAX_BITS * log10(2))
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
 
 
 def guard_precision(value) -> None:
@@ -38,8 +46,24 @@ def guard_precision(value) -> None:
 
 
 def parse_exact(text: str) -> Fraction:
-    """Parse a decimal string ("1.25", "3", "7/4") to an exact rational."""
-    return Fraction(str(text).strip())
+    """Parse a decimal string ("1.25", "3", "7/4") to an exact rational.
+
+    A string longer than ``_MAX_DIGITS`` characters, or with a decimal
+    exponent past it, is refused with :class:`PrecisionExhaustedError`
+    before the Fraction is built: its numerator or denominator would pass
+    ``_MAX_BITS`` bits, and the power of ten alone costs more the larger
+    the exponent."""
+    text = str(text).strip()
+    if len(text) > _MAX_DIGITS:
+        raise PrecisionExhaustedError(
+            f"precision exhausted: a literal of {len(text)} characters "
+            f"exceeds {_MAX_DIGITS} digits")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent[1])) > _MAX_DIGITS:
+        raise PrecisionExhaustedError(
+            f"precision exhausted: decimal exponent {exponent[1]} exceeds "
+            f"{_MAX_DIGITS}")
+    return Fraction(text)
 
 
 def is_exact(x) -> bool:

@@ -8,15 +8,15 @@ multiplication operators:
 (monic normalization; the rational frame used throughout the library is a
 positive diagonal conjugation of the normalized one, so eigenvalues and
 characteristic polynomials agree between frames).  Zeros are therefore
-computed as eigenvalues of the balanced float truncation, and certified
--- when a rigorous count is requested on exact data -- by exact sign
-changes at rational points straddling each float zero.  The tests hold
-the second routes (companion-matrix roots of the coefficient vector, and
-p_n at its own eigenvalues) as oracles.
+computed as eigenvalues of the balanced float truncation.  The tests hold
+the second routes as oracles: companion-matrix roots of the coefficient
+vector, p_n at its own eigenvalues, and on exact data a rigorous count by
+exact sign changes at rational points straddling each float zero.
 
 Theory guarantees the zeros are simple, strictly positive, inside the
 convex hull of the relevant support, and interlaced between consecutive
-degrees.  Those are *checked* properties here, reported per degree.
+degrees.  Those are *checked* properties here, reported per degree by
+:func:`zeros_of` (interlacing against degree n - 1 included).
 
 Eigenvalues are float work: numpy is imported when :func:`zeros_of` runs,
 not with the module, so the exact lane never loads it.
@@ -106,20 +106,6 @@ def _interlacing_margin(zn, zp):
     return min(min(zp[k] - zn[k], zn[k + 1] - zp[k]) for k in range(len(zp)))
 
 
-def interlacing_check(report_n: ZeroReport, report_prev: ZeroReport):
-    """Strict interlacing of two consecutive reports, with the margin.
-
-    Returns (flag, margin) where margin is the smallest signed slack in the
-    chain of inequalities (positive = strict interlacing with room).
-    """
-    if report_prev.degree != report_n.degree - 1:
-        raise ValueError("reports must be for consecutive degrees")
-    if report_n.degree <= 1:
-        return True, float("inf")
-    margin = _interlacing_margin(report_n.zeros, report_prev.zeros)
-    return margin > 0, margin
-
-
 def charpoly_identity_residual(app: Apparatus, which: str, n: int, point):
     """p_n(point) - det(point - X[n-1]) in the monic frame (the sqrt
     prefactor of the normalized statement cancels against monic scaling).
@@ -135,30 +121,3 @@ def charpoly_identity_residual(app: Apparatus, which: str, n: int, point):
             for i in range(n)]
     return peval(coeffs, point) - det(rows, exact)
 
-
-def certify_sign_changes(app: Apparatus, which: str, n: int) -> bool:
-    """Rigorous count of n positive simple zeros by exact sign evaluation.
-
-    Rational test points are placed between consecutive float zeros (and
-    at 0 and past the hull); the monic polynomial must alternate in sign
-    across the n+1 points, which certifies n distinct positive roots.
-    Exact data only.
-    """
-    if not app.exact:
-        raise ValueError("rigorous certification requires exact data")
-    report = zeros_of(app, which, n)
-    coeffs = (app.family.p_monic if which == "p" else app.family.q_monic)[n]
-    zs = report.zeros
-    hi = max(float(max((app.alpha if which == "p" else app.beta)
-                       .positions())), zs[-1] if zs else 1.0)
-    points = [Fraction(0)]
-    for k in range(len(zs) - 1):
-        points.append(Fraction((zs[k] + zs[k + 1]) / 2).limit_denominator(10 ** 9))
-    points.append(Fraction(int(hi) + 1))
-    signs = []
-    for t in points:
-        v = peval(coeffs, t)
-        if v == 0:
-            return False   # landed on a root: refuse rather than guess
-        signs.append(1 if v > 0 else -1)
-    return all(signs[k] != signs[k + 1] for k in range(len(signs) - 1))

@@ -24,7 +24,7 @@ from cauchybop import (DegenerateMatrixError, DensityMeasure,
                        pade_solve, pair, plucker_residual,
                        rank_one_shift_residual, rank_one_XY_residual,
                        verify_block_against_dense, zeros_of,
-                       interlacing_check, charpoly_identity_residual)
+                       charpoly_identity_residual)
 
 from .conftest import (determinantal_oracle, random_rational_measure,
                        rational_points_off)
@@ -117,17 +117,13 @@ def test_criterion_4_recurrence_structure(random_apps, random_pairs):
 def test_criterion_5_zeros(app12):
     t0 = time.monotonic()
     for which in ("p", "q"):
-        prev = None
         for n in range(1, 9):
             rep = zeros_of(app12, which, n)
             assert rep.all_positive and rep.inside_hull
             span = (rep.zeros[-1] - rep.zeros[0]) if n > 1 else 1.0
             if n > 1:
                 assert rep.min_gap > 1e-10 * span
-            if prev is not None:
-                ok, margin = interlacing_check(rep, prev)
-                assert ok
-            prev = rep
+            assert rep.interlaced_with_previous
     for n in range(1, 5):
         for pt in (F(0), F(5, 7), F(-13, 3)):
             assert charpoly_identity_residual(app12, "p", n, pt) == 0

@@ -1,5 +1,6 @@
 import json
 import sys
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -294,12 +295,12 @@ SEVENTEEN_ATOM = {
 
 
 @pytest.mark.parametrize("spec, N, count, skipped", [
-    pytest.param(SIX_ATOM, 3, 43, [
+    pytest.param(SIX_ATOM, 3, 44, [
         "extended CD, n=3 [skipped: needs N >= 4]",
         "perfect duality pairing, n=3 [skipped: needs N >= 4]",
         "perfect duality pairing, n=4 [skipped: needs N >= 5]"],
         id="six atoms N=3"),
-    pytest.param(SEVENTEEN_ATOM, 4, 50, [
+    pytest.param(SEVENTEEN_ATOM, 4, 52, [
         *(f"leading minor D_{n} equals tuple-sum oracle "
           "[skipped: more than 16 atoms]" for n in range(1, 5)),
         "perfect duality pairing, n=4 [skipped: needs N >= 5]"],
@@ -334,6 +335,9 @@ BEYOND_FLOAT = {"alpha": {"type": "discrete", "atoms": [
     {"x": "1e400", "w": "1"}, {"x": "2", "w": "1"}]}, "beta": TWO_ATOM["beta"]}
 SQUARE_BEYOND_FLOAT = {"alpha": {"type": "discrete", "atoms": [
     {"x": "1e200", "w": "1"}, {"x": "2", "w": "1"}]}, "beta": TWO_ATOM["beta"]}
+#: a Gauss-Legendre rule numpy would ask 728 TiB for
+HUGE_QUADRATURE = {"alpha": DENSITY["alpha"], "beta": {
+    **DENSITY["beta"], "quadrature": {"order": 10000000}}}
 MESSAGES = {
     ("rhp", "-n", "1"): "error: -n must be at least 2, got 1\n",
     ("verify", "-N", "2"): "error: -N must be at least 3, got 2\n",
@@ -356,6 +360,8 @@ MESSAGES = {
         "spec: integer division result too large for a float\n",
     ("bop", "-n", "1", "--mode", "float"): "error: precision exhausted: "
         "1e+200 ** 2 overflows a float\n",
+    ("bimoments", "-N", "6", "--mode", "float"): "error: malformed measure "
+        "spec: quadrature node count must be in 1..1000, got 10000000\n",
 }
 
 
@@ -401,6 +407,8 @@ MESSAGES = {
          " [atom past the float range]"),
         (["bop", "-n", "1", "--mode", "float"], SQUARE_BEYOND_FLOAT,
          " [power past the float range]"),
+        (["bimoments", "-N", "6", "--mode", "float"], HUGE_QUADRATURE,
+         " [quadrature order]"),
     ]])
 def test_bad_order_arguments_exit_2(argv, spec, spec_file, tmp_path, capsys):
     path = (str(tmp_path / "missing.json") if spec is MISSING
@@ -414,6 +422,22 @@ def test_bad_order_arguments_exit_2(argv, spec, spec_file, tmp_path, capsys):
     assert len(captured.err.splitlines()) == 1
     if tuple(argv) in MESSAGES:
         assert captured.err == MESSAGES[tuple(argv)].format(path=path)
+
+
+# 10**999999999 is a 415 MB integer, hours of work to build
+@pytest.mark.parametrize("argv, spec", [
+    (["bimoments", "-N", "2"], {**TWO_ATOM, "alpha": {
+        "type": "discrete", "atoms": [{"x": "1e999999999", "w": "1"}]}}),
+    (["bop", "-n", "1", "--point", "1e999999999"], TWO_ATOM)],
+    ids=["atom", "point"])
+def test_huge_decimal_exponent_exits_2_within_a_second(argv, spec, spec_file,
+                                                       capsys):
+    t0 = time.perf_counter()
+    code = main([argv[0], spec_file(spec)] + argv[1:])
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2
+    assert capsys.readouterr() == ("", "error: precision exhausted: decimal "
+                                   "exponent 999999999 exceeds 315652\n")
 
 
 def test_bimoments_float_on_density(spec_file, capsys):
@@ -665,20 +689,47 @@ def test_extended_cd_builds_f_matrix_once_per_window(monkeypatch, spec_file,
     from cauchybop import nikishin
     calls = []
 
-    def counted(app, w, z):
-        calls.append((w, z))
-        return f_matrix(app, w, z)
-    f_matrix = nikishin.f_matrix
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "cauchybop" and \
-                getattr(module, "f_matrix", None) is f_matrix:
-            monkeypatch.setattr(module, "f_matrix", counted)
+    def counting(fn):
+        def counted(app, w, z):
+            calls.append(fn.__name__)
+            return fn(app, w, z)
+        return counted
+    for fn in (nikishin.f_matrix, nikishin.f_hat_matrix):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "cauchybop" and \
+                    getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counting(fn))
     code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "5",
                                  "--suite", "duality"])
     assert code == 0 and payload["status"] == "pass"
     windows = [c for c in payload["checks"]
                if c["name"].startswith("extended CD residual")]
-    assert len(windows) == 2 and len(calls) == len(windows)
+    hatted = [c for c in payload["checks"]
+              if c["name"].startswith("hatted extended CD residual")]
+    assert len(windows) == len(hatted) == 2
+    # one F per plain window, one Fhat per hatted window, and the F that
+    # f_hat_matrix reads its hatted matrix off
+    assert calls.count("f_hat_matrix") == len(hatted)
+    assert calls.count("f_matrix") == len(windows) + len(hatted)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_perturbed_hatted_constant_matrix_fails(mode, monkeypatch, spec_file,
+                                                capsys):
+    from cauchybop import cli
+
+    def perturbed(app, w, z):
+        Fhat = [list(row) for row in f_hat_matrix(app, w, z)]
+        Fhat[2][2] += 1
+        return Fhat
+    f_hat_matrix = cli.f_hat_matrix
+    monkeypatch.setattr(cli, "f_hat_matrix", perturbed)
+    code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "5",
+                                 "--suite", "duality", "--mode", mode])
+    assert code == 1
+    failed = [c["name"] for c in payload["checks"] if c["status"] == "fail"]
+    assert failed and all(name.startswith("hatted extended CD residual")
+                          for name in failed)
 
 
 # exp(-(0.38 x + 0.23 x^2)) on [0.3, 1.75] against exp(-(0.72 y + 0.29 y^2))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cauchybop import (Atom, DensityMeasure, DiscreteMeasure,
                        InvalidDensityError, PrecisionExhaustedError,
-                       discretize, markov, measure_from_strings, moment)
+                       discretize, markov, measure_from_strings)
 from cauchybop import scalars
 from cauchybop.measure import power_sums
 
@@ -16,19 +16,19 @@ from .conftest import term_by_term_power_sums
 
 def test_moment_single_atom_powers_of_one():
     m = measure_from_strings([("1", "1")])
-    assert moment(m, 7) == 1
+    assert power_sums(m.positions(), m.weights(), 8)[7] == 1
 
 
 def test_moment_two_atoms():
     m = measure_from_strings([("1", "1"), ("2", "1")])
-    assert moment(m, 2) == 5
-    assert moment(m, 0) == 2
+    assert power_sums(m.positions(), m.weights(), 3) == [2, 3, 5]
 
 
 def test_moment_is_exact_rational():
     m = measure_from_strings([("0.1", "0.3"), ("2.5", "1")])
     # decimal strings parse exactly: 0.3*0.1 + 1*2.5
-    assert moment(m, 1) == Fraction(3, 100) + Fraction(5, 2)
+    assert power_sums(m.positions(), m.weights(), 2)[1] == \
+        Fraction(3, 100) + Fraction(5, 2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -43,7 +43,7 @@ def test_reflect_negates_exactly_odd_moments(raw, j):
     m = DiscreteMeasure(tuple(Atom(p, w) for p, w in atoms.items()))
     # the reflected measure m* exists only inside the Markov transforms
     assert markov(m, m, "W_alpha_star").moments(j + 1)[j] == \
-        (-1) ** j * moment(m, j)
+        (-1) ** j * power_sums(m.positions(), m.weights(), j + 1)[j]
 
 
 #: signed points and signed (or zero) weights, as ints or as Fractions
@@ -125,5 +125,5 @@ def test_precision_guard_trips_and_restores(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(scalars, "_MAX_BITS", 64)
         with pytest.raises(PrecisionExhaustedError):
-            moment(m, 40)
-    assert moment(m, 40) > 0
+            power_sums(m.positions(), m.weights(), 41)
+    assert power_sums(m.positions(), m.weights(), 41)[40] > 0

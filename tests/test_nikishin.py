@@ -9,11 +9,12 @@ from cauchybop import (Atom, DiscreteMeasure, MarkovFunction,
                        PoleEvaluationError, PowerTail, aux_vectors,
                        build_apparatus, duality_check, ecd_hat_residual,
                        ecd_residual, f_hat_matrix, markov,
-                       measure_from_strings, moment, order_check, pade_solve,
+                       measure_from_strings, order_check, pade_solve,
                        pair, plucker_residual, polynomial_part)
 from cauchybop.cdkernel import _cd_residual
 from cauchybop.nikishin import (MARKOV_TAGS, PointBackend, SeriesBackend,
                                 aux_columns)
+from cauchybop.measure import power_sums
 from cauchybop.polys import peval
 
 from .conftest import (random_rational_measure, rational_points_off,
@@ -33,10 +34,12 @@ def test_single_atom_pointwise():
 def test_series_first_coefficient_is_mass(six_atom_pair):
     alpha, beta = six_atom_pair
     w = markov(alpha, beta, "W_beta")
-    assert w.series(3).coeff(-1) == moment(beta, 0)
+    assert w.series(3).coeff(-1) == power_sums(beta.positions(),
+                                               beta.weights(), 1)[0]
     ws = markov(alpha, beta, "W_alpha_star")
-    assert ws.series(4).coeff(-3) == moment(alpha, 2)
-    assert ws.series(4).coeff(-2) == -moment(alpha, 1)
+    a = power_sums(alpha.positions(), alpha.weights(), 3)
+    assert ws.series(4).coeff(-3) == a[2]
+    assert ws.series(4).coeff(-2) == -a[1]
 
 
 def test_folded_series_leading_is_bimoment(two_atom_pair):
@@ -152,7 +155,8 @@ def test_pade_degree_one_polynomial_part(two_atom_pair):
     app = build_apparatus(alpha, beta, N=1)
     sol = pade_solve(app, 1, "q")
     # monic Q of degree 1: divided difference against beta is the mass
-    assert sol.P1 == (moment(beta, 0),) == (F(2),)
+    assert sol.P1 == (power_sums(beta.positions(), beta.weights(), 1)[0],) \
+        == (F(2),)
 
 
 def test_pade_remainder_series_leading(two_atom_pair):
@@ -235,7 +239,7 @@ def verify_phat1_both_ways(app, n, z):
     collapses to -1 in every component).  Returns the maximum componentwise
     difference, exact 0 on exact data."""
     p_all, phat = aux_columns(app, "p", n + 1, PointBackend(z))
-    beta0 = moment(app.beta, 0)
+    beta0 = power_sums(app.beta.positions(), app.beta.weights(), 1)[0]
     fam = app.family
     v = [p_all[1][k] + pair(app.I, fam.p_monic[k], (1,)) / beta0
          for k in range(n + 2)]
@@ -289,7 +293,8 @@ def test_transcription_diagnostic_pins_defective_entries(app6, aux23):
     auxmap, (w, z) = aux23
     aux = auxmap[3]
     W_b = app6.markov["W_beta"]
-    scale = (w + z) / moment(app6.beta, 0)
+    scale = (w + z) / power_sums(app6.beta.positions(), app6.beta.weights(),
+                               1)[0]
     literal = [list(row) for row in f_hat_matrix(app6, w, z)]
     literal[1][1] -= scale * (W_b(z) - W_b(w))
     literal[2][0] -= scale
@@ -315,7 +320,7 @@ def lemma_constructive_residuals(app, n, w, z):
     """
     aux = aux_vectors(app, n, w, z)
     fam = app.family
-    beta0 = moment(app.beta, 0)
+    beta0 = power_sums(app.beta.positions(), app.beta.weights(), 1)[0]
     wbs = markov(app.alpha, app.beta, "W_beta_star")(z)
     worst = 0
     for a in range(3):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from cauchybop import (BandOperator, DensityMeasure,
                        OrderUnderflowError, build_apparatus, build_family,
                        build_XY, compute_bimoments, dense_commutator,
-                       four_term_residual, moment, pair,
+                       four_term_residual, pair,
                        rank_one_XY_residual, tn_oscillatory_certificate)
 from cauchybop.bimoment import det, minor
+from cauchybop.measure import power_sums
 from cauchybop.polys import peval
 
 from .conftest import random_rational_measure, rational_points_off, shifted
@@ -233,7 +234,8 @@ def test_four_term_at_zero_and_window(app6):
 def test_hatted_defining_properties(app6):
     hat = app6.hatted
     fam = app6.family
-    beta_moms = [moment(app6.beta, j) for j in range(app6.N + 2)]
+    beta_moms = power_sums(app6.beta.positions(), app6.beta.weights(),
+                           app6.N + 2)
     for n in range(app6.N):
         assert len(hat.q_hat[n]) == n + 2        # degree n + 1
         assert len(hat.p_hat[n]) == n + 1        # degree n
@@ -249,18 +251,19 @@ def test_hatted_defining_properties(app6):
 
 def test_phat_constant_pairing(app6):
     # <phat_n | 1> / beta_0 = -1 for every n
-    beta0 = moment(app6.beta, 0)
+    beta0 = power_sums(app6.beta.positions(), app6.beta.weights(), 1)[0]
     for n in range(app6.N + 1):
         assert pair(app6.I, app6.hatted.p_hat[n], (1,)) == -beta0
 
 
 def test_phat_pairs_like_beta_moments(app6):
     # <phat_n | y^j> = -beta_j for j <= n
+    beta_moms = power_sums(app6.beta.positions(), app6.beta.weights(),
+                           app6.N + 1)
     for n in range(app6.N + 1):
         for j in range(n + 1):
             ypow = tuple([0] * j + [1])
-            assert pair(app6.I, app6.hatted.p_hat[n], ypow) == \
-                -moment(app6.beta, j)
+            assert pair(app6.I, app6.hatted.p_hat[n], ypow) == -beta_moms[j]
 
 
 def hatted_determinantal_oracle(I, beta_moments, family, n):
@@ -299,7 +302,8 @@ def hatted_determinantal_oracle(I, beta_moments, family, n):
 
 
 def test_hatted_determinantal_oracle(app6):
-    beta_moms = [moment(app6.beta, j) for j in range(app6.N + 2)]
+    beta_moms = power_sums(app6.beta.positions(), app6.beta.weights(),
+                           app6.N + 2)
     for n in range(app6.N - 1):
         qh, ph = hatted_determinantal_oracle(app6.I, beta_moms, app6.family, n)
         assert qh == app6.hatted.q_hat[n]

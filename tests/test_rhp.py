@@ -6,9 +6,9 @@ import pytest
 
 from cauchybop import (DensityMeasure, OrderUnderflowError, assemble_gamma,
                        assemble_gamma_hat, asymptotic_check, build_apparatus,
-                       constant_jump_postfactor, extract_constants,
-                       jump_residual, jump_slope_study, two_sided_difference)
+                       extract_constants, jump_residual, jump_slope_study)
 from cauchybop.nikishin import PointBackend, aux_columns, markov
+from cauchybop.polys import peval
 from cauchybop.rhp import boundary_matrix, jump_matrix, series_at_infinity
 
 from .conftest import rational_points_off
@@ -208,6 +208,13 @@ def test_jump_residual_potential_density():
         assert residuals[0] < 1e-2
 
 
+def two_sided_difference(app, n, w0, eps):
+    """max |Gamma(w0 + i eps) - Gamma(w0 - i eps)|: tends to zero off the
+    cuts (analyticity), the control experiment for jump_residual."""
+    gp, gm = (boundary_matrix(app, n, complex(w0, s * eps)) for s in (1, -1))
+    return max(abs(gp[i][j] - gm[i][j]) for i in range(3) for j in range(3))
+
+
 def test_analyticity_off_support(appd):
     d5 = two_sided_difference(appd, 2, 3.0, 1e-5)
     d6 = two_sided_difference(appd, 2, 3.0, 1e-6)
@@ -217,6 +224,19 @@ def test_analyticity_off_support(appd):
 def test_jump_requires_density(app6):
     with pytest.raises(ValueError):
         jump_residual(app6, 2, 1.5, 1e-4)
+
+
+def constant_jump_postfactor(U, V, hbar, w):
+    """Diagonal post-multiplier turning Gamma's jumps into constants when
+    the densities are exp(-U/hbar), exp(-V/hbar): e.g. the (1,2) jump
+    entry -2 pi i e^{-V/hbar} times the ratio of the first two diagonal
+    exponentials collapses to -2 pi i.  U is evaluated reflected (the
+    second cut lives on the negative axis)."""
+    u_star = peval(tuple(U), -w)
+    v = peval(tuple(V), w)
+    return (cmath.exp(-(2 * v + u_star) / (3 * hbar)),
+            cmath.exp((v - u_star) / (3 * hbar)),
+            cmath.exp((2 * u_star + v) / (3 * hbar)))
 
 
 def test_constant_jump_postfactor_flattens_jumps():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from cauchybop import (OrderUnderflowError, build_apparatus,
-                       certify_sign_changes, charpoly_identity_residual,
-                       interlacing_check, zeros_of)
+                       charpoly_identity_residual, zeros_of)
 from cauchybop.polys import peval
 
 from .conftest import random_rational_measure
@@ -68,22 +67,24 @@ def test_zeros_positive_simple_in_hull(app12):
             assert companion_deviation(app12, which, rep) < 1e-8
 
 
+def strictly_interlaced(zn, zp):
+    """z1(n) < z1(n-1) < z2(n) < ... < z_{n-1}(n-1) < zn(n), read off the
+    sorted zeros of consecutive degrees."""
+    chain = [z for pair in zip(zn, zp) for z in pair] + [zn[-1]]
+    return all(a < b for a, b in zip(chain, chain[1:]))
+
+
 def test_interlacing_all_consecutive_degrees(app12):
     for which in ("p", "q"):
         reports = [zeros_of(app12, which, n) for n in range(1, 9)]
         for k in range(1, len(reports)):
-            ok, margin = interlacing_check(reports[k], reports[k - 1])
-            assert ok and margin > 0
+            assert strictly_interlaced(reports[k].zeros, reports[k - 1].zeros)
             assert reports[k].interlaced_with_previous
 
 
 def test_interlacing_vacuous_for_degree_one(app12):
-    r1 = zeros_of(app12, "p", 1)
-    r0 = zeros_of(app12, "p", 0)
-    ok, margin = interlacing_check(r1, r0)
-    assert ok and margin == float("inf")
-    with pytest.raises(ValueError):
-        interlacing_check(r1, r1)
+    assert zeros_of(app12, "p", 1).interlaced_with_previous is True
+    assert zeros_of(app12, "p", 0).interlaced_with_previous is None
 
 
 def test_charpoly_identity_exact(app6):
@@ -112,6 +113,32 @@ def test_charpoly_identity_float(app12):
 def test_residual_at_computed_zero_small(app12):
     rep = zeros_of(app12, "p", 6)
     assert residual_at_zeros(app12, "p", rep) < 1e-8
+
+
+def certify_sign_changes(app, which, n):
+    """Rigorous count of n positive simple zeros by exact sign evaluation.
+
+    Rational test points are placed between consecutive float zeros (and
+    at 0 and past the hull); the monic polynomial must alternate in sign
+    across the n+1 points, which certifies n distinct positive roots.
+    Exact data only.
+    """
+    assert app.exact, "rigorous certification requires exact data"
+    zs = zeros_of(app, which, n).zeros
+    coeffs = _coeffs(app, which, n)
+    hi = max(float(max((app.alpha if which == "p" else app.beta)
+                       .positions())), zs[-1] if zs else 1.0)
+    points = [F(0)]
+    for k in range(len(zs) - 1):
+        points.append(F((zs[k] + zs[k + 1]) / 2).limit_denominator(10 ** 9))
+    points.append(F(int(hi) + 1))
+    signs = []
+    for t in points:
+        v = peval(coeffs, t)
+        if v == 0:
+            return False   # landed on a root: refuse rather than guess
+        signs.append(1 if v > 0 else -1)
+    return all(signs[k] != signs[k + 1] for k in range(len(signs) - 1))
 
 
 def test_rigorous_sign_change_certificate(app12):
