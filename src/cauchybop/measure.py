@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 from .errors import InvalidDensityError, PrecisionExhaustedError
 from .polys import peval
-from .scalars import guard_precision, is_exact, parse_exact
+from .scalars import guard_bits, guard_precision, is_exact, parse_exact
 
 
 @dataclass(frozen=True)
@@ -113,6 +113,10 @@ class DensityMeasure:
             raise ValueError(f"support must satisfy 0 <= a < b, got [{a}, {b}]")
         if (self.density is None) == (self.potential is None):
             raise ValueError("give exactly one of density / potential")
+        # bool is an int subclass, but True is no node count
+        if isinstance(self.order, bool) or not isinstance(self.order, int):
+            raise ValueError(f"quadrature order must be an integer, got "
+                             f"{self.order!r}")
         if not 1 <= self.order <= MAX_QUADRATURE_ORDER:
             raise ValueError(f"quadrature node count must be in 1.."
                              f"{MAX_QUADRATURE_ORDER}, got {self.order}")
@@ -136,14 +140,19 @@ def power_sums(points, weights, depth: int) -> list:
     w_k = b_k / E (D, E the lcms of the denominators), sum j is
     sum_k b_k a_k**j / (E D**j), one Fraction per sum.  Float data sums
     w * t**j term by term; a power past the float range raises
-    :class:`PrecisionExhaustedError`."""
+    :class:`PrecisionExhaustedError`.  So does exact data whose common
+    denominator, or one of whose terms b_k a_k**j, would pass the exact
+    lane's bit bound: refused before the work, whose gcds on integers of
+    millions of bits would take seconds to minutes."""
     if all(is_exact(v) for v in (*points, *weights)):
-        D = lcm(*(t.denominator for t in points))
-        E = lcm(*(w.denominator for w in weights))
+        D, E = _common_denominator(points), _common_denominator(weights)
         sums = [0] * depth
         for t, w in zip(points, weights):
             a = t.numerator * (D // t.denominator)
             b = w.numerator * (E // w.denominator)
+            # a lower bound on the bits of the top term b * a**(depth - 1)
+            guard_bits(abs(b).bit_length() - 1 + (depth - 1)
+                       * (abs(a).bit_length() - 1), "a power sum term")
             for j in range(depth):
                 sums[j] += b
                 b *= a
@@ -161,6 +170,16 @@ def power_sums(points, weights, depth: int) -> list:
     for v in out:
         guard_precision(v)
     return out
+
+
+def _common_denominator(values) -> int:
+    """The lcm of the denominators of exact values, refused as soon as it
+    passes the exact lane's bit bound."""
+    D = 1
+    for v in values:
+        D = lcm(D, v.denominator)
+        guard_bits(D.bit_length(), "a common denominator")
+    return D
 
 
 def discretize(m: DensityMeasure) -> DiscreteMeasure:

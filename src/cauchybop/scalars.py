@@ -33,16 +33,21 @@ _MAX_DIGITS = int(_MAX_BITS * log10(2))
 _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)$")
 
 
+def guard_bits(bits: int, what: str) -> None:
+    """Raise :class:`PrecisionExhaustedError` if `what`, an exact integer of
+    `bits` bits (or a bound on them), outgrew the bound."""
+    if bits > _MAX_BITS:
+        raise PrecisionExhaustedError(
+            f"precision exhausted: {what} exceeds {_MAX_BITS} bits")
+
+
 def guard_precision(value) -> None:
     """Raise :class:`PrecisionExhaustedError` if an exact value outgrew the bound."""
     if isinstance(value, Fraction):
-        if (value.numerator.bit_length() > _MAX_BITS
-                or value.denominator.bit_length() > _MAX_BITS):
-            raise PrecisionExhaustedError(
-                f"precision exhausted: rational exceeds {_MAX_BITS} bits")
-    elif isinstance(value, int) and value.bit_length() > _MAX_BITS:
-        raise PrecisionExhaustedError(
-            f"precision exhausted: integer exceeds {_MAX_BITS} bits")
+        guard_bits(max(value.numerator.bit_length(),
+                       value.denominator.bit_length()), "rational")
+    elif isinstance(value, int):
+        guard_bits(value.bit_length(), "integer")
 
 
 def parse_exact(text: str) -> Fraction:

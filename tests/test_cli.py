@@ -267,19 +267,41 @@ def test_usage_error_on_bad_flags(capsys):
     assert main(["no-such-command"]) == 2
 
 
+def test_repeated_main_calls_build_one_parser(monkeypatch, spec_file,
+                                              capsys):
+    # in-process runs share one parser tree: the program's parser and one
+    # parser per subcommand, 7 in all, however many times main runs
+    import argparse
+
+    from cauchybop import cli
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert main(["verify", spec_file(SIX_ATOM), "-N", "3", "--suite",
+                     "tp"]) == 0
+    capsys.readouterr()
+    assert len(built) == 7
+
+
 def test_verify_elapsed_times_the_check(monkeypatch, spec_file, capsys):
     # each suite hands the runner the computation, so a slow oracle shows
     # up in the elapsed time of its own check
     import time
 
-    import cauchybop.cli as cli_mod
-    oracle = cli_mod.oracle_dn
+    from cauchybop import suites
+    oracle = suites.oracle_dn
 
     def slow_oracle(*args, **kwargs):
         time.sleep(0.05)
         return oracle(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "oracle_dn", slow_oracle)
+    monkeypatch.setattr(suites, "oracle_dn", slow_oracle)
     code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "3",
                                  "--suite", "tp"])
     assert code == 0
@@ -338,6 +360,11 @@ SQUARE_BEYOND_FLOAT = {"alpha": {"type": "discrete", "atoms": [
 #: a Gauss-Legendre rule numpy would ask 728 TiB for
 HUGE_QUADRATURE = {"alpha": DENSITY["alpha"], "beta": {
     **DENSITY["beta"], "quadrature": {"order": 10000000}}}
+#: quadrature orders that int() would read as 2 and as 1
+FRACTIONAL_ORDER, BOOLEAN_ORDER = (
+    {"alpha": DENSITY["alpha"], "beta": {
+        **DENSITY["beta"], "quadrature": {"order": order}}}
+    for order in (2.5, True))
 MESSAGES = {
     ("rhp", "-n", "1"): "error: -n must be at least 2, got 1\n",
     ("verify", "-N", "2"): "error: -N must be at least 3, got 2\n",
@@ -362,6 +389,10 @@ MESSAGES = {
         "1e+200 ** 2 overflows a float\n",
     ("bimoments", "-N", "6", "--mode", "float"): "error: malformed measure "
         "spec: quadrature node count must be in 1..1000, got 10000000\n",
+    ("bimoments", "-N", "7", "--mode", "float"): "error: malformed measure "
+        "spec: quadrature order must be an integer, got 2.5\n",
+    ("bimoments", "-N", "8", "--mode", "float"): "error: malformed measure "
+        "spec: quadrature order must be an integer, got True\n",
 }
 
 
@@ -409,6 +440,10 @@ MESSAGES = {
          " [power past the float range]"),
         (["bimoments", "-N", "6", "--mode", "float"], HUGE_QUADRATURE,
          " [quadrature order]"),
+        (["bimoments", "-N", "7", "--mode", "float"], FRACTIONAL_ORDER,
+         " [fractional quadrature order]"),
+        (["bimoments", "-N", "8", "--mode", "float"], BOOLEAN_ORDER,
+         " [boolean quadrature order]"),
     ]])
 def test_bad_order_arguments_exit_2(argv, spec, spec_file, tmp_path, capsys):
     path = (str(tmp_path / "missing.json") if spec is MISSING
@@ -438,6 +473,23 @@ def test_huge_decimal_exponent_exits_2_within_a_second(argv, spec, spec_file,
     assert code == 2
     assert capsys.readouterr() == ("", "error: precision exhausted: decimal "
                                    "exponent 999999999 exceeds 315652\n")
+
+
+# literals just inside the parse bound: 1.05 M-bit integers whose power
+# sums would take gcds of millions of bits for minutes
+@pytest.mark.parametrize("x", ["1e-315000", "1e315000"])
+def test_literal_inside_the_parse_bound_exits_2_within_2_s(x, spec_file,
+                                                           capsys):
+    spec = {**TWO_ATOM, "alpha": {"type": "discrete",
+                                  "atoms": [{"x": x, "w": "1"}]}}
+    t0 = time.perf_counter()
+    code = main(["bimoments", spec_file(spec), "-N", "2"])
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: precision exhausted:")
+    assert len(err.splitlines()) == 1
 
 
 def test_bimoments_float_on_density(spec_file, capsys):
@@ -716,14 +768,14 @@ def test_extended_cd_builds_f_matrix_once_per_window(monkeypatch, spec_file,
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_perturbed_hatted_constant_matrix_fails(mode, monkeypatch, spec_file,
                                                 capsys):
-    from cauchybop import cli
+    from cauchybop import suites
 
     def perturbed(app, w, z):
         Fhat = [list(row) for row in f_hat_matrix(app, w, z)]
         Fhat[2][2] += 1
         return Fhat
-    f_hat_matrix = cli.f_hat_matrix
-    monkeypatch.setattr(cli, "f_hat_matrix", perturbed)
+    f_hat_matrix = suites.f_hat_matrix
+    monkeypatch.setattr(suites, "f_hat_matrix", perturbed)
     code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "5",
                                  "--suite", "duality", "--mode", mode])
     assert code == 1
@@ -770,14 +822,14 @@ def test_exact_mode_refuses_a_density(argv, spec_file, capsys):
 
 def test_tp_floor_uses_the_clipped_kmax(monkeypatch, spec_file, capsys):
     # -N 3 builds bimoments of order 5, so --kmax 12 certifies 5x5 minors
-    from cauchybop import cli
+    from cauchybop import suites
     seen = []
-    certify = cli.check_total_positivity
+    certify = suites.check_total_positivity
 
     def captured(I, kmax, tol=0.0):
         seen.append((I, kmax, tol))
         return certify(I, kmax, tol=tol)
-    monkeypatch.setattr(cli, "check_total_positivity", captured)
+    monkeypatch.setattr(suites, "check_total_positivity", captured)
     code, _ = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "3",
                            "--kmax", "12", "--suite", "tp", "--mode", "float"])
     assert code == 0
