@@ -13,15 +13,14 @@ enumeration is exponential.  Only this kernel is built here; another
 kernel's matrix, as a :class:`BimomentMatrix`, still factors through
 :func:`~cauchybop.bop.build_family`, without the theorems behind the checks.
 
-Two independent routes compute the leading principal minors D_n:
-
-* fraction-free (Bareiss) elimination on the matrix itself, and
-* :func:`oracle_dn`, the symmetrized sum over n-tuples of atoms
-  w_X w_Y Delta(X)**2 Delta(Y)**2 / prod (x_i + y_j), with the Cauchy
-  determinant in closed form -- a combinatorial formula that never sees
-  the matrix and never eliminates.
-
-Exact inputs make the agreement test literal equality.
+The matrix is eliminated once, on first use (:attr:`BimomentMatrix.ldu`),
+by an unpivoted LDU (a totally positive matrix needs no pivoting; Cryer,
+Linear Algebra Appl. 7, 1973).  Its pivots are the norms h_n = D_{n+1}/D_n
+that the families and X, Y read, so their prefix products are the
+leading minors D_n.  The independent route is :func:`oracle_dn`, the
+tuple sum w_X w_Y Delta(X)**2 Delta(Y)**2 / prod (x_i + y_j) with the
+Cauchy determinant in closed form: it never sees the matrix and never
+eliminates.  Exact inputs make the agreement test literal equality.
 
 The Cauchy kernel also satisfies a rank-one shift identity: with Lam the
 upper shift matrix and a, b the moment vectors of the two measures,
@@ -39,8 +38,10 @@ never loads it.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 
 from .errors import TheoryViolationError
@@ -127,13 +128,42 @@ class BimomentMatrix:
         i, j = ij
         return self.entries[i][j]
 
+    @cached_property
+    def ldu(self):
+        """The Doolittle LDU of the whole matrix, run once: (L, U, W, h),
+        L and U unit triangular, W = D U and h its pivots h_0, h_1, ...  It
+        stops at the first zero pivot, which h leaves out.  No pivoting:
+        valid Cauchy input is totally positive, so every leading minor is
+        positive and unpivoted elimination is the stable choice.
+        """
+        n = self.order
+        L = [[Fraction(0)] * n for _ in range(n)]
+        U = [[Fraction(0)] * n for _ in range(n)]
+        W = [[Fraction(0)] * n for _ in range(n)]
+        h = []
+        for k in range(n):
+            acc = self[k, k] - sum(L[k][m] * W[m][m] * U[m][k] for m in range(k))
+            if acc == 0:
+                break
+            h.append(acc)
+            W[k][k] = acc
+            L[k][k] = U[k][k] = 1
+            for i in range(k + 1, n):
+                L[i][k] = (self[i, k] - sum(L[i][m] * W[m][m] * U[m][k] for m in range(k))) / acc
+            for j in range(k + 1, n):
+                W[k][j] = self[k, j] - sum(L[k][m] * W[m][m] * U[m][j] for m in range(k))
+                U[k][j] = W[k][j] / acc
+        return L, U, W, tuple(h)
+
     def leading_minors(self):
-        """[D_1, ..., D_order] by fraction-free elimination (D_0 = 1 by
-        convention and is not stored).  Negative values in exact mode can
-        only come from corrupted input and raise."""
-        minors = tuple(
-            det([row[: n + 1] for row in self.entries[: n + 1]], self.exact)
-            for n in range(self.order))
+        """[D_1, ..., D_order] (D_0 = 1 is not stored), the prefix products
+        of the pivots and 0 past a zero pivot, as D_k > 0 exactly up to the
+        smaller atom count.  Negative values in exact mode can only come
+        from corrupted input and raise."""
+        h = self.ldu[3]
+        zero = Fraction(0) if self.exact else 0.0
+        minors = (*itertools.accumulate(h, operator.mul),
+                  *(zero,) * (self.order - len(h)))
         for n, d in enumerate(minors):
             if self.exact and d < 0:
                 raise TheoryViolationError(

@@ -5,16 +5,14 @@ p_n(x), q_n(y) are fixed by
 
     <p_n | q_m> = h_n delta_{nm},     h_n = D_{n+1} / D_n > 0,
 
-and are produced here by the triangular (LDU) factorization of I: with
-I = L diag(h) U for unit triangular L, U, the coefficient triangles are
-S_p = L^{-1} and S_q = U^{-T}, so p = S_p [x] and q = S_q [y] in the
-monomial basis.  The family keeps L and D U too: they are the pairings
-<x^i | q*_k> = L[i][k] and <p_n | y^j> = h_n U[n][j] that X and Y are
-expanded from (to power N+1 when I has order N+2).  In exact mode every
-statement below is literal rational equality.  The factorization is the
-one construction; the tests hold the independent one (cofactor expansion
-of the bordered determinants) and assert coefficient-by-coefficient
-agreement.
+and are read here from the one triangular (LDU) factorization of I,
+:attr:`~cauchybop.bimoment.BimomentMatrix.ldu`: with I = L diag(h) U for
+unit triangular L, U, the coefficient triangles are S_p = L^{-1} and
+S_q = U^{-T}, so p = S_p [x] and q = S_q [y] in the monomial basis, and
+the pivots are the norms.  In exact mode every statement below is literal
+rational equality.  The factorization is the one construction; the tests
+hold the independent one (cofactor expansion of the bordered
+determinants) and assert coefficient-by-coefficient agreement.
 
 The exact pipeline works exclusively with monic data (and the rescaled
 family q_n / h_n, which pairs with monic p_n to a biorthoNORMAL system
@@ -26,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .bimoment import BimomentMatrix
 from .errors import (DegenerateMatrixError, PrecisionExhaustedError,
@@ -49,33 +46,6 @@ def pair(I: BimomentMatrix, a_coeffs, b_coeffs):
     return total
 
 
-def _ldu(I: BimomentMatrix, size: int):
-    """Doolittle LDU with unit triangles, returned as L, U and W = D U,
-    whose diagonal holds the pivots h_0, ..., h_{size-1}.  If I has order
-    size+1, L gets a row and U, W a column more, with no pivot h_size.
-
-    No pivoting: for valid Cauchy input the matrix is totally positive, all
-    leading minors are positive and unpivoted elimination is the stable
-    choice (and in exact mode stability is moot).
-    """
-    ext = min(I.order, size + 1)
-    L = [[Fraction(0)] * size for _ in range(ext)]
-    U = [[Fraction(0)] * ext for _ in range(size)]
-    W = [[Fraction(0)] * ext for _ in range(size)]
-    for k in range(size):
-        acc = I[k, k] - sum(L[k][m] * W[m][m] * U[m][k] for m in range(k))
-        if acc == 0:
-            raise DegenerateMatrixError(k + 1)
-        W[k][k] = acc
-        L[k][k] = U[k][k] = 1
-        for i in range(k + 1, ext):
-            L[i][k] = (I[i, k] - sum(L[i][m] * W[m][m] * U[m][k] for m in range(k))) / acc
-        for j in range(k + 1, ext):
-            W[k][j] = I[k, j] - sum(L[k][m] * W[m][m] * U[m][j] for m in range(k))
-            U[k][j] = W[k][j] / acc
-    return L, U, W
-
-
 def _invert_unit_lower(L, size):
     inv = [[0] * size for _ in range(size)]
     for i in range(size):
@@ -92,15 +62,11 @@ class PolynomialFamily:
     p_monic[n], q_monic[n] hold the monic coefficients (lowest power
     first); h[n] = D_{n+1}/D_n are the exact norms; pi_monic / eta_monic
     are the measure averages of the monic polynomials once attached.
-    x_table[i][k] = <x^i | q*_k> and y_table[j][k] = <p_k | y^j> are the
-    pairings of powers up to N+1 (see build_XY) with the family.
     """
     N: int
     p_monic: tuple
     q_monic: tuple
     h: tuple
-    x_table: tuple
-    y_table: tuple
     exact: bool
     pi_monic: tuple | None = None
     eta_monic: tuple | None = None
@@ -125,13 +91,17 @@ def build_family(I: BimomentMatrix, N: int,
                  beta: DiscreteMeasure | None = None) -> PolynomialFamily:
     """Monic biorthogonal families of degrees 0..N from the bimoment matrix.
 
-    Requires I of order at least N+1.  If measures are supplied the average
-    vectors are attached (see :func:`averages`).
+    Requires I of order at least N+1, whose factorization reaches pivot
+    h_N; a zero pivot before it raises the degenerate-matrix error at its
+    order.  If measures are supplied the average vectors are attached (see
+    :func:`averages`).
     """
     size = N + 1
     if I.order < size:
         raise ValueError(f"bimoment order {I.order} too small for degree {N}")
-    L, U, W = _ldu(I, size)
+    L, U, _, h = I.ldu
+    if len(h) < size:
+        raise DegenerateMatrixError(len(h) + 1)
     sp = _invert_unit_lower(L, size)
     # S_q^T = U^{-1}: invert the unit lower triangle U^T.
     sq = _invert_unit_lower(tuple(zip(*U)), size)
@@ -139,9 +109,7 @@ def build_family(I: BimomentMatrix, N: int,
         N=N,
         p_monic=tuple(tuple(sp[n][: n + 1]) for n in range(size)),
         q_monic=tuple(tuple(sq[n][: n + 1]) for n in range(size)),
-        h=tuple(W[k][k] for k in range(size)),
-        x_table=tuple(map(tuple, L)),
-        y_table=tuple(zip(*W)),
+        h=h[:size],
         exact=I.exact,
     )
     if alpha is not None and beta is not None:

@@ -1,10 +1,10 @@
 """One-stop construction of the whole apparatus for a measure pair.
 
 The :class:`Apparatus` bundles everything the verification modules need:
-bimoments (two orders past the family degree, for the shift), the monic
-family with its averages, the multiplication operators, the banded
-factors, and the hatted families.  It is immutable after construction and
-safe to share across threads.
+bimoments (two orders past the family degree, for the shift) and their
+one LDU, the monic family with its averages, the multiplication
+operators, the banded factors, and the hatted families.  It is immutable
+after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ def biorthonormality_defects(app: Apparatus):
     how many digits the factorization actually retained per degree, which
     is the honest way to pick a working window: the conditioning of
     bimoment matrices grows so fast that fixed degree limits would either
-    waste well-conditioned input or trust garbage.  Degree N+1 takes one
-    more LDU step on the bimoments (order N+2): the last rows of X, A and
-    Ahat read it, and so does every check at window N-1.
+    waste well-conditioned input or trust garbage.  Degree N+1 is the last
+    pivot of the one LDU of the bimoments (order N+2): the last rows of X,
+    A and Ahat read it, and so does every check at window N-1.
     """
     from .bop import pair
     try:

@@ -181,10 +181,12 @@ def cmd_bimoments(args) -> int:
     cert = tp_certificate(I, args.kmax)
     # no family: the shift reads degree 0, where the ladder is at the floor
     shift_ok = check_shift(Runner(None if I.exact else (0,)), I, alpha, beta)
-    degenerate = [n + 1 for n, d in enumerate(D) if d == 0]
-    if degenerate:
+    # D_k > 0 exactly when k <= m (oracle_dn's tuple sum), in both lanes;
+    # a float D_k may round to 0.0 below that, or miss 0 past it
+    m = min(len(alpha), len(beta))
+    if m < N:
         warnings.append(
-            f"degenerate: leading minor vanishes at order {degenerate[0]} "
+            f"degenerate: leading minor vanishes at order {m + 1} "
             "(measure has fewer points of increase)")
     payload = {
         "order": N,

@@ -2,8 +2,8 @@
 
 The library distinguishes three kinds of failure:
 
-* bad input (malformed measures, a non-positive density at a quadrature
-  node, evaluation on a pole or cut) -- ``ValueError``,
+* bad input (malformed measures, a non-positive or non-finite density at
+  a quadrature node, evaluation on a pole or cut) -- ``ValueError``,
   :class:`InvalidDensityError` and :class:`PoleEvaluationError`;
 * degeneracy (a measure with too few points of increase makes a leading
   minor vanish) -- reported, recoverable;
@@ -26,7 +26,8 @@ class PrecisionExhaustedError(CauchybopError):
 
 
 class InvalidDensityError(CauchybopError):
-    """Density evaluated non-positive at a quadrature node."""
+    """Density evaluated non-positive, or past the float range, at a
+    quadrature node."""
 
 
 class DegenerateMatrixError(CauchybopError):

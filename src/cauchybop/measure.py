@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import inf, lcm
 from typing import Callable, Sequence
 
 from .errors import InvalidDensityError, PrecisionExhaustedError
@@ -127,7 +127,8 @@ class DensityMeasure:
         if self.density is not None:
             return float(self.density(x))
         import numpy as np
-        return float(np.exp(-peval(tuple(self.potential), x) / self.hbar))
+        with np.errstate(over="ignore"):    # inf, refused by discretize
+            return float(np.exp(-peval(tuple(self.potential), x) / self.hbar))
 
 
 # -- operations ---------------------------------------------------------------
@@ -187,12 +188,13 @@ def discretize(m: DensityMeasure) -> DiscreteMeasure:
 
     Total mass reproduces the integral of the density to the accuracy of
     the rule; for a polynomial density of degree <= 2*order - 1 it is exact
-    up to rounding.
+    up to rounding.  A density value that is not positive, or not a finite
+    double, is refused with :class:`InvalidDensityError`.
     """
     atoms = []
     for x, w in zip(*gauss_legendre(m)):
         rho = m.density_at(x)
-        if not rho > 0:
+        if not 0 < rho < inf:
             raise InvalidDensityError(f"invalid density: {rho} at node {x}")
         atoms.append(Atom(float(x), float(w * rho)))
     return DiscreteMeasure(tuple(atoms))

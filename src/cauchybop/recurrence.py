@@ -13,8 +13,8 @@ The operators:
     Y[i][j] = <p_j | y q*_i>            (so y q* = Y q* on truncations)
     X + Y^T = pi eta*^T                 (rank-one shift, exact)
 
-expanded from the family's pairing tables <x^i | q*_k> and <p_k | y^j>
-(the LDU factors of the bimoments): X from the x side, Y from the y side.
+expanded from the pairings <x^i | q*_k> = L[i][k] and <p_k | y^j> =
+W[k][j] of the bimoments' LDU I = L W (W = D U): X from x, Y from y.
 
     L    = (Lam - Id) D_pi^{-1}                (support [0, 1])
     Lhat = D_eta*^{-1} (Lam^T - Id)            (support [-1, 0])
@@ -83,27 +83,28 @@ class BandOperator:
 
 def build_XY(family: PolynomialFamily, I: BimomentMatrix):
     """Truncations X[N], Y[N] of the multiplication operators from the
-    family's tables: X[n][k] = sum_{i >= k-1} p_n[i] <x^{i+1} | q*_k>, and
-    Y[j][k] the same with q*_j and <p_k | y^{i+1}>.
+    LDU I = L W of the bimoments: X[n][k] = sum_{i >= k-1} p_n[i]
+    <x^{i+1} | q*_k>, with <x^i | q*_k> = L[i][k], and Y[j][k] the same
+    with q*_j and <p_k | y^{i+1}> = W[k][i+1].
 
-    The shift bumps an index, so I and the tables must reach order N+2; I
-    is read for that only.  Hessenberg shape and the unit supradiagonal of
-    X are theorems, asserted by the tests against the pairing route.
+    The shift bumps an index, so I must reach order N+2.  Hessenberg shape
+    and the unit supradiagonal of X are theorems, asserted by the tests
+    against the pairing route.
     """
     N = family.N
-    order = min(I.order, len(family.x_table))
-    if order < N + 2:
+    if I.order < N + 2:
         raise OrderUnderflowError(
-            f"bimoment order {order} < {N + 2} needed for the shift")
+            f"bimoment order {I.order} < {N + 2} needed for the shift")
     size = N + 1
     zero = Fraction(0) if family.exact else 0.0
+    L, _, W, _ = I.ldu
 
     def expand(coeffs, table):
         return tuple(tuple(sum((c[i] * table[i + 1][k]
                                 for i in range(max(k - 1, 0), len(c))), zero)
                            for k in range(size)) for c in coeffs)
-    X = expand(family.p_monic, family.x_table)
-    Y = expand([family.q_star(j) for j in range(size)], family.y_table)
+    X = expand(family.p_monic, L)
+    Y = expand([family.q_star(j) for j in range(size)], tuple(zip(*W)))
     return (BandOperator(X, (-(size - 1), 1), size, size),
             BandOperator(Y, (-(size - 1), 1), size, size))
 

@@ -79,7 +79,14 @@ def is_exact(x) -> bool:
 def format_scalar(x) -> str:
     """Lossless string form: "p/q" for rationals, repr for floats."""
     if isinstance(x, (int, Fraction)):
-        return str(Fraction(x))
+        f = Fraction(x)
+        try:
+            return str(f)
+        except ValueError:      # past Python's int-to-str digit limit
+            bits = max(abs(f.numerator).bit_length(), f.denominator.bit_length())
+            raise PrecisionExhaustedError(
+                f"precision exhausted: a rational of {bits} bits passes the "
+                "digit limit of decimal output") from None
     return repr(float(x))
 
 

@@ -133,6 +133,21 @@ def test_leading_minor_negative_is_theory_violation():
         bad.leading_minors()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 5), st.integers(1, 5),
+       st.integers(1, 7))
+def test_leading_minors_equal_bareiss_determinants(seed, atoms_a, atoms_b,
+                                                   order):
+    # the pivot products against one determinant per leading block, at
+    # orders below and above the smaller atom count, where D_k = 0
+    rng = Random(seed)
+    I = compute_bimoments(random_rational_measure(rng, atoms_a),
+                          random_rational_measure(rng, atoms_b), order)
+    assert I.leading_minors() == tuple(
+        bareiss_det([row[:n] for row in I.entries[:n]])
+        for n in range(1, order + 1))
+
+
 def test_oracle_matches_elimination(six_atom_pair):
     alpha, beta = six_atom_pair
     I = compute_bimoments(alpha, beta, 5)

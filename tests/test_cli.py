@@ -81,6 +81,32 @@ def test_bimoments_degenerate_single_atom(spec_file, capsys):
     assert any("degenerate" in w for w in payload["warnings"])
 
 
+#: the float-verify benchmark's seed 0 job 12 (``perfbench/workloads.py``):
+#: 96 nodes a side, where a float D_7 once rounded to 0.0
+JOB_12 = {side: {"type": "density", "support": support,
+                 "potential": {"coeffs": [0.0, c1, c2], "hbar": 1.0},
+                 "quadrature": {"rule": "gauss-legendre", "order": 96}}
+          for side, support, c1, c2 in (
+              ("alpha", [0.6161706252882317, 2.141759362566627],
+               0.9785388355834816, 0.02135650655560841),
+              ("beta", [0.9651475028623353, 3.0498984227220043],
+               1.2165669417319687, 0.0711619179039686))}
+SIX_ATOM_WARNING = ("degenerate: leading minor vanishes at order 7 (measure "
+                    "has fewer points of increase)")
+
+
+@pytest.mark.parametrize("spec, argv, warnings", [
+    (JOB_12, ["-N", "10", "--mode", "float"], []),
+    (SIX_ATOM, ["-N", "8", "--mode", "float"], [SIX_ATOM_WARNING]),
+    (SIX_ATOM, ["-N", "8"], [SIX_ATOM_WARNING])],
+    ids=["96 nodes float", "six atoms float", "six atoms exact"])
+def test_bimoments_degenerate_warning_counts_atoms(spec, argv, warnings,
+                                                   spec_file, capsys):
+    # the warning reads the atom counts, not a D that rounds to 0.0 or not
+    code, payload = run(capsys, ["bimoments", spec_file(spec)] + argv)
+    assert code == 0 and payload["warnings"] == warnings
+
+
 def test_bimoments_kmax_clipped(spec_file, capsys):
     code, payload = run(capsys,
                         ["bimoments", spec_file(TWO_ATOM), "-N", "2",
@@ -365,6 +391,14 @@ FRACTIONAL_ORDER, BOOLEAN_ORDER = (
     {"alpha": DENSITY["alpha"], "beta": {
         **DENSITY["beta"], "quadrature": {"order": order}}}
     for order in (2.5, True))
+#: exp(800 x) on [1, 2] passes the float range; one node, at 1.5
+OVERFLOWING_DENSITY = {"alpha": {**DENSITY["alpha"], "potential": {
+    "coeffs": [0.0, -800.0]}, "quadrature": {"order": 1}},
+    "beta": DENSITY["beta"]}
+#: a 16614-bit denominator, past the 4300-digit int-to-str limit
+TINY_WEIGHT = {"alpha": {"type": "discrete", "atoms": [
+    {"x": "1", "w": "1e-5000"}, {"x": "2", "w": "1"}]},
+    "beta": TWO_ATOM["beta"]}
 MESSAGES = {
     ("rhp", "-n", "1"): "error: -n must be at least 2, got 1\n",
     ("verify", "-N", "2"): "error: -N must be at least 3, got 2\n",
@@ -393,6 +427,12 @@ MESSAGES = {
         "spec: quadrature order must be an integer, got 2.5\n",
     ("bimoments", "-N", "8", "--mode", "float"): "error: malformed measure "
         "spec: quadrature order must be an integer, got True\n",
+    **dict.fromkeys([("bimoments", "-N", "9", "--mode", "float"),
+                     ("verify", "-N", "4", "--mode", "float"),
+                     ("bop", "-n", "2", "--mode", "float")],
+                    "error: invalid density: inf at node 1.5\n"),
+    ("bop", "-n", "1"): "error: precision exhausted: a rational of 16614 "
+        "bits passes the digit limit of decimal output\n",
 }
 
 
@@ -444,6 +484,15 @@ MESSAGES = {
          " [fractional quadrature order]"),
         (["bimoments", "-N", "8", "--mode", "float"], BOOLEAN_ORDER,
          " [boolean quadrature order]"),
+        (["bimoments", "-N", "9", "--mode", "float"], OVERFLOWING_DENSITY,
+         " [density past the float range]"),
+        (["verify", "-N", "4", "--mode", "float"], OVERFLOWING_DENSITY,
+         " [density past the float range]"),
+        (["bop", "-n", "2", "--mode", "float"], OVERFLOWING_DENSITY,
+         " [density past the float range]"),
+        (["bimoments", "-N", "2"], TINY_WEIGHT, " [rational past the digit "
+         "limit]"),
+        (["bop", "-n", "1"], TINY_WEIGHT, " [rational past the digit limit]"),
     ]])
 def test_bad_order_arguments_exit_2(argv, spec, spec_file, tmp_path, capsys):
     path = (str(tmp_path / "missing.json") if spec is MISSING
@@ -702,6 +751,57 @@ def test_verify_computes_the_float_cap_once(monkeypatch, spec_file, capsys):
                                  "--suite", "all", "--mode", "float"])
     assert code == 0 and payload["status"] == "pass"
     assert calls == [5]
+
+
+def test_float_verify_eliminates_the_bimoments_once(monkeypatch, spec_file,
+                                                   capsys):
+    # the family, X and Y and the ladder's degree N + 1 share one LDU
+    from cauchybop.bimoment import BimomentMatrix
+    ldu = BimomentMatrix.__dict__["ldu"]
+    eliminate, orders = ldu.func, []
+
+    def counted(I):
+        orders.append(I.order)
+        return eliminate(I)
+    monkeypatch.setattr(ldu, "func", counted)
+    code, payload = run(capsys, ["verify", spec_file(DENSITY), "-N", "4",
+                                 "--suite", "all", "--mode", "float"])
+    assert code == 0 and payload["status"] == "pass"
+    assert orders == [6]
+
+
+#: SIX_ATOM with every alpha weight scaled by 1e-100: D_4 is about 1e-400
+TINY_ALPHA = {**SIX_ATOM, "alpha": {"type": "discrete", "atoms": [
+    {**a, "w": a["w"] + "e-100"} for a in SIX_ATOM["alpha"]["atoms"]]}}
+
+
+def test_tp_suite_judges_minors_below_the_double_range(spec_file, capsys):
+    # the exact residual is formed exactly, then converted for the report
+    code, payload = run(capsys, ["verify", spec_file(TINY_ALPHA), "-N", "4",
+                                 "--suite", "tp"])
+    assert code == 0
+    minors = [c for c in payload["checks"] if c["name"].startswith("leading")]
+    assert [(c["status"], c["residual"]) for c in minors] == [("pass", "0.0")] * 4
+
+
+def test_tp_suite_skips_a_float_minor_below_the_double_range(spec_file,
+                                                             capsys):
+    # the float D_4 underflows to 0.0 and cannot be judged
+    main(["verify", spec_file(TINY_ALPHA), "-N", "4", "--suite", "tp",
+          "--mode", "float"])
+    out, err = capsys.readouterr()
+    minors = [c for c in json.loads(out)["checks"]
+              if c["name"].startswith("leading")]
+    assert err == "" and [c["status"] for c in minors] == ["pass"] * 3 + ["skip"]
+    assert minors[3]["name"].endswith("[skipped: below the double range]")
+
+
+def test_format_scalar_refuses_a_rational_past_the_digit_limit():
+    from cauchybop.errors import PrecisionExhaustedError
+    from cauchybop.scalars import format_scalar
+    assert format_scalar(F(1, 10 ** 4000)) == f"1/{10 ** 4000}"
+    with pytest.raises(PrecisionExhaustedError, match="16610 bits"):
+        format_scalar(F(1, 10 ** 5000))
 
 
 def test_pade_suite_builds_each_markov_transform_once(monkeypatch, spec_file,
