@@ -6,11 +6,10 @@ For measures da, db on the positive axis the Cauchy bimoment matrix is
 
 It is totally positive whenever both measures have enough points of
 increase; by Fekete's criterion strict positivity of all minors taken
-from consecutive rows and consecutive columns is sufficient, which is what
-the certificate checks.  The certificate is restricted to
-consecutive-index minors precisely for that reason; full minor
-enumeration is exponential.  Only this kernel is built here; another
-kernel's matrix, as a :class:`BimomentMatrix`, still factors through
+from consecutive rows and consecutive columns is sufficient (full minor
+enumeration is exponential), and those are what the certificate checks.
+Only this kernel is built here; another kernel's matrix, as a
+:class:`BimomentMatrix`, still factors through
 :func:`~cauchybop.bop.build_family`, without the theorems behind the checks.
 
 The matrix is eliminated once, on first use (:attr:`BimomentMatrix.ldu`),
@@ -100,11 +99,6 @@ def det(rows, exact: bool):
         return bareiss_det(rows)
     import numpy as np
     return float(np.linalg.det(np.array(rows, dtype=float)))
-
-
-def minor(entries, row_idx, col_idx, exact: bool):
-    sub = [[entries[i][j] for j in col_idx] for i in row_idx]
-    return det(sub, exact)
 
 
 def vandermonde(xs):
@@ -206,31 +200,37 @@ class TotalPositivityCertificate:
 
 def check_total_positivity(I: BimomentMatrix, kmax: int,
                            tol: float = 0.0) -> TotalPositivityCertificate:
-    """Evaluate every minor of k consecutive rows and k consecutive columns
-    for k <= kmax (clipped to the order of I).  A nonpositive minor is a
-    reported outcome, not an error: degenerate measures legitimately
-    produce vanishing minors.
-
-    Exact mode (tol = 0) demands strict positivity.  With tol > 0 (float
-    data, where a high-order minor may vanish below the rounding floor) a
-    violation is only declared below -tol; the certificate then asserts
-    "no negative minor detected", which is the most doubles can promise."""
+    """Every minor M_k(a, b) of k consecutive rows from a and columns from
+    b, k <= kmax (clipped to the order of I), by Dodgson condensation,
+    M_k(a, b) M_{k-2}(a+1, b+1) = M_{k-1}(a, b) M_{k-1}(a+1, b+1) -
+    M_{k-1}(a, b+1) M_{k-1}(a+1, b) from M_0 = 1, M_1 = I.  A nonpositive
+    minor is reported, not raised.  Exact I demands strict positivity and
+    stops at the first failure, so every divisor is certified positive.
+    Float I declares a violation only below -tol, the rounding floor, and
+    a divisor that underflowed gives 0.0: "no negative minor detected"."""
     N = I.order
     kmax = min(kmax, N)
-    best = None
-    best_idx = None
+    best = best_idx = None
+    inner, level = [[1] * N] * N, I.entries
     for k in range(1, kmax + 1):
-        for a in range(N - k + 1):
-            rows = range(a, a + k)
-            for b in range(N - k + 1):
-                value = minor(I.entries, rows, range(b, b + k), I.exact)
-                if best is None or value < best:
-                    best, best_idx = value, (k, a, b)
-                bad = (not value > 0) if tol == 0.0 else (value < -tol)
-                if bad:
-                    return TotalPositivityCertificate(
-                        False, kmax, best, best_idx, (k, a, b, value))
+        n = N - k + 1
+        if k > 1:
+            inner, level = level, [[_condense(level, inner, a, b)
+                                    for b in range(n)] for a in range(n)]
+        for a, b in itertools.product(range(n), repeat=2):
+            value = level[a][b]
+            guard_precision(value)
+            if best is None or value < best:
+                best, best_idx = value, (k, a, b)
+            if (not value > 0) if I.exact else (value < -tol):
+                return TotalPositivityCertificate(
+                    False, kmax, best, best_idx, (k, a, b, value))
     return TotalPositivityCertificate(True, kmax, best, best_idx, None)
+
+
+def _condense(m, inner, a, b):
+    d = inner[a + 1][b + 1]     # 0 only for a float minor that underflowed
+    return (m[a][b] * m[a+1][b+1] - m[a][b+1] * m[a+1][b]) / d if d else 0.0
 
 
 # -- independent oracles and identities ----------------------------------------

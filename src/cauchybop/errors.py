@@ -20,9 +20,9 @@ class CauchybopError(Exception):
 
 class PrecisionExhaustedError(CauchybopError):
     """The arithmetic ran out of precision: exact values exceeded the
-    configured bit bound, or float data lost too many digits to give a
-    result that holds for valid input (e.g. non-real eigenvalues of an
-    oscillatory truncation)."""
+    configured bit bound, float values left the double range, or float
+    data lost too many digits to give a result that holds for valid input
+    (e.g. non-real eigenvalues of an oscillatory truncation)."""
 
 
 class InvalidDensityError(CauchybopError):

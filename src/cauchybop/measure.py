@@ -109,8 +109,9 @@ class DensityMeasure:
 
     def __post_init__(self):
         a, b = self.support
-        if not (0 <= a < b):
-            raise ValueError(f"support must satisfy 0 <= a < b, got [{a}, {b}]")
+        if not (0 <= a < b < inf):
+            raise ValueError(
+                f"support must satisfy 0 <= a < b < inf, got [{a}, {b}]")
         if (self.density is None) == (self.potential is None):
             raise ValueError("give exactly one of density / potential")
         # bool is an int subclass, but True is no node count
@@ -140,11 +141,11 @@ def power_sums(points, weights, depth: int) -> list:
     data (int or Fraction) runs over integers: with t_k = a_k / D and
     w_k = b_k / E (D, E the lcms of the denominators), sum j is
     sum_k b_k a_k**j / (E D**j), one Fraction per sum.  Float data sums
-    w * t**j term by term; a power past the float range raises
-    :class:`PrecisionExhaustedError`.  So does exact data whose common
-    denominator, or one of whose terms b_k a_k**j, would pass the exact
-    lane's bit bound: refused before the work, whose gcds on integers of
-    millions of bits would take seconds to minutes."""
+    w * t**j term by term; a power past the float range, or a sum that is
+    not finite, raises :class:`PrecisionExhaustedError`.  So does exact
+    data whose common denominator, or one of whose terms b_k a_k**j, would
+    pass the exact lane's bit bound: refused before the work, whose gcds
+    on integers of millions of bits would take seconds to minutes."""
     if all(is_exact(v) for v in (*points, *weights)):
         D, E = _common_denominator(points), _common_denominator(weights)
         sums = [0] * depth

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import log10
+from math import isfinite, log10
 
 from .errors import PrecisionExhaustedError
 
@@ -42,12 +42,16 @@ def guard_bits(bits: int, what: str) -> None:
 
 
 def guard_precision(value) -> None:
-    """Raise :class:`PrecisionExhaustedError` if an exact value outgrew the bound."""
+    """Raise :class:`PrecisionExhaustedError` if an exact value outgrew the
+    bound, or a float one the double range (inf or nan)."""
     if isinstance(value, Fraction):
         guard_bits(max(value.numerator.bit_length(),
                        value.denominator.bit_length()), "rational")
     elif isinstance(value, int):
         guard_bits(value.bit_length(), "integer")
+    elif isinstance(value, float) and not isfinite(value):
+        raise PrecisionExhaustedError(
+            f"precision exhausted: a float value came out {value!r}")
 
 
 def parse_exact(text: str) -> Fraction:

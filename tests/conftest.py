@@ -7,7 +7,7 @@ import pytest
 
 from cauchybop import (Atom, DegenerateMatrixError, DiscreteMeasure,
                        build_apparatus, measure_from_strings)
-from cauchybop.bimoment import BimomentMatrix, minor
+from cauchybop.bimoment import BimomentMatrix, det
 
 
 @pytest.fixture(scope="session")
@@ -70,6 +70,11 @@ def term_by_term_power_sums(points, weights, depth: int) -> list:
         for j in range(depth):
             out[j] += w * t ** j
     return out
+
+
+def minor(entries, row_idx, col_idx, exact: bool):
+    """The determinant of entries on the given rows and columns."""
+    return det([[entries[i][j] for j in col_idx] for i in row_idx], exact)
 
 
 def determinantal_oracle(I, n: int):

@@ -11,8 +11,8 @@ from cauchybop import (Atom, DensityMeasure, DiscreteMeasure,
                        TheoryViolationError, check_total_positivity,
                        compute_bimoments, discretize, measure_from_strings,
                        oracle_dn, rank_one_shift_residual)
-from cauchybop.bimoment import (BimomentMatrix, _cauchy_sum, bareiss_det, det,
-                                vandermonde)
+from cauchybop.bimoment import (BimomentMatrix, TotalPositivityCertificate,
+                                _cauchy_sum, bareiss_det, det, vandermonde)
 from cauchybop.measure import power_sums
 
 from .conftest import random_rational_measure, shifted
@@ -206,6 +206,65 @@ def test_tp_certificate_flags_rank_one():
     cert = check_total_positivity(I, 2)
     assert not cert.passed
     assert cert.violation[0] == 2 and cert.violation[3] == 0
+
+
+def per_minor_certificate(I, kmax):
+    """The exact certificate with one Bareiss determinant per minor, in the
+    same (k, a, b) order and with the same first-minimum tie rule."""
+    N, kmax = I.order, min(kmax, I.order)
+    best = best_idx = None
+    for k in range(1, kmax + 1):
+        for a, b in itertools.product(range(N - k + 1), repeat=2):
+            value = bareiss_det([row[b:b + k] for row in I.entries[a:a + k]])
+            if best is None or value < best:
+                best, best_idx = value, (k, a, b)
+            if not value > 0:
+                return TotalPositivityCertificate(False, kmax, best, best_idx,
+                                                  (k, a, b, value))
+    return TotalPositivityCertificate(True, kmax, best, best_idx, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 6), st.integers(1, 6),
+       st.booleans(), st.integers(1, 7), st.integers(1, 7),
+       st.none() | st.tuples(st.integers(0, 6), st.integers(0, 6),
+                             st.fractions(-2, 2)))
+def test_condensation_certificate_equals_per_minor_determinants(
+        seed, atoms_a, atoms_b, symmetric, order, kmax, perturbation):
+    # kmax past the smaller atom count reaches vanishing minors, one
+    # perturbed entry can make any minor nonpositive, and alpha = beta
+    # makes I symmetric, so minors tie in pairs and the first one is kept
+    rng = Random(seed)
+    alpha = random_rational_measure(rng, atoms_a)
+    beta = alpha if symmetric else random_rational_measure(rng, atoms_b)
+    I = compute_bimoments(alpha, beta, order)
+    if perturbation:
+        i, j, delta = perturbation
+        rows = [list(row) for row in I.entries]
+        rows[i % order][j % order] *= 1 + delta
+        I = BimomentMatrix(order, tuple(map(tuple, rows)), True)
+    assert check_total_positivity(I, kmax) == per_minor_certificate(I, kmax)
+
+
+def test_tp_certificate_keeps_the_first_of_tied_minima():
+    I = BimomentMatrix(2, ((F(2), F(1)), (F(1), F(2))), True)
+    assert check_total_positivity(I, 2) == TotalPositivityCertificate(
+        True, 2, 1, (1, 0, 1), None)
+
+
+def test_exact_tp_certificate_forms_no_determinant(monkeypatch,
+                                                   six_atom_pair):
+    from cauchybop import bimoment
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return bareiss_det(rows)
+    monkeypatch.setattr(bimoment, "bareiss_det", counted)
+    I = compute_bimoments(*six_atom_pair, 8)
+    cert = check_total_positivity(I, 6)
+    assert cert == per_minor_certificate(I, 6) and cert.passed
+    assert calls == []
 
 
 def test_tp_certificate_shifted_matrix(six_atom_pair):

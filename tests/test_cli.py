@@ -395,6 +395,14 @@ FRACTIONAL_ORDER, BOOLEAN_ORDER = (
 OVERFLOWING_DENSITY = {"alpha": {**DENSITY["alpha"], "potential": {
     "coeffs": [0.0, -800.0]}, "quadrature": {"order": 1}},
     "beta": DENSITY["beta"]}
+#: bimoments past the float range: a power sum comes out inf
+OVERFLOWING_WEIGHT = {"alpha": {"type": "discrete", "atoms": [
+    {**SIX_ATOM["alpha"]["atoms"][0], "w": "1e308"},
+    *SIX_ATOM["alpha"]["atoms"][1:]]}, "beta": SIX_ATOM["beta"]}
+#: json reads Infinity as a float; a support must be a compact interval
+INFINITE_SUPPORT = {"alpha": {**DENSITY["alpha"],
+                              "support": [1.0, float("inf")]},
+                    "beta": DENSITY["beta"]}
 #: a 16614-bit denominator, past the 4300-digit int-to-str limit
 TINY_WEIGHT = {"alpha": {"type": "discrete", "atoms": [
     {"x": "1", "w": "1e-5000"}, {"x": "2", "w": "1"}]},
@@ -433,6 +441,9 @@ MESSAGES = {
                     "error: invalid density: inf at node 1.5\n"),
     ("bop", "-n", "1"): "error: precision exhausted: a rational of 16614 "
         "bits passes the digit limit of decimal output\n",
+    ("bimoments", "-N", "10", "--mode", "float"): "error: precision exhausted: a float value came out inf\n",
+    ("verify", "-N", "5", "--mode", "float"): "error: malformed measure "
+        "spec: support must satisfy 0 <= a < b < inf, got [1.0, inf]\n",
 }
 
 
@@ -493,6 +504,9 @@ MESSAGES = {
         (["bimoments", "-N", "2"], TINY_WEIGHT, " [rational past the digit "
          "limit]"),
         (["bop", "-n", "1"], TINY_WEIGHT, " [rational past the digit limit]"),
+        (["bimoments", "-N", "10", "--mode", "float"], OVERFLOWING_WEIGHT, " [power sum past the float range]"),
+        (["verify", "-N", "5", "--mode", "float"], INFINITE_SUPPORT,
+         " [infinite support]"),
     ]])
 def test_bad_order_arguments_exit_2(argv, spec, spec_file, tmp_path, capsys):
     path = (str(tmp_path / "missing.json") if spec is MISSING
@@ -786,14 +800,33 @@ def test_tp_suite_judges_minors_below_the_double_range(spec_file, capsys):
 
 def test_tp_suite_skips_a_float_minor_below_the_double_range(spec_file,
                                                              capsys):
-    # the float D_4 underflows to 0.0 and cannot be judged
-    main(["verify", spec_file(TINY_ALPHA), "-N", "4", "--suite", "tp",
-          "--mode", "float"])
+    # the float D_4 underflows to 0.0 and cannot be judged; the float floor
+    # underflows to 0.0 too, and a 0.0 minor is still not negative
+    code = main(["verify", spec_file(TINY_ALPHA), "-N", "4", "--suite", "tp",
+                 "--mode", "float"])
     out, err = capsys.readouterr()
-    minors = [c for c in json.loads(out)["checks"]
-              if c["name"].startswith("leading")]
+    checks = json.loads(out)["checks"]
+    minors = [c for c in checks if c["name"].startswith("leading")]
     assert err == "" and [c["status"] for c in minors] == ["pass"] * 3 + ["skip"]
     assert minors[3]["name"].endswith("[skipped: below the double range]")
+    assert code == 0
+    assert (checks[0]["name"], checks[0]["status"]) == (
+        "no negative consecutive minor through 6x6", "pass")
+
+
+def test_float_tp_suite_refuses_minors_past_the_double_range(spec_file,
+                                                             capsys):
+    # alpha weights x 1e35: products of 5x5 minors overflow in condensation
+    # while the floor 1e-12 (6 scale)**6 does not; the exact lane passes
+    doc = {**SIX_ATOM, "alpha": {"type": "discrete", "atoms": [
+        {**a, "w": a["w"] + "e35"} for a in SIX_ATOM["alpha"]["atoms"]]}}
+    path = spec_file(doc)
+    code = main(["verify", path, "-N", "4", "--suite", "tp", "--mode",
+                 "float"])
+    assert (code, capsys.readouterr()) == (
+        2, ("", "error: precision exhausted: a float value came out nan\n"))
+    code, payload = run(capsys, ["verify", path, "-N", "4", "--suite", "tp"])
+    assert code == 0 and payload["checks"][0]["status"] == "pass"
 
 
 def test_format_scalar_refuses_a_rational_past_the_digit_limit():

@@ -11,11 +11,12 @@ from cauchybop import (BandOperator, DensityMeasure,
                        build_XY, compute_bimoments, dense_commutator,
                        four_term_residual, pair,
                        rank_one_XY_residual, tn_oscillatory_certificate)
-from cauchybop.bimoment import det, minor
+from cauchybop.bimoment import det
 from cauchybop.measure import power_sums
 from cauchybop.polys import peval
 
-from .conftest import random_rational_measure, rational_points_off, shifted
+from .conftest import (minor, random_rational_measure, rational_points_off,
+                       shifted)
 
 
 def test_X_entries_worked_example(two_atom_pair):
