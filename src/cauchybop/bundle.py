@@ -3,8 +3,9 @@
 The :class:`Apparatus` bundles everything the verification modules need:
 bimoments (two orders past the family degree, for the shift) and their
 one LDU, the monic family with its averages, the multiplication
-operators, the banded factors, and the hatted families.  It is immutable
-after construction and safe to share across threads.
+operators, the banded factors, and the hatted families.  Its derived data
+is built on first use, yet it is safe to share across threads: the only
+possible race builds the same equal entry twice.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ class Apparatus:
     """The apparatus of one pair at degree N.  Its point-independent
     derived data is computed on first use and kept: the float ``ladder``
     and ``cap``, the eight Markov transforms (``markov``) with their moment
-    streams (``markov_moments``), and the auxiliary transforms of both
-    sides (``aux``)."""
+    streams (``markov_moments``), and the auxiliary transforms of the
+    degrees read, keyed by side and degree (``aux``)."""
     alpha: DiscreteMeasure
     beta: DiscreteMeasure
     N: int
@@ -69,9 +70,8 @@ class Apparatus:
                 for tag, W in self.markov.items()}
 
     @cached_property
-    def aux(self) -> dict:      # side -> nikishin.aux_transforms(self, side)
-        from .nikishin import aux_transforms
-        return {side: aux_transforms(self, side) for side in ("q", "p")}
+    def aux(self) -> dict:      # (side, j) -> nikishin.aux_transforms(...)
+        return {}
 
     def require_window(self, n: int, lo: int = 2):
         if not lo <= n <= self.N - 1:

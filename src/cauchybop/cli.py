@@ -288,7 +288,7 @@ def cmd_recurrence(args) -> int:
 def cmd_rhp(args) -> int:
     alpha, beta = load_spec(args)
     n = args.degree
-    point = _point(args.point) if args.point else Fraction(10)
+    point = Fraction(10) if args.point is None else _point(args.point)
     app = build_apparatus(alpha, beta, n + 1)
     _refuse_past_cap(app, n)
     r = Runner(app.ladder)

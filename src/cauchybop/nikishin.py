@@ -40,15 +40,15 @@ is a finite exact statement.
 
 What does not depend on the point is built once per apparatus: the eight
 transforms (``app.markov``), their moment streams (``app.markov_moments``)
-and, per side and degree, the auxiliary transforms (``app.aux``, see
-:func:`aux_transforms`).  The auxiliary vectors have one evaluator,
-:func:`aux_columns`, which evaluates the latter and forms the hatted
-combinations.  A backend with ``poly(coeffs)`` and ``transform(fn, which,
-g, reflected)`` says what evaluating means; fn is the kept transform of
-the measure ``which``, its atoms at -t if reflected, each weight times g
-at the placed atom.  :class:`PointBackend` evaluates fn at one point
-(exact at rational points), :class:`SeriesBackend` expands it at
-infinity, and ``rhp.DensityBackend`` ignores fn and takes the split
+and, per side and degree on its first read, the auxiliary transforms
+(``app.aux``, see :func:`aux_transforms`).  The auxiliary vectors have one
+evaluator, :func:`aux_columns`, which evaluates the latter and forms the
+hatted combinations.  A backend with ``poly(coeffs)`` and ``transform(fn,
+which, g, reflected)`` says what evaluating means; fn is the kept
+transform of the measure ``which``, its atoms at -t if reflected, each
+weight times g at the placed atom.  :class:`PointBackend` evaluates fn
+at one point (exact at rational points), :class:`SeriesBackend` expands
+it at infinity, and ``rhp.DensityBackend`` ignores fn and takes the split
 Cauchy transform of the density of ``which`` times g near its cut.  The
 extended identities, the duality pairing and both boundary-value
 matrices read windows of these columns.
@@ -324,35 +324,23 @@ class AuxVectors:
     qhat: tuple     # qhat[a][j]
 
 
-@dataclass(frozen=True)
-class AuxTransforms:
-    """The point-independent data of one side's auxiliary columns, degrees
-    0..N: the polynomials P_j, the first measure weighted by P_j (inner)
-    and the reflected second measure weighted by inner[j] at its placed
-    atoms (outer).  ``Apparatus.aux`` holds both sides."""
-    first: str          # "beta" for side "q", "alpha" for side "p"
-    second: str
-    polys: tuple        # q*_j or p_j, coefficients
-    inner: tuple        # MarkovFunction per degree
-    outer: tuple        # MarkovFunction per degree
+#: side -> (the measure P_j weights, the reflected measure weighted next)
+_SIDES = {"q": ("beta", "alpha"), "p": ("alpha", "beta")}
 
 
-def aux_transforms(app: Apparatus, side: str) -> AuxTransforms:
-    """Side "q": q*_j, db weighted by q*_j, da* weighted by that; side
-    "p": p_j, da and db*.  Both transforms reweight the plain ones of
-    ``app.markov``.  Read as ``app.aux[side]``."""
-    fam = app.family
-    if side == "q":
-        first, second = "beta", "alpha"
-        polys = tuple(fam.q_star(j) for j in range(app.N + 1))
-    else:
-        first, second = "alpha", "beta"
-        polys = tuple(fam.p_monic[: app.N + 1])
-    W1, W2 = app.markov[f"W_{first}"], app.markov[f"W_{second}_star"]
-    inner = tuple(W1.weighted(partial(peval, P), f"{first}[weighted]")
-                  for P in polys)
-    outer = tuple(W2.weighted(f, f"{second}*[weighted]") for f in inner)
-    return AuxTransforms(first, second, polys, inner, outer)
+def aux_transforms(app: Apparatus, side: str, j: int):
+    """The point-independent data of one side's auxiliary columns at
+    degree j: (P_j, inner, outer).  Side "q": q*_j, db weighted by q*_j,
+    da* weighted by that at its placed atoms; side "p": p_j, da and db*.
+    Both transforms reweight the plain ones of ``app.markov``.  Read as
+    ``app.aux[side, j]``, which :func:`aux_columns` fills."""
+    first, second = _SIDES[side]
+    P = app.family.q_star(j) if side == "q" else app.family.p_monic[j]
+    inner = app.markov[f"W_{first}"].weighted(partial(peval, P),
+                                              f"{first}[weighted]")
+    outer = app.markov[f"W_{second}_star"].weighted(inner,
+                                                    f"{second}*[weighted]")
+    return P, inner, outer
 
 
 @dataclass(frozen=True)
@@ -384,19 +372,23 @@ def aux_columns(app: Apparatus, side: str, top: int, backend):
     """The three auxiliary columns of one side for degrees 0..top, and
     their hatted form, as values of ``backend``.
 
-    Columns: P_j and the two transforms of ``app.aux[side]``.  Hatted,
-    side "q": qhat_j = -q_j/eta*_j + q_{j+1}/eta*_{j+1} for j < top; side
-    "p": phat_j = -sum_{i<=j} eta*_i p_i - (0, 1, W_beta_star) for j <=
-    top.  Returns (cols, hatted), each indexed [component][degree].
+    Columns: P_j and the two transforms of ``app.aux[side, j]``, built
+    here on first read.  Hatted, side "q": qhat_j = -q_j/eta*_j +
+    q_{j+1}/eta*_{j+1} for j < top; side "p": phat_j = -sum_{i<=j} eta*_i
+    p_i - (0, 1, W_beta_star) for j <= top.  Returns (cols, hatted), each
+    indexed [component][degree].
     """
     fam = app.family
-    aux = app.aux[side]
+    first, second = _SIDES[side]
     cols = ([], [], [])
-    for P, inner, outer in zip(aux.polys[: top + 1], aux.inner, aux.outer):
+    for j in range(top + 1):
+        if (side, j) not in app.aux:
+            app.aux[side, j] = aux_transforms(app, side, j)
+        P, inner, outer = app.aux[side, j]
         cols[0].append(backend.poly(P))
-        cols[1].append(backend.transform(inner, aux.first, partial(peval, P),
+        cols[1].append(backend.transform(inner, first, partial(peval, P),
                                          False))
-        cols[2].append(backend.transform(outer, aux.second, inner, True))
+        cols[2].append(backend.transform(outer, second, inner, True))
     es = [fam.eta_star(j) for j in range(top + 1)]
     if side == "q":
         hatted = tuple(tuple(-c[j] / es[j] + c[j + 1] / es[j + 1]

@@ -163,18 +163,35 @@ def test_order_past_the_atoms_refused_before_bimoments(argv, monkeypatch,
 
 
 def test_verify_tp_reports_degenerate_minor(spec_file, capsys):
-    # two points of increase support the order-1 family, but the order-3
-    # bimoment block has a vanishing consecutive minor: reported, exit 1
+    # two points of increase support the order-1 family; the order-3
+    # bimoment block's 3x3 minors vanish by Cauchy-Binet, so the suite
+    # certifies through 2x2 (``bimoments`` reports them, with a warning)
     doc = {"alpha": {"type": "discrete", "atoms": [{"x": "1", "w": "1"},
                                                    {"x": "2", "w": "1"}]},
            "beta": {"type": "discrete", "atoms": [{"x": "1", "w": "1"},
                                                   {"x": "3", "w": "1"}]}}
     code, payload = run(capsys, ["verify", spec_file(doc), "-N", "1",
                                  "--suite", "tp"])
-    assert code == 1
-    assert payload["status"] == "fail"
-    assert any(c["status"] == "fail" and "minor" in c["name"]
-               for c in payload["checks"])
+    assert code == 0
+    assert payload["status"] == "pass"
+    assert payload["checks"][0]["name"] == \
+        "consecutive minors positive through 2x2"
+
+
+@pytest.mark.parametrize("mode, label", [
+    ("exact", "consecutive minors positive"),
+    ("float", "no negative consecutive minor")])
+def test_verify_tp_stops_at_the_smaller_atom_count(mode, label, spec_file,
+                                                   capsys):
+    # 4 atoms a side at -N 3: the order-5 block's 5x5 minors vanish by
+    # Cauchy-Binet, and both lanes certify through 4x4
+    doc = {side: {"type": "discrete", "atoms": [{"x": x, "w": "1"}
+                                                for x in xs]}
+           for side, xs in (("alpha", "1234"), ("beta", "1235"))}
+    code, payload = run(capsys, ["verify", spec_file(doc), "-N", "3",
+                                 "--suite", "tp", "--mode", mode])
+    assert code == 0 and payload["status"] == "pass"
+    assert payload["checks"][0]["name"] == f"{label} through 4x4"
 
 
 def test_verify_exact_mode_rejects_density(spec_file, capsys):
@@ -409,6 +426,8 @@ TINY_WEIGHT = {"alpha": {"type": "discrete", "atoms": [
     "beta": TWO_ATOM["beta"]}
 MESSAGES = {
     ("rhp", "-n", "1"): "error: -n must be at least 2, got 1\n",
+    ("rhp", "-n", "2", "--point="): "error: --point must be a decimal or p/q "
+        "rational, got ''\n",
     ("verify", "-N", "2"): "error: -N must be at least 3, got 2\n",
     ("rhp", "-n", "2", "--eps", "1e-4", "1e-5"):
         "error: --eps (the jump study) needs density measures on both sides\n",
@@ -461,6 +480,7 @@ MESSAGES = {
         (["rhp", "-n", "0"], SIX_ATOM, ""),
         (["rhp", "-n", "1"], SIX_ATOM, ""),
         (["rhp", "-n", "2", "--point", "x"], SIX_ATOM, ""),
+        (["rhp", "-n", "2", "--point="], SIX_ATOM, ""),
         (["bop", "-n", "2", "--point", "x"], SIX_ATOM, ""),
         (["verify", "-N", "3"], ARRAY_SPEC, " [array spec]"),
         (["verify", "-N", "3", "--mode", "float", "--eps", "0"], DENSITY, ""),
@@ -853,20 +873,60 @@ def test_pade_suite_builds_each_markov_transform_once(monkeypatch, spec_file,
     assert sorted(tags) == sorted(nikishin.MARKOV_TAGS)
 
 
-def test_verify_builds_each_side_of_the_aux_transforms_once(monkeypatch,
-                                                            spec_file, capsys):
+@pytest.fixture
+def aux_builds(monkeypatch):
+    """(apparatus, side, degree) of every build of auxiliary transforms."""
     from cauchybop import nikishin
-    sides = []
+    aux_transforms, builds = nikishin.aux_transforms, []
 
-    def counted(app, side):
-        sides.append(side)
-        return aux_transforms(app, side)
-    aux_transforms = nikishin.aux_transforms
+    def counted(app, side, j):
+        builds.append((app, side, j))
+        return aux_transforms(app, side, j)
     monkeypatch.setattr(nikishin, "aux_transforms", counted)
+    return builds
+
+
+def built_degrees(builds):
+    return sorted((side, j) for _, side, j in builds)
+
+
+def test_verify_builds_each_side_of_the_aux_transforms_once(aux_builds,
+                                                            spec_file, capsys):
     code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "5",
                                  "--suite", "all"])
     assert code == 0 and payload["status"] == "pass"
-    assert sorted(sides) == ["p", "q"]
+    assert built_degrees(aux_builds) == [(side, j) for side in "pq"
+                                         for j in range(6)]
+
+
+TEN_ATOM = {side: {"type": "discrete", "atoms": [
+    {"x": str(x + shift), "w": w} for x, w in zip(range(1, 11), weights)]}
+    for side, shift, weights in (
+        ("alpha", 0, ["1", "1/2", "1", "2", "1", "3/4", "1", "1/3", "1", "1"]),
+        ("beta", -0.5, ["1", "2", "1", "1/5", "1", "1", "3/2", "1", "1",
+                        "1"]))}
+
+
+def test_exact_verify_builds_no_aux_degree_past_5(aux_builds, spec_file,
+                                                  capsys):
+    # the duality windows read degree n + 1 <= 5 and the rhp suite n = 3
+    code, payload = run(capsys, ["verify", spec_file(TEN_ATOM), "-N", "8",
+                                 "--suite", "all"])
+    assert code == 0 and payload["status"] == "pass"
+    assert built_degrees(aux_builds) == [(side, j) for side in "pq"
+                                         for j in range(6)]
+
+
+def test_float_verify_builds_no_aux_degree_past_the_cap(aux_builds,
+                                                        spec_file, capsys):
+    # windows stop at the cap and read one degree past it; rhp reads n = 2
+    code, payload = run(capsys, ["verify", spec_file(DENSITY), "-N", "8",
+                                 "--suite", "all", "--mode", "float"])
+    assert code == 0 and payload["status"] == "pass"
+    top = max(aux_builds[0][0].cap + 1, 2)
+    assert top < 8
+    assert built_degrees(aux_builds) == [(side, j) for side in "pq"
+                                         for j in range(top + 1)]
 
 
 def test_extended_cd_builds_f_matrix_once_per_window(monkeypatch, spec_file,

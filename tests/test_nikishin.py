@@ -1,3 +1,5 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 from random import Random
 
@@ -463,6 +465,42 @@ def per_call_columns(app, side, top, evaluate):
         cols[0].append(evaluate(inner))
         cols[1].append(evaluate(outer))
     return tuple(map(tuple, cols))
+
+
+@pytest.mark.parametrize("side", "qp")
+@pytest.mark.parametrize("backend", [PointBackend(F(19, 4)),
+                                     SeriesBackend(8)], ids=["point", "series"])
+def test_aux_columns_read_in_steps_match_one_read(six_atom_pair, side,
+                                                  backend):
+    # degrees 0..2 built by the first read, 3..5 by the second: the same
+    # columns as a fresh apparatus that builds 0..5 at once
+    stepped = build_apparatus(*six_atom_pair, N=5)
+    aux_columns(stepped, side, 2, backend)
+    fresh = build_apparatus(*six_atom_pair, N=5)
+    assert aux_columns(stepped, side, 5, backend) == \
+        aux_columns(fresh, side, 5, backend)
+    assert sorted(stepped.aux) == sorted(fresh.aux) == [
+        (side, j) for j in range(6)]
+
+
+def test_aux_columns_shared_across_threads(six_atom_pair):
+    # threads race to build the same degrees of one apparatus; a race only
+    # builds an equal entry twice, so every read sees the one-thread columns
+    point = PointBackend(F(19, 4))
+    reference = aux_columns(build_apparatus(*six_atom_pair, N=5), "q", 5,
+                            point)
+    app = build_apparatus(*six_atom_pair, N=5)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(aux_columns, app, "q", 5, point)
+                       for _ in range(8)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [reference] * 8
+    assert sorted(app.aux) == [("q", j) for j in range(6)]
 
 
 @settings(max_examples=15, deadline=None)
