@@ -16,9 +16,12 @@ The matrix is eliminated once, on first use (:attr:`BimomentMatrix.ldu`),
 by an unpivoted LDU (a totally positive matrix needs no pivoting; Cryer,
 Linear Algebra Appl. 7, 1973).  Its pivots are the norms h_n = D_{n+1}/D_n
 that the families and X, Y read, so their prefix products are the
-leading minors D_n.  The independent route is :func:`oracle_dn`, the
-tuple sum w_X w_Y Delta(X)**2 Delta(Y)**2 / prod (x_i + y_j) with the
-Cauchy determinant in closed form: it never sees the matrix and never
+leading minors D_n.  The L, U, W tables are construction scratch: once
+the family and X, Y are built, :meth:`BimomentMatrix.release_tables`
+drops them from an exact matrix, which keeps only its entries and pivots.
+The independent route is :func:`oracle_dn`, the tuple sum
+w_X w_Y Delta(X)**2 Delta(Y)**2 / prod (x_i + y_j) with the Cauchy
+determinant in closed form: it never sees the matrix and never
 eliminates.  Exact inputs make the agreement test literal equality.
 
 The Cauchy kernel also satisfies a rank-one shift identity: with Lam the
@@ -124,11 +127,13 @@ class BimomentMatrix:
 
     @cached_property
     def ldu(self):
-        """The Doolittle LDU of the whole matrix, run once: (L, U, W, h),
-        L and U unit triangular, W = D U and h its pivots h_0, h_1, ...  It
-        stops at the first zero pivot, which h leaves out.  No pivoting:
-        valid Cauchy input is totally positive, so every leading minor is
-        positive and unpivoted elimination is the stable choice.
+        """The Doolittle LDU of the whole matrix: (L, U, W, h), L and U unit
+        triangular, W = D U and h its pivots h_0, h_1, ...  It stops at the
+        first zero pivot, which h leaves out.  No pivoting: valid Cauchy
+        input is totally positive, so every leading minor is positive and
+        unpivoted elimination is the stable choice.  Run once per matrix,
+        unless :meth:`release_tables` dropped the tables and they are read
+        again, when the same loop gives the same tables.
         """
         n = self.order
         L = [[Fraction(0)] * n for _ in range(n)]
@@ -149,12 +154,27 @@ class BimomentMatrix:
                 U[k][j] = W[k][j] / acc
         return L, U, W, tuple(h)
 
+    @cached_property
+    def pivots(self) -> tuple:
+        """h_0, h_1, ... of :attr:`ldu`, kept when its tables are released."""
+        return self.ldu[3]
+
+    def release_tables(self) -> None:
+        """Keep the pivots of :attr:`ldu` and, if exact, drop its L, U, W
+        tables (a sixth of an exact apparatus), once the family and X, Y are
+        built: no other exact reader needs them.  Float matrices keep them,
+        since the float ladder later builds degree N + 1 from them, and so
+        needs no second elimination."""
+        self.pivots         # cached before the tables can go
+        if self.exact:
+            self.__dict__.pop("ldu", None)
+
     def leading_minors(self):
         """[D_1, ..., D_order] (D_0 = 1 is not stored), the prefix products
         of the pivots and 0 past a zero pivot, as D_k > 0 exactly up to the
         smaller atom count.  Negative values in exact mode can only come
         from corrupted input and raise."""
-        h = self.ldu[3]
+        h = self.pivots
         zero = Fraction(0) if self.exact else 0.0
         minors = (*itertools.accumulate(h, operator.mul),
                   *(zero,) * (self.order - len(h)))

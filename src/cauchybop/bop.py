@@ -9,10 +9,13 @@ and are read here from the one triangular (LDU) factorization of I,
 :attr:`~cauchybop.bimoment.BimomentMatrix.ldu`: with I = L diag(h) U for
 unit triangular L, U, the coefficient triangles are S_p = L^{-1} and
 S_q = U^{-T}, so p = S_p [x] and q = S_q [y] in the monomial basis, and
-the pivots are the norms.  In exact mode every statement below is literal
-rational equality.  The factorization is the one construction; the tests
-hold the independent one (cofactor expansion of the bordered
-determinants) and assert coefficient-by-coefficient agreement.
+the pivots are the norms.  The factorization runs once per matrix; its
+L, U tables are scratch that an exact apparatus drops once its family
+and X, Y are built, keeping only the pivots.  In exact mode every
+statement below is literal rational equality.  The factorization is the
+one construction; the tests hold the independent one (cofactor expansion
+of the bordered determinants) and assert coefficient-by-coefficient
+agreement.
 
 The exact pipeline works exclusively with monic data (and the rescaled
 family q_n / h_n, which pairs with monic p_n to a biorthoNORMAL system

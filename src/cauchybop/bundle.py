@@ -1,11 +1,14 @@
 """One-stop construction of the whole apparatus for a measure pair.
 
 The :class:`Apparatus` bundles everything the verification modules need:
-bimoments (two orders past the family degree, for the shift) and their
-one LDU, the monic family with its averages, the multiplication
-operators, the banded factors, and the hatted families.  Its derived data
-is built on first use, yet it is safe to share across threads: the only
-possible race builds the same equal entry twice.
+bimoments (two orders past the family degree, for the shift) and the
+pivots of their one LDU, the monic family with its averages, the
+multiplication operators, the banded factors, and the hatted families.
+It keeps results, not construction scratch: the elimination runs once,
+inside :func:`build_apparatus`, whose exact matrix then drops its L, U, W
+tables, and B = -A^T, Bhat = -Ahat^T are formed from A, Ahat on each
+read.  Its derived data is built on first use, yet it is safe to share
+across threads: the only possible race builds the same equal entry twice.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ class Apparatus:
     derived data is computed on first use and kept: the float ``ladder``
     and ``cap``, the eight Markov transforms (``markov``) with their moment
     streams (``markov_moments``), and the auxiliary transforms of the
-    degrees read, keyed by side and degree (``aux``)."""
+    degrees read, keyed by side and degree (``aux``).  ``B`` and ``Bhat``
+    are not kept: each read forms them from ``A`` and ``Ahat``, so a
+    reader that needs one several times binds it once."""
     alpha: DiscreteMeasure
     beta: DiscreteMeasure
     N: int
@@ -39,8 +44,6 @@ class Apparatus:
     Lhat: BandOperator
     A: BandOperator
     Ahat: BandOperator
-    B: BandOperator
-    Bhat: BandOperator
     hatted: HattedFamily
     alpha_density: DensityMeasure | None = None
     beta_density: DensityMeasure | None = None
@@ -48,6 +51,14 @@ class Apparatus:
     @property
     def exact(self) -> bool:
         return self.family.exact
+
+    @property
+    def B(self) -> BandOperator:        # -A^T, formed on each read
+        return self.A.negated_transpose()
+
+    @property
+    def Bhat(self) -> BandOperator:     # -Ahat^T, formed on each read
+        return self.Ahat.negated_transpose()
 
     @cached_property
     def ladder(self):       # biorthonormality_defects once; None when exact
@@ -131,7 +142,9 @@ def tolerance(ladder, d: int):
 def build_apparatus(alpha: DiscreteMeasure | DensityMeasure,
                     beta: DiscreteMeasure | DensityMeasure,
                     N: int) -> Apparatus:
-    """Build the full apparatus with family degrees 0..N.
+    """Build the full apparatus with family degrees 0..N, eliminating the
+    bimoments once (:meth:`~cauchybop.bimoment.BimomentMatrix.release_tables`
+    says what the matrix keeps).
 
     With m atoms on the smaller side, D_k > 0 exactly when k <= m, so
     N + 1 > m raises the factorization's degenerate-matrix error at order
@@ -148,9 +161,10 @@ def build_apparatus(alpha: DiscreteMeasure | DensityMeasure,
     I = compute_bimoments(alpha_d, beta_d, N + 2)
     family = build_family(I, N, alpha_d, beta_d)
     X, Y = build_XY(family, I)
+    I.release_tables()
     L, Lhat = build_L_Lhat(family)
-    A, Ahat, B, Bhat = build_A_Ahat(X, L, Lhat)
+    A, Ahat = build_A_Ahat(X, L, Lhat)
     hatted = build_hatted(family)
     return Apparatus(alpha_d, beta_d, N, I, family, X, Y, L, Lhat,
-                     A, Ahat, B, Bhat, hatted,
+                     A, Ahat, hatted,
                      alpha_density=alpha_density, beta_density=beta_density)

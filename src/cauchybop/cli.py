@@ -134,13 +134,19 @@ def load_spec(args):
     return pair
 
 
-def _point(text: str) -> Fraction:
-    """The --point argument as an exact rational."""
+def _point(text: str, float_mode: bool) -> Fraction | float:
+    """The --point argument in the lane's arithmetic: an exact rational, or
+    its nearest double in float mode, refused past the double range."""
     try:
-        return parse_exact(text)
+        point = parse_exact(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"--point must be a decimal or p/q rational, "
                          f"got {text!r}") from exc
+    try:
+        return float(point) if float_mode else point
+    except OverflowError:
+        raise PrecisionExhaustedError(
+            f"precision exhausted: --point {text} overflows a float") from None
 
 
 def _grid(rows):
@@ -221,7 +227,8 @@ def cmd_verify(args) -> int:
 def cmd_bop(args) -> int:
     alpha, beta = load_spec(args)
     n = args.degree
-    point = None if args.point is None else _point(args.point)
+    point = (None if args.point is None
+             else _point(args.point, args.mode == "float"))
     app = build_apparatus(alpha, beta, max(n, 1))
     _refuse_past_cap(app, n)
     fam = app.family
@@ -235,9 +242,8 @@ def cmd_bop(args) -> int:
         "c_float": fam.c(n),
     }
     if point is not None:
-        pt = point if app.exact else float(point)
-        payload["p_at_point"] = format_scalar(evaluate(fam, "p", n, pt))
-        payload["q_at_point"] = format_scalar(evaluate(fam, "q", n, pt))
+        payload["p_at_point"] = format_scalar(evaluate(fam, "p", n, point))
+        payload["q_at_point"] = format_scalar(evaluate(fam, "q", n, point))
     _emit(payload)
     return EXIT_PASS
 
@@ -288,7 +294,8 @@ def cmd_recurrence(args) -> int:
 def cmd_rhp(args) -> int:
     alpha, beta = load_spec(args)
     n = args.degree
-    point = Fraction(10) if args.point is None else _point(args.point)
+    point = _point("10" if args.point is None else args.point,
+                   args.mode == "float")
     app = build_apparatus(alpha, beta, n + 1)
     _refuse_past_cap(app, n)
     r = Runner(app.ladder)
@@ -298,9 +305,8 @@ def cmd_rhp(args) -> int:
         payload["jump_study"] = {"w0": w0, "eps": list(args.eps),
                                  "residuals": residuals, "slope": slope}
     else:
-        pt = point if app.exact else float(point)
-        matrices = check_unit_dets(r, app, n, pt)
-        payload["point"] = format_scalar(pt)
+        matrices = check_unit_dets(r, app, n, point)
+        payload["point"] = format_scalar(point)
         for key, m in zip(("gamma", "gamma_hat"), matrices):
             payload[key] = _grid(m.entries)
             payload[f"det_{key}"] = format_scalar(m.determinant)

@@ -20,7 +20,7 @@ W[k][j] of the bimoments' LDU I = L W (W = D U): X from x, Y from y.
     Lhat = D_eta*^{-1} (Lam^T - Id)            (support [-1, 0])
     A    = L X    in M_[-1, 2]
     Ahat = X Lhat in M_[-2, 1]
-    B    = -A^T,  Bhat = -Ahat^T
+    B    = -A^T,  Bhat = -Ahat^T    (views of A and Ahat, not stored)
 
 Semi-infinite relations hold only on the window where no truncation
 artifact enters: a product that reaches d entries past the stored block
@@ -79,6 +79,14 @@ class BandOperator:
         return [(i, j, self.entries[i][j]) for i in range(self.valid_rows)
                 for j in range(self.valid_cols)
                 if not a <= j - i <= b and self.entries[i][j] != 0]
+
+    def negated_transpose(self) -> BandOperator:
+        """-M^T, with the support and the valid window mirrored."""
+        a, b = self.support
+        return BandOperator(
+            tuple(tuple(-row[j] for row in self.entries[:self.valid_rows])
+                  for j in range(self.valid_cols)),
+            (-b, -a), self.valid_cols, self.valid_rows)
 
 
 def build_XY(family: PolynomialFamily, I: BimomentMatrix):
@@ -144,10 +152,12 @@ def build_L_Lhat(family: PolynomialFamily):
 
 
 def build_A_Ahat(X: BandOperator, L: BandOperator, Lhat: BandOperator):
-    """A = L X, Ahat = X Lhat, B = -A^T, Bhat = -Ahat^T on the window the
-    truncation leaves uncorrupted; L and Lhat are bidiagonal, so each entry
-    sums two terms.  Band supports are checked by the recurrence suite and
-    the tests.
+    """A = L X and Ahat = X Lhat on the window the truncation leaves
+    uncorrupted; L and Lhat are bidiagonal, so each entry sums two terms.
+    B = -A^T and Bhat = -Ahat^T are not stored: they are
+    :meth:`BandOperator.negated_transpose` of these, formed on each read of
+    ``Apparatus.B`` and ``Apparatus.Bhat``.  Band supports are checked by
+    the recurrence suite and the tests.
     """
     size = X.valid_rows
     cut = size - 1     # L X needs row i+1 of X, X Lhat its column j+1
@@ -156,12 +166,8 @@ def build_A_Ahat(X: BandOperator, L: BandOperator, Lhat: BandOperator):
                     for j in range(size)) for i in range(cut))
     Ahat = tuple(tuple(sum(Xe[i][k] * Lh[k][j] for k in (j, j + 1))
                        for j in range(cut)) for i in range(size))
-    B = tuple(tuple(-A[j][i] for j in range(cut)) for i in range(size))
-    Bhat = tuple(tuple(-Ahat[j][i] for j in range(size)) for i in range(cut))
     return (BandOperator(A, (-1, 2), cut, size),
-            BandOperator(Ahat, (-2, 1), size, cut),
-            BandOperator(B, (-2, 1), size, cut),
-            BandOperator(Bhat, (-1, 2), cut, size))
+            BandOperator(Ahat, (-2, 1), size, cut))
 
 
 def four_term_residual(family: PolynomialFamily, A: BandOperator,

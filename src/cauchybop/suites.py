@@ -225,11 +225,12 @@ def _suite_recurrence(r: Runner, app: Apparatus, kmax, eps_list):
               lambda: max((abs(v) for *_, v in window(op).band_violations()),
                           default=0) / scale, win)
     pts = _sample_points([app.alpha, app.beta], 5)
+    Bhat = app.Bhat
     for n in _windows(r, app, range(1, min(4, app.N - 1) + 1),
                       "four-term recurrence residual, degree {}"):
         r.run(f"four-term recurrence residual, degree {n}",
               lambda: max(0, *(v for pt in pts for v in four_term_residual(
-                  app.family, app.A, app.Bhat, n, pt))), n + 2)
+                  app.family, app.A, Bhat, n, pt))), n + 2)
     # Neville's zero threshold, not a residual: set by the tolerance rule it
     # would zero real entries of X and fail valid input
     zero = 0.0 if app.exact else 1e-8 * float(scale)

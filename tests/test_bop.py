@@ -1,10 +1,17 @@
 import math
+from dataclasses import replace
 from fractions import Fraction as F
+from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cauchybop import (DegenerateMatrixError, build_family,
-                       compute_bimoments, evaluate, measure_from_strings, pair)
+from cauchybop import (Atom, CauchybopError, DegenerateMatrixError,
+                       DiscreteMeasure, build_apparatus, build_family,
+                       build_XY, compute_bimoments, evaluate,
+                       measure_from_strings, pair)
+from cauchybop.bimoment import BimomentMatrix
 
 from .conftest import determinantal_oracle
 
@@ -100,3 +107,35 @@ def test_normalized_q_leading_coefficient_is_reciprocal_norm(app6):
         lead = float(fam.q_monic[n][n]) / fam.c(n)
         assert math.isclose(lead, 1 / fam.c(n), rel_tol=1e-14)
         assert math.isclose(fam.c(n) ** 2, float(fam.h[n]), rel_tol=1e-14)
+
+
+def random_float_measure(rng: Random, atoms: int) -> DiscreteMeasure:
+    return DiscreteMeasure(tuple(Atom(rng.uniform(0.2, 8.0),
+                                      rng.uniform(0.1, 2.0))
+                                 for _ in range(atoms)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 8), st.integers(2, 8),
+       st.integers(1, 7))
+def test_float_apparatus_equals_a_fresh_elimination(seed, atoms_a, atoms_b,
+                                                    N):
+    # the float apparatus keeps its elimination tables for the ladder's
+    # degree N + 1; a fresh elimination of the same entries must give the
+    # same doubles, so what the apparatus keeps cannot move a verdict
+    rng = Random(seed)
+    alpha = random_float_measure(rng, atoms_a)
+    beta = random_float_measure(rng, atoms_b)
+    N = min(N, atoms_a - 1, atoms_b - 1)
+    try:
+        app = build_apparatus(alpha, beta, N)
+        ladder = app.ladder
+    except CauchybopError:          # refused float input: nothing to compare
+        assume(False)
+    fresh = BimomentMatrix(app.I.order, app.I.entries, app.I.exact)
+    family = build_family(fresh, N, alpha, beta)
+    # repr tells every double apart, -0.0 and nan included
+    assert repr(family) == repr(app.family)
+    assert repr(fresh.pivots) == repr(app.I.pivots)
+    assert repr(build_XY(family, fresh)) == repr((app.X, app.Y))
+    assert repr(replace(app, I=fresh, family=family).ladder) == repr(ladder)

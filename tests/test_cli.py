@@ -1,6 +1,9 @@
+import itertools
 import json
+import operator
 import sys
 import time
+import types
 from fractions import Fraction as F
 
 import pytest
@@ -463,6 +466,9 @@ MESSAGES = {
     ("bimoments", "-N", "10", "--mode", "float"): "error: precision exhausted: a float value came out inf\n",
     ("verify", "-N", "5", "--mode", "float"): "error: malformed measure "
         "spec: support must satisfy 0 <= a < b < inf, got [1.0, inf]\n",
+    **{(cmd, "-n", n, "--mode", "float", "--point", "1e400"): "error: "
+       "precision exhausted: --point 1e400 overflows a float\n"
+       for cmd, n in (("bop", "3"), ("rhp", "2"))},
 }
 
 
@@ -527,6 +533,10 @@ MESSAGES = {
         (["bimoments", "-N", "10", "--mode", "float"], OVERFLOWING_WEIGHT, " [power sum past the float range]"),
         (["verify", "-N", "5", "--mode", "float"], INFINITE_SUPPORT,
          " [infinite support]"),
+        (["bop", "-n", "3", "--mode", "float", "--point", "1e400"], SIX_ATOM,
+         " [point past the float range]"),
+        (["rhp", "-n", "2", "--mode", "float", "--point", "1e400"], SIX_ATOM,
+         " [point past the float range]"),
     ]])
 def test_bad_order_arguments_exit_2(argv, spec, spec_file, tmp_path, capsys):
     path = (str(tmp_path / "missing.json") if spec is MISSING
@@ -787,21 +797,72 @@ def test_verify_computes_the_float_cap_once(monkeypatch, spec_file, capsys):
     assert calls == [5]
 
 
-def test_float_verify_eliminates_the_bimoments_once(monkeypatch, spec_file,
-                                                   capsys):
-    # the family, X and Y and the ladder's degree N + 1 share one LDU
+def _count_eliminations(monkeypatch):
+    """Patch the Doolittle loop; return the list of (order, tables) of its
+    runs."""
     from cauchybop.bimoment import BimomentMatrix
     ldu = BimomentMatrix.__dict__["ldu"]
-    eliminate, orders = ldu.func, []
+    eliminate, runs = ldu.func, []
 
     def counted(I):
-        orders.append(I.order)
-        return eliminate(I)
+        runs.append((I.order, eliminate(I)))
+        return runs[-1][1]
     monkeypatch.setattr(ldu, "func", counted)
+    return runs
+
+
+def test_float_verify_eliminates_the_bimoments_once(monkeypatch, spec_file,
+                                                   capsys):
+    # the family, X and Y and the ladder's degree N + 1 share one LDU: the
+    # float apparatus keeps its tables
+    runs = _count_eliminations(monkeypatch)
     code, payload = run(capsys, ["verify", spec_file(DENSITY), "-N", "4",
                                  "--suite", "all", "--mode", "float"])
     assert code == 0 and payload["status"] == "pass"
-    assert orders == [6]
+    assert [order for order, _ in runs] == [6]
+
+
+def _reachable(root) -> set:
+    """ids of every object reachable from root through instance attributes
+    and container items (classes, modules and functions not followed)."""
+    seen, stack = set(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__") and not isinstance(
+                obj, (type, types.ModuleType, types.FunctionType)):
+            stack.extend(vars(obj).values())
+    return seen
+
+
+def test_exact_apparatus_keeps_no_elimination_table(monkeypatch,
+                                                    six_atom_pair):
+    from cauchybop import build_apparatus
+    runs = _count_eliminations(monkeypatch)
+    app = build_apparatus(*six_atom_pair, N=5)
+    assert len(runs) == 1
+    *tables, h = runs[0][1]
+    table_ids = {id(t) for t in tables} | {id(r) for t in tables for r in t}
+    assert not table_ids & _reachable(app)
+    # the minors are read off the kept pivots, with no second elimination
+    D = app.I.leading_minors()
+    assert D[:len(h)] == tuple(itertools.accumulate(h, operator.mul))
+    assert len(runs) == 1
+
+
+def test_exact_verify_eliminates_the_bimoments_once(monkeypatch, spec_file,
+                                                   capsys):
+    runs = _count_eliminations(monkeypatch)
+    code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "5",
+                                 "--suite", "all"])
+    assert code == 0 and payload["status"] == "pass"
+    assert len(runs) == 1
 
 
 #: SIX_ATOM with every alpha weight scaled by 1e-100: D_4 is about 1e-400
