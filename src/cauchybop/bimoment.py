@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
+from typing import NamedTuple
 
 from .errors import TheoryViolationError
 from .measure import DiscreteMeasure, power_sums
@@ -209,8 +210,7 @@ def compute_bimoments(alpha: DiscreteMeasure, beta: DiscreteMeasure,
 # -- total positivity ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TotalPositivityCertificate:
+class TotalPositivityCertificate(NamedTuple):
     passed: bool
     kmax: int
     min_minor: object                 # smallest minor seen

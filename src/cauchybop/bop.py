@@ -26,7 +26,7 @@ the float layer: a normalized value is ``evaluate(...) / family.c(n)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .bimoment import BimomentMatrix
 from .errors import (DegenerateMatrixError, PrecisionExhaustedError,
@@ -58,8 +58,7 @@ def _invert_unit_lower(L, size):
     return inv
 
 
-@dataclass(frozen=True)
-class PolynomialFamily:
+class PolynomialFamily(NamedTuple):
     """Coefficient triangles and norm data for degrees 0..N.
 
     p_monic[n], q_monic[n] hold the monic coefficients (lowest power
@@ -117,7 +116,7 @@ def build_family(I: BimomentMatrix, N: int,
     )
     if alpha is not None and beta is not None:
         pi, eta = averages(family, alpha, beta)
-        family = replace(family, pi_monic=pi, eta_monic=eta)
+        family = family._replace(pi_monic=pi, eta_monic=eta)
     return family
 
 

@@ -1,14 +1,17 @@
 """One-stop construction of the whole apparatus for a measure pair.
 
-The :class:`Apparatus` bundles everything the verification modules need:
-bimoments (two orders past the family degree, for the shift) and the
-pivots of their one LDU, the monic family with its averages, the
-multiplication operators, the banded factors, and the hatted families.
-It keeps results, not construction scratch: the elimination runs once,
-inside :func:`build_apparatus`, whose exact matrix then drops its L, U, W
-tables, and B = -A^T, Bhat = -Ahat^T are formed from A, Ahat on each
-read.  Its derived data is built on first use, yet it is safe to share
-across threads: the only possible race builds the same equal entry twice.
+The :class:`Apparatus` bundles everything the verification modules need.
+:func:`build_apparatus` builds the bimoments (two orders past the family
+degree, for the shift) and the pivots of their one LDU, the monic family
+with its averages, the multiplication operators X, Y, the banded factors
+L, Lhat and A, Ahat; nothing else.  It keeps results, not construction
+scratch: the elimination runs once, after which the exact matrix drops
+its L, U, W tables.  Data only some readers need is built on first read
+and kept: the hatted families (read only by the hatted CD check), the
+float ladder and cap, the Markov transforms and their moment streams, and
+the auxiliary transforms per degree.  B = -A^T and Bhat = -Ahat^T are
+formed from A, Ahat on each read.  An apparatus is safe to share across
+threads: the only possible race builds the same equal entry twice.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ from .recurrence import (BandOperator, HattedFamily, build_A_Ahat, build_hatted,
 
 @dataclass(frozen=True)
 class Apparatus:
-    """The apparatus of one pair at degree N.  Its point-independent
-    derived data is computed on first use and kept: the float ``ladder``
-    and ``cap``, the eight Markov transforms (``markov``) with their moment
-    streams (``markov_moments``), and the auxiliary transforms of the
-    degrees read, keyed by side and degree (``aux``).  ``B`` and ``Bhat``
-    are not kept: each read forms them from ``A`` and ``Ahat``, so a
-    reader that needs one several times binds it once."""
+    """The apparatus of one pair at degree N.  Its fields are what
+    :func:`build_apparatus` builds.  Its point-independent derived data is
+    computed on first read and kept: the hatted families (``hatted``), the
+    float ``ladder`` and ``cap``, the eight Markov transforms (``markov``)
+    with their moment streams (``markov_moments``), and the auxiliary
+    transforms of the degrees read, keyed by side and degree (``aux``).
+    ``B`` and ``Bhat`` are not kept: each read forms them from ``A`` and
+    ``Ahat``, so a reader that needs one several times binds it once."""
     alpha: DiscreteMeasure
     beta: DiscreteMeasure
     N: int
@@ -44,7 +48,6 @@ class Apparatus:
     Lhat: BandOperator
     A: BandOperator
     Ahat: BandOperator
-    hatted: HattedFamily
     alpha_density: DensityMeasure | None = None
     beta_density: DensityMeasure | None = None
 
@@ -59,6 +62,10 @@ class Apparatus:
     @property
     def Bhat(self) -> BandOperator:     # -Ahat^T, formed on each read
         return self.Ahat.negated_transpose()
+
+    @cached_property
+    def hatted(self) -> HattedFamily:   # build_hatted(family) once
+        return build_hatted(self.family)
 
     @cached_property
     def ladder(self):       # biorthonormality_defects once; None when exact
@@ -142,9 +149,10 @@ def tolerance(ladder, d: int):
 def build_apparatus(alpha: DiscreteMeasure | DensityMeasure,
                     beta: DiscreteMeasure | DensityMeasure,
                     N: int) -> Apparatus:
-    """Build the full apparatus with family degrees 0..N, eliminating the
-    bimoments once (:meth:`~cauchybop.bimoment.BimomentMatrix.release_tables`
-    says what the matrix keeps).
+    """Build the apparatus with family degrees 0..N, through A and Ahat,
+    eliminating the bimoments once
+    (:meth:`~cauchybop.bimoment.BimomentMatrix.release_tables` says what the
+    matrix keeps); the rest of :class:`Apparatus` is built on first read.
 
     With m atoms on the smaller side, D_k > 0 exactly when k <= m, so
     N + 1 > m raises the factorization's degenerate-matrix error at order
@@ -164,7 +172,5 @@ def build_apparatus(alpha: DiscreteMeasure | DensityMeasure,
     I.release_tables()
     L, Lhat = build_L_Lhat(family)
     A, Ahat = build_A_Ahat(X, L, Lhat)
-    hatted = build_hatted(family)
-    return Apparatus(alpha_d, beta_d, N, I, family, X, Y, L, Lhat,
-                     A, Ahat, hatted,
+    return Apparatus(alpha_d, beta_d, N, I, family, X, Y, L, Lhat, A, Ahat,
                      alpha_density=alpha_density, beta_density=beta_density)

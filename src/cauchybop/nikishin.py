@@ -87,6 +87,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
+from typing import NamedTuple
 
 from .bundle import Apparatus
 from .cdkernel import _cd_residual, _window_terms
@@ -112,8 +113,7 @@ _RECIPES = {
 MARKOV_TAGS = tuple(_RECIPES)
 
 
-@dataclass(frozen=True)
-class MarkovFunction:
+class MarkovFunction(NamedTuple):
     """Stieltjes transform of a discrete signed measure."""
     tag: str
     points: tuple
@@ -190,8 +190,7 @@ def polynomial_part(Q, moms):
                  for i in range(n))
 
 
-@dataclass(frozen=True)
-class PadeSolution:
+class PadeSolution(NamedTuple):
     """Solution data of one simultaneous approximation problem.
 
     problem is "q" (Q = q_n against the (beta, alpha*) chain), "p" (Q = p_n,
@@ -249,8 +248,7 @@ def pade_solve(app: Apparatus, n: int, problem: str = "q") -> PadeSolution:
         R1=R1, R2=F2.weighted(qval, "R2"), R3=G1.weighted(R1, "R3"))
 
 
-@dataclass(frozen=True)
-class OrderCertificate:
+class OrderCertificate(NamedTuple):
     n: int
     problem: str
     checks: tuple                # (name, scaled residual)
@@ -313,8 +311,7 @@ def order_check(sol: PadeSolution) -> OrderCertificate:
 # -- auxiliary vectors -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuxVectors:
+class AuxVectors(NamedTuple):
     """Values of the main and auxiliary vectors on the degrees needed by the
     extended identities at level n: q-side entries 0..n+1 at w, p-side
     entries 0..n+1 at z, hatted q-side entries 0..n."""
@@ -356,8 +353,7 @@ class PointBackend:
         return fn(self.s)
 
 
-@dataclass(frozen=True)
-class SeriesBackend:
+class SeriesBackend(NamedTuple):
     """Expansions at infinity as PowerTails, known through z**(-depth)."""
     depth: int
 

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .bimoment import BimomentMatrix
 from .bop import PolynomialFamily
@@ -123,7 +124,8 @@ def rank_one_XY_residual(X: BandOperator, Y: BandOperator,
     every principal truncation, so no rows need discarding)."""
     size = X.valid_rows
     pi = family.pi_monic
-    return tuple(tuple(X[i, j] + Y[j, i] - pi[i] * family.eta_star(j)
+    eta = [family.eta_star(j) for j in range(size)]
+    return tuple(tuple(X[i, j] + Y[j, i] - pi[i] * eta[j]
                        for j in range(size)) for i in range(size))
 
 
@@ -196,8 +198,7 @@ def four_term_residual(family: PolynomialFamily, A: BandOperator,
 # -- hatted families -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HattedFamily:
+class HattedFamily(NamedTuple):
     """Coefficient triangles for phat_n (degree n, n = 0..N) and qhat_n
     (degree n+1, n = 0..N-1)."""
     p_hat: tuple
@@ -228,8 +229,7 @@ def build_hatted(family: PolynomialFamily) -> HattedFamily:
 # -- total nonnegativity / oscillation ------------------------------------------
 
 
-@dataclass(frozen=True)
-class OscillationCertificate:
+class OscillationCertificate(NamedTuple):
     """``kmax`` is the order certified, ``min_minor`` the smallest diagonal
     pivot, ``violation`` the first failed Neville step as (row, col,
     multiplier), with None for a needed row exchange."""

@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bimoment import det
 from .bundle import Apparatus
@@ -59,8 +60,7 @@ from .nikishin import PointBackend, SeriesBackend, aux_columns
 from .scalars import is_exact
 
 
-@dataclass(frozen=True)
-class RHMatrix:
+class RHMatrix(NamedTuple):
     entries: tuple          # 3x3
     determinant: object
 
@@ -131,8 +131,7 @@ def series_at_infinity(app: Apparatus, n: int, which: str = "gamma"):
     return _rows(app, which, n, SeriesBackend(2 * n + 4))
 
 
-@dataclass(frozen=True)
-class AsymptoticCertificate:
+class AsymptoticCertificate(NamedTuple):
     diag_powers: tuple
     residual: object           # worst offending coefficient / column scale
     failures: tuple            # (i, j, description)

@@ -1,5 +1,6 @@
 """Shared fixtures: worked measure pairs and prebuilt apparatus."""
 
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -8,6 +9,7 @@ import pytest
 from cauchybop import (Atom, DegenerateMatrixError, DiscreteMeasure,
                        build_apparatus, measure_from_strings)
 from cauchybop.bimoment import BimomentMatrix, det
+from cauchybop.recurrence import build_hatted
 
 
 @pytest.fixture(scope="session")
@@ -32,6 +34,24 @@ def six_atom_pair():
 def app6(six_atom_pair):
     """Degree-5 apparatus on the six-atom pair (exact)."""
     return build_apparatus(*six_atom_pair, N=5)
+
+
+@pytest.fixture
+def hatted_builds(monkeypatch):
+    """The families build_hatted is called on, counted under every name
+    that binds it in a loaded cauchybop module, as the benchmark's tracer
+    counts them."""
+    builds = []
+
+    def counted(family):
+        builds.append(family)
+        return build_hatted(family)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "cauchybop":
+            for attr, value in list(vars(module).items()):
+                if value is build_hatted:
+                    monkeypatch.setattr(module, attr, counted)
+    return builds
 
 
 def random_rational_measure(rng: Random, atoms: int) -> DiscreteMeasure:

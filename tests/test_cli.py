@@ -990,6 +990,20 @@ def test_float_verify_builds_no_aux_degree_past_the_cap(aux_builds,
                                          for j in range(top + 1)]
 
 
+@pytest.mark.parametrize("argv, builds", [
+    (["verify", "-N", "5", "--suite", "all"], 1),
+    (["bop", "-n", "3"], 0),
+    (["zeros", "-n", "3"], 0),
+    (["recurrence", "-N", "4"], 0),
+    (["rhp", "-n", "2", "--point", "10"], 0),
+], ids=["verify", "bop", "zeros", "recurrence", "rhp"])
+def test_only_the_hatted_cd_check_builds_the_hatted_family(
+        argv, builds, hatted_builds, spec_file, capsys):
+    code, _ = run(capsys, [argv[0], spec_file(SIX_ATOM), *argv[1:]])
+    assert code == 0
+    assert len(hatted_builds) == builds
+
+
 def test_extended_cd_builds_f_matrix_once_per_window(monkeypatch, spec_file,
                                                      capsys):
     from cauchybop import nikishin

@@ -1,3 +1,6 @@
+import sys
+import threading
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import combinations
 from random import Random
@@ -6,10 +9,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cauchybop import (BandOperator, DensityMeasure,
+from cauchybop import (Atom, BandOperator, DensityMeasure, DiscreteMeasure,
                        OrderUnderflowError, build_apparatus, build_family,
-                       build_XY, compute_bimoments, dense_commutator,
-                       four_term_residual, pair,
+                       build_hatted, build_XY, compute_bimoments,
+                       dense_commutator, four_term_residual, pair,
                        rank_one_XY_residual, tn_oscillatory_certificate)
 from cauchybop.bimoment import det
 from cauchybop.measure import power_sums
@@ -328,6 +331,66 @@ def test_intertwining_relations(app6):
             rhs = -sum(peval(app6.family.q_star(i), y) * app6.Ahat[i, j]
                        for i in range(max(0, j - 1), j + 3))
             assert lhs == rhs
+
+
+# -- the hatted families are built on first read --------------------------------
+
+
+def _in_doubles(m: DiscreteMeasure) -> DiscreteMeasure:
+    return DiscreteMeasure(tuple(Atom(float(a.position), float(a.weight))
+                                 for a in m.atoms))
+
+
+@pytest.fixture(params=["exact", "float"])
+def built(request, six_atom_pair, hatted_builds):
+    """A new degree-4 apparatus on the six-atom pair, exact or in doubles,
+    and the families build_hatted has been called on since."""
+    pair = six_atom_pair if request.param == "exact" else \
+        tuple(map(_in_doubles, six_atom_pair))
+    return build_apparatus(*pair, N=4), hatted_builds
+
+
+def test_hatted_family_is_built_on_first_read_only(built):
+    app, builds = built
+    assert builds == []         # build_apparatus built none
+    hat = app.hatted
+    assert app.hatted is hat
+    assert len(builds) == 1 and builds[0] is app.family
+    expected = build_hatted(app.family)
+    if app.exact:
+        assert hat == expected
+    else:       # repr tells every double apart, -0.0 and nan included
+        assert repr(hat) == repr(expected)
+
+
+def test_replaced_family_reads_its_own_hatted_family(app6, six_atom_pair):
+    other = build_apparatus(*reversed(six_atom_pair), N=app6.N).family
+    stale = app6.hatted
+    swapped = replace(app6, family=other)
+    assert swapped.hatted == build_hatted(other) != stale
+
+
+def test_threads_reading_the_hatted_family_at_once_agree(six_atom_pair):
+    app = build_apparatus(*six_atom_pair, N=5)
+    start = threading.Barrier(4)
+    results = []
+
+    def read():
+        start.wait(timeout=10)
+        results.append(app.hatted)
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4
+    assert all(hat == build_hatted(app.family) for hat in results)
 
 
 def test_tn_oscillatory_certificate(app6):
