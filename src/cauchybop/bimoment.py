@@ -75,7 +75,7 @@ def bareiss_det(rows):
     m = []
     for row in rows:
         fr = [Fraction(x) for x in row]
-        mult = lcm(*(f.denominator for f in fr)) if fr else 1
+        mult = lcm(*[f.denominator for f in fr]) if fr else 1
         scale *= mult
         m.append([int(f * mult) for f in fr])
     sign = 1
@@ -203,7 +203,7 @@ def compute_bimoments(alpha: DiscreteMeasure, beta: DiscreteMeasure,
                              for y, wb in zip(ys, ws_b)], N)
              for x, wa in zip(xs, alpha.weights())]
     columns = [power_sums(xs, [row[j] for row in inner], N) for j in range(N)]
-    return BimomentMatrix(N, tuple(zip(*columns)),
+    return BimomentMatrix(N, tuple([*zip(*columns)]),
                           alpha.is_exact and beta.is_exact)
 
 
@@ -305,6 +305,6 @@ def rank_one_shift_residual(I: BimomentMatrix, alpha: DiscreteMeasure,
     n = I.order - 1
     a = power_sums(alpha.positions(), alpha.weights(), n)
     b = power_sums(beta.positions(), beta.weights(), n)
-    return tuple(tuple(I[i + 1, j] + I[i, j + 1] - a[i] * b[j]
-                       for j in range(n)) for i in range(n))
+    return tuple([tuple([I[i + 1, j] + I[i, j + 1] - a[i] * b[j]
+                         for j in range(n)]) for i in range(n)])
 

@@ -106,17 +106,17 @@ def build_family(I: BimomentMatrix, N: int,
         raise DegenerateMatrixError(len(h) + 1)
     sp = _invert_unit_lower(L, size)
     # S_q^T = U^{-1}: invert the unit lower triangle U^T.
-    sq = _invert_unit_lower(tuple(zip(*U)), size)
+    sq = _invert_unit_lower(list(zip(*U)), size)
     family = PolynomialFamily(
         N=N,
-        p_monic=tuple(tuple(sp[n][: n + 1]) for n in range(size)),
-        q_monic=tuple(tuple(sq[n][: n + 1]) for n in range(size)),
+        p_monic=tuple([tuple(sp[n][: n + 1]) for n in range(size)]),
+        q_monic=tuple([tuple(sq[n][: n + 1]) for n in range(size)]),
         h=h[:size],
         exact=I.exact,
     )
     if alpha is not None and beta is not None:
-        pi, eta = averages(family, alpha, beta)
-        family = family._replace(pi_monic=pi, eta_monic=eta)
+        # not _replace: it builds the record from a map, at 10 slots first
+        family = PolynomialFamily(*family[:5], *averages(family, alpha, beta))
     return family
 
 
@@ -132,10 +132,10 @@ def averages(family: PolynomialFamily, alpha: DiscreteMeasure,
     """
     a_moms = power_sums(alpha.positions(), alpha.weights(), family.N + 1)
     b_moms = power_sums(beta.positions(), beta.weights(), family.N + 1)
-    pi = tuple(sum(c * a_moms[j] for j, c in enumerate(family.p_monic[n]))
-               for n in range(family.N + 1))
-    eta = tuple(sum(c * b_moms[j] for j, c in enumerate(family.q_monic[n]))
-                for n in range(family.N + 1))
+    pi = tuple([sum(c * a_moms[j] for j, c in enumerate(family.p_monic[n]))
+                for n in range(family.N + 1)])
+    eta = tuple([sum(c * b_moms[j] for j, c in enumerate(family.q_monic[n]))
+                 for n in range(family.N + 1)])
     for n, (p, e) in enumerate(zip(pi, eta)):
         if family.exact and not (p > 0 and e > 0):
             raise TheoryViolationError(

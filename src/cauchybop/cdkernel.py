@@ -53,9 +53,9 @@ def dense_commutator(app: Apparatus, n: int, s):
     shift in Lhat); within that window the result is exact.
     """
     Y, Lh = app.Y.entries, app.Lhat.entries
-    return tuple(tuple(sum((-s * (i == k) - Y[k][i]) * Lh[k][j]
-                           for k in (j, j + 1)) * ((i < n) - (j < n))
-                       for j in range(app.N)) for i in range(app.N + 1))
+    return tuple([tuple([sum((-s * (i == k) - Y[k][i]) * Lh[k][j]
+                             for k in (j, j + 1)) * ((i < n) - (j < n))
+                         for j in range(app.N)]) for i in range(app.N + 1)])
 
 
 def verify_block_against_dense(app: Apparatus, n: int, s):

@@ -81,8 +81,9 @@ def _measure_from_dict(d, float_mode: bool):
             pairs = [(a["x"], a["w"]) for a in d["atoms"]]
             m = measure_from_strings(pairs)
             if float_mode:
-                m = DiscreteMeasure(tuple(Atom(float(a.position), float(a.weight))
-                                          for a in m.atoms))
+                m = DiscreteMeasure(tuple([Atom(float(a.position),
+                                                float(a.weight))
+                                           for a in m.atoms]))
             return m
         if kind == "density":
             pot = d["potential"]
@@ -93,7 +94,7 @@ def _measure_from_dict(d, float_mode: bool):
             if rule != "gauss-legendre":
                 raise ValueError(f"unsupported quadrature rule {rule!r}")
             return DensityMeasure(
-                support=tuple(float(v) for v in d["support"]),
+                support=tuple([float(v) for v in d["support"]]),
                 potential=[float(c) for c in pot["coeffs"]],
                 hbar=float(pot.get("hbar", 1.0)),
                 order=quad.get("order", 64),

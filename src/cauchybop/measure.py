@@ -76,10 +76,10 @@ class DiscreteMeasure:
         return len(self.atoms)
 
     def weights(self):
-        return tuple(a.weight for a in self.atoms)
+        return tuple([a.weight for a in self.atoms])
 
     def positions(self):
-        return tuple(a.position for a in self.atoms)
+        return tuple([a.position for a in self.atoms])
 
     def support_hull(self):
         """(min, max) of the support."""
@@ -213,5 +213,5 @@ def gauss_legendre(m: DensityMeasure):
 
 def measure_from_strings(pairs: Sequence[tuple[str, str]]) -> DiscreteMeasure:
     """Build an exact discrete measure from (position, weight) decimal strings."""
-    return DiscreteMeasure(tuple(Atom(parse_exact(x), parse_exact(w))
-                                 for x, w in pairs))
+    return DiscreteMeasure(tuple([Atom(parse_exact(x), parse_exact(w))
+                                  for x, w in pairs]))

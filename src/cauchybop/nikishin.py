@@ -142,14 +142,14 @@ class MarkovFunction(NamedTuple):
         """Transform of the same measure reweighted by fn(t) -- the
         folded, remainder and auxiliary-column construction."""
         return MarkovFunction(tag, self.points,
-                              tuple(m * fn(t) for t, m in zip(self.points,
-                                                              self.masses)))
+                              tuple([m * fn(t) for t, m in zip(self.points,
+                                                               self.masses)]))
 
 
 def _placed(m: DiscreteMeasure, reflected: bool, tag: str) -> MarkovFunction:
     """Transform of m, its atoms placed at -t if reflected."""
-    return MarkovFunction(tag, tuple(-t if reflected else t
-                                     for t in m.positions()), m.weights())
+    return MarkovFunction(tag, tuple([-t if reflected else t
+                                      for t in m.positions()]), m.weights())
 
 
 def markov(alpha: DiscreteMeasure, beta: DiscreteMeasure, tag: str
@@ -186,8 +186,8 @@ def polynomial_part(Q, moms):
     being moms (at least deg(Q) moments): degree deg(Q) - 1, with P_i =
     sum_{k>i} Q_k mom_{k-1-i}."""
     n = len(Q) - 1
-    return tuple(sum(Q[k] * moms[k - 1 - i] for k in range(i + 1, n + 1))
-                 for i in range(n))
+    return tuple([sum(Q[k] * moms[k - 1 - i] for k in range(i + 1, n + 1))
+                  for i in range(n)])
 
 
 class PadeSolution(NamedTuple):
@@ -238,7 +238,7 @@ def pade_solve(app: Apparatus, n: int, problem: str = "q") -> PadeSolution:
         raise ValueError(f"unknown problem {problem!r}")
     tags = _CHAINS[problem]
     F1, F2, G1 = (app.markov[t] for t in tags[:3])
-    moments = tuple(app.markov_moments[t] for t in tags)
+    moments = tuple([app.markov_moments[t] for t in tags])
     qval = partial(peval, Q)
     R1 = F1.weighted(qval, "R1")
     return PadeSolution(
@@ -387,16 +387,16 @@ def aux_columns(app: Apparatus, side: str, top: int, backend):
         cols[2].append(backend.transform(outer, second, inner, True))
     es = [fam.eta_star(j) for j in range(top + 1)]
     if side == "q":
-        hatted = tuple(tuple(-c[j] / es[j] + c[j + 1] / es[j + 1]
-                             for j in range(top)) for c in cols)
+        hatted = tuple([tuple([-c[j] / es[j] + c[j + 1] / es[j + 1]
+                               for j in range(top)]) for c in cols])
     else:
         shifts = (backend.poly(()), backend.poly((1,)),
                   backend.transform(app.markov["W_beta_star"], "beta",
                                     lambda t: 1, True))
-        hatted = tuple(tuple(-acc - k for acc in
-                             accumulate(e * v for e, v in zip(es, c)))
-                       for c, k in zip(cols, shifts))
-    return tuple(map(tuple, cols)), hatted
+        hatted = tuple([tuple([-acc - k for acc in
+                               accumulate(e * v for e, v in zip(es, c))])
+                        for c, k in zip(cols, shifts)])
+    return tuple([*map(tuple, cols)]), hatted
 
 
 def aux_vectors(app: Apparatus, n: int, w, z) -> AuxVectors:
@@ -437,8 +437,8 @@ def f_hat_matrix(app: Apparatus, w, z):
          (zero, W_b_w, W_b_w * W_bs_z),
          (zero, W_asb_w, W_asb_w * W_bs_z))
     scale = (w + z) / app.markov_moments["W_beta"][0]
-    return tuple(tuple(F[i][j] - scale * C[i][j] for j in range(3))
-                 for i in range(3))
+    return tuple([tuple([F[i][j] - scale * C[i][j] for j in range(3)])
+                  for i in range(3)])
 
 
 def ecd_residual(app: Apparatus, a: int, b: int, n: int, w, z,

@@ -18,14 +18,14 @@ def peval(coeffs, x):
 
 def psub(a, b):
     n = max(len(a), len(b))
-    return tuple((a[k] if k < len(a) else 0) - (b[k] if k < len(b) else 0)
-                 for k in range(n))
+    return tuple([(a[k] if k < len(a) else 0) - (b[k] if k < len(b) else 0)
+                  for k in range(n)])
 
 
 def pscale(a, s):
-    return tuple(c * s for c in a)
+    return tuple([c * s for c in a])
 
 
 def preflect(a):
     """p(x) -> p(-x)."""
-    return tuple(c if k % 2 == 0 else -c for k, c in enumerate(a))
+    return tuple([c if k % 2 == 0 else -c for k, c in enumerate(a)])

@@ -85,8 +85,8 @@ class BandOperator:
         """-M^T, with the support and the valid window mirrored."""
         a, b = self.support
         return BandOperator(
-            tuple(tuple(-row[j] for row in self.entries[:self.valid_rows])
-                  for j in range(self.valid_cols)),
+            tuple([tuple([-row[j] for row in self.entries[:self.valid_rows]])
+                   for j in range(self.valid_cols)]),
             (-b, -a), self.valid_cols, self.valid_rows)
 
 
@@ -109,11 +109,11 @@ def build_XY(family: PolynomialFamily, I: BimomentMatrix):
     L, _, W, _ = I.ldu
 
     def expand(coeffs, table):
-        return tuple(tuple(sum((c[i] * table[i + 1][k]
-                                for i in range(max(k - 1, 0), len(c))), zero)
-                           for k in range(size)) for c in coeffs)
+        return tuple([tuple([sum((c[i] * table[i + 1][k]
+                                  for i in range(max(k - 1, 0), len(c))), zero)
+                             for k in range(size)]) for c in coeffs])
     X = expand(family.p_monic, L)
-    Y = expand([family.q_star(j) for j in range(size)], tuple(zip(*W)))
+    Y = expand([family.q_star(j) for j in range(size)], list(zip(*W)))
     return (BandOperator(X, (-(size - 1), 1), size, size),
             BandOperator(Y, (-(size - 1), 1), size, size))
 
@@ -125,8 +125,8 @@ def rank_one_XY_residual(X: BandOperator, Y: BandOperator,
     size = X.valid_rows
     pi = family.pi_monic
     eta = [family.eta_star(j) for j in range(size)]
-    return tuple(tuple(X[i, j] + Y[j, i] - pi[i] * eta[j]
-                       for j in range(size)) for i in range(size))
+    return tuple([tuple([X[i, j] + Y[j, i] - pi[i] * eta[j]
+                         for j in range(size)]) for i in range(size)])
 
 
 def build_L_Lhat(family: PolynomialFamily):
@@ -149,8 +149,8 @@ def build_L_Lhat(family: PolynomialFamily):
         Lh[i][i] = -1 / family.eta_star(i)
         if i - 1 >= 0:
             Lh[i][i - 1] = 1 / family.eta_star(i)
-    return (BandOperator(tuple(map(tuple, L)), (0, 1), size - 1, size),
-            BandOperator(tuple(map(tuple, Lh)), (-1, 0), size, size))
+    return (BandOperator(tuple([*map(tuple, L)]), (0, 1), size - 1, size),
+            BandOperator(tuple([*map(tuple, Lh)]), (-1, 0), size, size))
 
 
 def build_A_Ahat(X: BandOperator, L: BandOperator, Lhat: BandOperator):
@@ -164,10 +164,10 @@ def build_A_Ahat(X: BandOperator, L: BandOperator, Lhat: BandOperator):
     size = X.valid_rows
     cut = size - 1     # L X needs row i+1 of X, X Lhat its column j+1
     Lb, Xe, Lh = L.entries, X.entries, Lhat.entries
-    A = tuple(tuple(sum(Lb[i][k] * Xe[k][j] for k in (i, i + 1))
-                    for j in range(size)) for i in range(cut))
-    Ahat = tuple(tuple(sum(Xe[i][k] * Lh[k][j] for k in (j, j + 1))
-                       for j in range(cut)) for i in range(size))
+    A = tuple([tuple([sum(Lb[i][k] * Xe[k][j] for k in (i, i + 1))
+                      for j in range(size)]) for i in range(cut)])
+    Ahat = tuple([tuple([sum(Xe[i][k] * Lh[k][j] for k in (j, j + 1))
+                         for j in range(cut)]) for i in range(size)])
     return (BandOperator(A, (-1, 2), cut, size),
             BandOperator(Ahat, (-2, 1), size, cut))
 
@@ -219,10 +219,10 @@ def build_hatted(family: PolynomialFamily) -> HattedFamily:
     for n in range(N + 1):
         acc = psub(acc, pscale(family.p_monic[n], family.eta_star(n)))
         p_hat.append(acc)
-    q_hat = tuple(
+    q_hat = tuple([
         psub(pscale(family.q_monic[n + 1], 1 / family.eta_monic[n + 1]),
              pscale(family.q_monic[n], 1 / family.eta_monic[n]))
-        for n in range(N))
+        for n in range(N)])
     return HattedFamily(tuple(p_hat), q_hat)
 
 

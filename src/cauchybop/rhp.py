@@ -57,7 +57,7 @@ from .bimoment import det
 from .bundle import Apparatus
 from .measure import DensityMeasure, gauss_legendre
 from .nikishin import PointBackend, SeriesBackend, aux_columns
-from .scalars import is_exact
+from .scalars import guard_precision, is_exact
 
 
 class RHMatrix(NamedTuple):
@@ -77,10 +77,10 @@ def _combine_gamma_rows(app: Apparatus, n: int, q, qhat):
     """
     fam = app.family
     return (
-        tuple(fam.eta_monic[n] * qhat[a][n - 1] for a in range(3)),
-        tuple(q[a][n - 1] / fam.eta_star(n - 1) for a in range(3)),
-        tuple((-1) ** n * fam.eta_star(n - 2) * qhat[a][n - 2]
-              for a in range(3)),
+        tuple([fam.eta_monic[n] * qhat[a][n - 1] for a in range(3)]),
+        tuple([q[a][n - 1] / fam.eta_star(n - 1) for a in range(3)]),
+        tuple([(-1) ** n * fam.eta_star(n - 2) * qhat[a][n - 2]
+               for a in range(3)]),
     )
 
 
@@ -88,9 +88,9 @@ def _combine_gamma_hat_rows(app: Apparatus, n: int, p, phat):
     """Rows of Gammahat from p[b][j], phat[b][j] at j = n-1, n."""
     fam = app.family
     return (
-        tuple(p[b][n] for b in range(3)),
-        tuple(-phat[b][n - 1] for b in range(3)),
-        tuple((-1) ** n * p[b][n - 1] / fam.h[n - 1] for b in range(3)),
+        tuple([p[b][n] for b in range(3)]),
+        tuple([-phat[b][n - 1] for b in range(3)]),
+        tuple([(-1) ** n * p[b][n - 1] / fam.h[n - 1] for b in range(3)]),
     )
 
 
@@ -107,8 +107,16 @@ def _rows(app: Apparatus, which: str, n: int, backend):
 
 
 def _assemble(app: Apparatus, which: str, n: int, point) -> RHMatrix:
+    """Gamma or Gammahat at point, with its determinant.  In floats an
+    entry that overflowed (p_n at a point far out passes the double range)
+    is refused before the determinant reads it."""
     rows = _rows(app, which, n, PointBackend(point))
-    d = det([list(r) for r in rows], app.exact and is_exact(point))
+    exact = app.exact and is_exact(point)
+    if not exact:
+        for row in rows:
+            for v in row:
+                guard_precision(v)
+    d = det([list(r) for r in rows], exact)
     return RHMatrix(rows, d)
 
 

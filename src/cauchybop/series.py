@@ -96,7 +96,8 @@ class PowerTail:
         return PowerTail.make(merged, max(los) if los else None)
 
     def __neg__(self) -> "PowerTail":
-        return PowerTail(tuple((p, -c) for p, c in self.coeffs), self.valid_lo)
+        return PowerTail(tuple([(p, -c) for p, c in self.coeffs]),
+                         self.valid_lo)
 
     def __sub__(self, other: "PowerTail") -> "PowerTail":
         return self + (-other)
@@ -104,7 +105,8 @@ class PowerTail:
     def scale(self, s) -> "PowerTail":
         if s == 0:
             return PowerTail.zero(self.valid_lo)
-        return PowerTail(tuple((p, c * s) for p, c in self.coeffs), self.valid_lo)
+        return PowerTail(tuple([(p, c * s) for p, c in self.coeffs]),
+                         self.valid_lo)
 
     # scalar * tail and tail / scalar, so that row combiners written for
     # point values also combine series

@@ -90,7 +90,7 @@ def zeros_of(app: Apparatus, which: str, n: int) -> ZeroReport:
 
     return ZeroReport(
         degree=n,
-        zeros=tuple(float(z) for z in eigs),
+        zeros=tuple([float(z) for z in eigs]),
         min_gap=min_gap,
         all_positive=bool(np.all(eigs > 0)),
         inside_hull=bool(np.all((eigs > float(lo) - 1e-12 * span)

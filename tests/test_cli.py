@@ -469,6 +469,9 @@ MESSAGES = {
     **{(cmd, "-n", n, "--mode", "float", "--point", "1e400"): "error: "
        "precision exhausted: --point 1e400 overflows a float\n"
        for cmd, n in (("bop", "3"), ("rhp", "2"))},
+    **{("rhp", "-n", "3", "--mode", "float", "--point", point): "error: "
+       "precision exhausted: a float value came out nan\n"
+       for point in ("1e200", "1e300")},
 }
 
 
@@ -537,6 +540,10 @@ MESSAGES = {
          " [point past the float range]"),
         (["rhp", "-n", "2", "--mode", "float", "--point", "1e400"], SIX_ATOM,
          " [point past the float range]"),
+        (["rhp", "-n", "3", "--mode", "float", "--point", "1e200"], SIX_ATOM,
+         " [Gamma past the float range]"),
+        (["rhp", "-n", "3", "--mode", "float", "--point", "1e300"], SIX_ATOM,
+         " [Gamma past the float range]"),
     ]])
 def test_bad_order_arguments_exit_2(argv, spec, spec_file, tmp_path, capsys):
     path = (str(tmp_path / "missing.json") if spec is MISSING
