@@ -174,11 +174,8 @@ def _refuse_past_cap(app: Apparatus, n: int):
 
 
 def cmd_bimoments(args) -> int:
-    alpha, beta = load_spec(args)
-    if isinstance(alpha, DensityMeasure):
-        alpha = discretize(alpha)
-    if isinstance(beta, DensityMeasure):
-        beta = discretize(beta)
+    alpha, beta = [discretize(m) if isinstance(m, DensityMeasure) else m
+                   for m in load_spec(args)]
     N = args.order
     warnings = []
     if args.kmax and args.kmax > N:

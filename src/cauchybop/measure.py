@@ -6,9 +6,9 @@ Two concrete representations:
   positions and weights.  With rational data the whole downstream pipeline
   runs in exact arithmetic.
 * :class:`DensityMeasure` -- a strictly positive density on a compact
-  interval [a, b] with 0 <= a < b, reduced to a float
-  :class:`DiscreteMeasure` by Gauss-Legendre quadrature before anything
-  else touches it.
+  interval [a, b] with 0 <= a < b.  Its one Gauss-Legendre rule, formed
+  once, is read by :func:`discretize`, which makes the float atoms, and by
+  the split Cauchy transform ``rhp.cauchy_transform_density``.
 
 Every power sum -- a measure's moments, the bimoments and the Markov
 moment streams -- comes from one kernel, :func:`power_sums`.
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import inf, lcm
 from typing import Callable, Sequence
 
@@ -100,6 +101,7 @@ class DensityMeasure:
 
     The density may be given directly as a callable or as a polynomial
     potential U with scale hbar, meaning density(x) = exp(-U(x)/hbar).
+    Its quadrature rule is formed on first read and kept (:attr:`rule`).
     """
     support: tuple[float, float]
     density: Callable[[float], float] | None = None
@@ -128,8 +130,25 @@ class DensityMeasure:
         if self.density is not None:
             return float(self.density(x))
         import numpy as np
-        with np.errstate(over="ignore"):    # inf, refused by discretize
+        with np.errstate(over="ignore"):    # inf, refused by the rule
             return float(np.exp(-peval(tuple(self.potential), x) / self.hbar))
+
+    @cached_property
+    def rule(self):
+        """The order-point Gauss-Legendre rule on the support: node and
+        weight arrays (weights not yet times the density) and the density
+        at each node, refused with InvalidDensityError unless in (0, inf)."""
+        import numpy as np
+        t, weights = np.polynomial.legendre.leggauss(self.order)
+        a, b = self.support
+        half, mid = (b - a) / 2.0, (b + a) / 2.0
+        nodes, rho = mid + half * t, []
+        for x in nodes:
+            rho.append(self.density_at(x))
+            if not 0 < rho[-1] < inf:
+                raise InvalidDensityError(
+                    f"invalid density: {rho[-1]} at node {x}")
+        return nodes, weights * half, rho
 
 
 # -- operations ---------------------------------------------------------------
@@ -185,30 +204,16 @@ def _common_denominator(values) -> int:
 
 
 def discretize(m: DensityMeasure) -> DiscreteMeasure:
-    """Gauss-Legendre reduction to float atoms (node, weight * density(node)).
+    """Gauss-Legendre reduction to float atoms (node, weight * density(node)),
+    read off the measure's one rule, :attr:`DensityMeasure.rule`.
 
     Total mass reproduces the integral of the density to the accuracy of
     the rule; for a polynomial density of degree <= 2*order - 1 it is exact
     up to rounding.  A density value that is not positive, or not a finite
     double, is refused with :class:`InvalidDensityError`.
     """
-    atoms = []
-    for x, w in zip(*gauss_legendre(m)):
-        rho = m.density_at(x)
-        if not 0 < rho < inf:
-            raise InvalidDensityError(f"invalid density: {rho} at node {x}")
-        atoms.append(Atom(float(x), float(w * rho)))
-    return DiscreteMeasure(tuple(atoms))
-
-
-def gauss_legendre(m: DensityMeasure):
-    """The m.order-point Gauss-Legendre rule mapped onto m.support: two
-    float arrays, the nodes and the weights (not yet times the density)."""
-    import numpy as np
-    nodes, weights = np.polynomial.legendre.leggauss(m.order)
-    a, b = m.support
-    half, mid = (b - a) / 2.0, (b + a) / 2.0
-    return mid + half * nodes, weights * half
+    return DiscreteMeasure(tuple([Atom(float(x), float(w * rho))
+                                  for x, w, rho in zip(*m.rule)]))
 
 
 def measure_from_strings(pairs: Sequence[tuple[str, str]]) -> DiscreteMeasure:

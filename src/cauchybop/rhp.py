@@ -31,16 +31,17 @@ form; the second route (normalization prefactor times raw windows)
 lives in the tests, as the oracle of an exact route-agreement test.
 
 Jump verification on density-backed measures evaluates Gamma(w0 + i eps)
-and Gamma(w0 - i eps) by a singularity-aware Cauchy transform: the
-integrand is split at x0 = Re w into a subtracted part (smooth, handled by
-the quadrature rule) plus the exactly integrated log term
-F(x0) (log(w-a) - log(w-b)), whose complex branch carries the principal
-value and the +-i pi density term on the two sides of the cut; the
-reflected cut uses -T(g(-y), -w), so one log branch serves both cuts.  The
-residual Gamma_+ - Gamma_- J(w0) is then O(eps) up to quadrature error,
-and is expected to fall linearly as eps shrinks.  Its control experiment
-off the cuts, where Gamma_+ - Gamma_- itself shrinks with eps, is read
-from :func:`boundary_matrix` in the tests.
+and Gamma(w0 - i eps) by a singularity-aware Cauchy transform on the
+density's one rule (``DensityMeasure.rule``, which ``discretize`` reads
+too): the integrand is split at x0 = Re w into a subtracted part (smooth,
+handled by the rule) plus the exactly integrated log term F(x0)
+(log(w-a) - log(w-b)), whose complex branch carries the principal value
+and the +-i pi density term on the two sides of the cut; the reflected cut
+uses -T(g(-y), -w), so one log branch serves both cuts.
+The residual Gamma_+ - Gamma_- J(w0) is then O(eps) up to quadrature
+error, and is expected to fall linearly as eps shrinks.  Its control
+experiment off the cuts, where Gamma_+ - Gamma_- itself shrinks with eps,
+is read from :func:`boundary_matrix` in the tests.
 
 numpy is imported only by the density-backed float code (the split
 Cauchy transform and the slope fit); assembly at rational points of
@@ -55,7 +56,7 @@ from typing import NamedTuple
 
 from .bimoment import det
 from .bundle import Apparatus
-from .measure import DensityMeasure, gauss_legendre
+from .measure import DensityMeasure
 from .nikishin import PointBackend, SeriesBackend, aux_columns
 from .scalars import guard_precision, is_exact
 
@@ -214,25 +215,27 @@ def extract_constants(app: Apparatus, n: int, grid=None):
 
 
 def cauchy_transform_density(dm: DensityMeasure, g, w):
-    """integral g(y) density(y) dy / (w - y), stable arbitrarily close to
-    the cut.
+    """integral g(y) density(y) dy / (w - y) on the rule ``dm.rule``,
+    stable arbitrarily close to the cut.
 
     Off the support the plain quadrature sum is used.  For Re(w) interior
     and |Im w| at most 0.05 times the support length, the integrand is
     split at x0 = Re(w): the subtracted part is smooth at the ulp scale of
     eps and integrates accurately, while F(x0) (log(w-a) - log(w-b))
-    carries the exact near-cut behavior.
+    carries the exact near-cut behavior.  A node at x0 (odd orders put one
+    at the midpoint) drops its 0/0 term, which both sides of the cut share.
     """
     import numpy as np
     a, b = dm.support
-    ys, wts = gauss_legendre(dm)
-    fvals = np.array([g(y) * dm.density_at(y) for y in ys], dtype=complex)
+    ys, wts, rho = dm.rule
+    fvals = np.array([g(y) * r for y, r in zip(ys, rho)], dtype=complex)
     x0 = w.real if isinstance(w, complex) else float(w)
     imag = w.imag if isinstance(w, complex) else 0.0
     margin = 0.05 * (b - a)
     if a + 1e-12 < x0 < b - 1e-12 and abs(imag) <= margin:
         f0 = g(x0) * dm.density_at(x0)
-        sub = np.sum(wts * (fvals - f0) / (x0 - ys))
+        d = x0 - ys
+        sub = np.sum(wts * (fvals - f0) / np.where(d == 0, 1.0, d))
         return complex(sub + f0 * (cmath.log(w - a) - cmath.log(w - b)))
     return complex(np.sum(wts * fvals / (w - ys)))
 

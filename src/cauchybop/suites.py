@@ -38,13 +38,8 @@ from .scalars import format_scalar
 
 def _sample_points(measures, count: int):
     """Deterministic rational evaluation points off every pole set."""
-    hull_max = max(max(abs(p) for p in m.positions()) for m in measures)
-    poles = set()
-    for m in measures:
-        for p in m.positions():
-            poles.add(Fraction(p))
-            poles.add(-Fraction(p))
-    base = Fraction(int(hull_max) + 2)
+    poles = {q for m in measures for p in m.positions() for q in (p, -p)}
+    base = Fraction(int(max(poles)) + 2)
     pts = []
     k = 1
     while len(pts) < count:

@@ -25,12 +25,12 @@ not with the module, so the exact lane never loads it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .bimoment import det
 from .bundle import Apparatus
 from .errors import OrderUnderflowError, PrecisionExhaustedError
 from .polys import peval
+from .scalars import is_exact
 
 #: Zeros closer than this fraction of the span are flagged as numerically
 #: coincident: the theory forbids true coincidence, so this marks a
@@ -114,7 +114,7 @@ def charpoly_identity_residual(app: Apparatus, which: str, n: int, point):
         raise OrderUnderflowError(f"degree {n} outside 1..{app.N}")
     op = app.X if which == "p" else app.Y
     coeffs = (app.family.p_monic if which == "p" else app.family.q_monic)[n]
-    exact = app.exact and isinstance(point, (int, Fraction))
+    exact = app.exact and is_exact(point)
     if not exact:
         point = float(point)
     rows = [[(point if i == j else 0) - op[i, j] for j in range(n)]

@@ -54,6 +54,17 @@ def hatted_builds(monkeypatch):
     return builds
 
 
+@pytest.fixture
+def leggauss_calls(monkeypatch):
+    """The orders numpy's Gauss-Legendre rule is formed at, one per call."""
+    import numpy.polynomial.legendre as legendre
+    calls = []
+    leggauss = legendre.leggauss
+    monkeypatch.setattr(legendre, "leggauss",
+                        lambda n: calls.append(n) or leggauss(n))
+    return calls
+
+
 def random_rational_measure(rng: Random, atoms: int) -> DiscreteMeasure:
     """Distinct positive rational atoms with positive rational weights."""
     positions = set()

@@ -1133,3 +1133,48 @@ def test_closed_stdout_exits_2_without_traceback(spec_file):
     proc.stderr.close()
     assert "Traceback" not in err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+# The float jump study reads each density's one quadrature rule.
+
+JUMP_STUDY = ["-n", "2", "--mode", "float", "--eps", "1e-4", "1e-5", "1e-6"]
+
+
+def density_spec(order):
+    return {side: {**m, "quadrature": {"rule": "gauss-legendre",
+                                       "order": order}}
+            for side, m in DENSITY.items()}
+
+
+@pytest.mark.parametrize("order", [31, 33, 95, 96, 97])
+@pytest.mark.parametrize("command", ["verify", "rhp"])
+def test_jump_study_passes_at_odd_and_even_orders(order, command, spec_file,
+                                                  capsys):
+    # at an odd order the middle of supp(db), where the study sits, is a
+    # node, and the split transform's subtracted term there is 0/0
+    import warnings
+    argv = ([command, spec_file(density_spec(order))]
+            + (["-N", "3", "--mode", "float"] if command == "verify"
+               else JUMP_STUDY))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, payload = run(capsys, argv)
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if command == "rhp":
+        assert 0.5 <= payload["jump_study"]["slope"] <= 2.0
+    else:
+        assert payload["status"] == "pass"
+        assert any(c["name"].startswith("jump residual slope")
+                   for c in payload["checks"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-N", "3", "--suite", "rhp", "--mode", "float"],
+    ["rhp", *JUMP_STUDY],
+], ids=["verify rhp suite", "rhp jump study"])
+def test_each_density_forms_its_quadrature_rule_once(argv, leggauss_calls,
+                                                     spec_file, capsys):
+    code, _ = run(capsys, [argv[0], spec_file(DENSITY), *argv[1:]])
+    assert code == 0
+    assert leggauss_calls == [96, 96]

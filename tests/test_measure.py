@@ -127,3 +127,17 @@ def test_precision_guard_trips_and_restores(monkeypatch):
         with pytest.raises(PrecisionExhaustedError):
             power_sums(m.positions(), m.weights(), 41)
     assert power_sums(m.positions(), m.weights(), 41)[40] > 0
+
+
+def test_discretize_forms_the_rule_once(leggauss_calls):
+    m = DensityMeasure(support=(0.5, 2.0), potential=[0.0, 1.0], order=16)
+    assert discretize(m) == discretize(m)
+    assert leggauss_calls == [16]
+
+
+def test_discretize_refuses_a_bad_density_on_every_call(leggauss_calls):
+    m = DensityMeasure(support=(1.0, 2.0), density=lambda x: x - 1.5, order=8)
+    for _ in range(2):
+        with pytest.raises(InvalidDensityError):
+            discretize(m)
+    assert leggauss_calls == [8, 8]      # a refused rule is not kept
