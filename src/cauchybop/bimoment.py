@@ -33,8 +33,9 @@ holds entrywise, exactly.  :func:`rank_one_shift_residual` returns the
 left-hand side minus the right-hand side on the window where the shift is
 defined.
 
-numpy is imported only by the float branch of :func:`det`, so exact input
-never loads it.
+A determinant takes one route in both lanes, :func:`bareiss_det`: a float
+converts to a Fraction exactly, so :func:`det` of float entries is their
+exact determinant rounded once, and this module never loads numpy.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from functools import cached_property
 from math import lcm, prod
 from typing import NamedTuple
 
-from .errors import TheoryViolationError
+from .errors import PrecisionExhaustedError, TheoryViolationError
 from .measure import DiscreteMeasure, power_sums
 from .scalars import guard_precision, is_exact
 
@@ -99,10 +100,17 @@ def bareiss_det(rows):
 
 
 def det(rows, exact: bool):
+    """Determinant of rows by :func:`bareiss_det`, rounded once in floats;
+    a non-finite float entry or result raises PrecisionExhaustedError."""
     if exact:
         return bareiss_det(rows)
-    import numpy as np
-    return float(np.linalg.det(np.array(rows, dtype=float)))
+    for v in itertools.chain.from_iterable(rows):
+        guard_precision(v)
+    try:
+        return float(bareiss_det(rows))
+    except OverflowError:
+        raise PrecisionExhaustedError(
+            "precision exhausted: a float determinant overflows") from None
 
 
 def vandermonde(xs):

@@ -67,7 +67,7 @@ EXIT_USAGE = 2
 EXIT_THEORY = 3
 
 
-class UsageError(Exception):
+class UsageError(CauchybopError):
     pass
 
 
@@ -405,9 +405,6 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print("error: stdout closed before the output was written",
               file=sys.stderr)
-        return EXIT_USAGE
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TheoryViolationError as exc:
         print(f"theory violation: {exc}", file=sys.stderr)

@@ -44,8 +44,8 @@ experiment off the cuts, where Gamma_+ - Gamma_- itself shrinks with eps,
 is read from :func:`boundary_matrix` in the tests.
 
 numpy is imported only by the density-backed float code (the split
-Cauchy transform and the slope fit); assembly at rational points of
-exact input never loads it.
+Cauchy transform and the slope fit); assembly at a point, in either lane,
+never loads it.
 """
 
 from __future__ import annotations
@@ -108,17 +108,10 @@ def _rows(app: Apparatus, which: str, n: int, backend):
 
 
 def _assemble(app: Apparatus, which: str, n: int, point) -> RHMatrix:
-    """Gamma or Gammahat at point, with its determinant.  In floats an
-    entry that overflowed (p_n at a point far out passes the double range)
-    is refused before the determinant reads it."""
+    """Gamma or Gammahat at point, with its determinant, which refuses a
+    float entry that overflowed (p_n at a point far out)."""
     rows = _rows(app, which, n, PointBackend(point))
-    exact = app.exact and is_exact(point)
-    if not exact:
-        for row in rows:
-            for v in row:
-                guard_precision(v)
-    d = det([list(r) for r in rows], exact)
-    return RHMatrix(rows, d)
+    return RHMatrix(rows, det(rows, app.exact and is_exact(point)))
 
 
 def assemble_gamma(app: Apparatus, n: int, w) -> RHMatrix:
@@ -184,13 +177,12 @@ def asymptotic_check(app: Apparatus, n: int, which: str = "gamma",
 
 
 def extract_constants(app: Apparatus, n: int, grid=None):
-    """(c_{n-1}**2, eta_{n-1}**2) recovered from the series of the middle
-    row of Gamma.
-
-    The squared constants are rational and must reproduce the family data
-    exactly: c**2 = h_{n-1} and eta**2 = eta~_{n-1}**2 / h_{n-1}.  Row and
-    column indices follow the assembly order of the rows above (1-based
-    (2,1) and (2,3) entries).  grid, if given, must be
+    """(c_{n-1}**2, eta_{n-1}**2) recovered from the leading coefficients
+    of the middle row of Gamma at infinity (1-based (2,1) and (2,3) entries,
+    in assembly order); they must reproduce the family data exactly:
+    c**2 = h_{n-1} and eta**2 = eta~_{n-1}**2 / h_{n-1}.  Growth above
+    those powers is not judged here: :func:`asymptotic_check` judges it on
+    the same grid.  grid, if given, must be
     ``series_at_infinity(app, n, "gamma")``.
     """
     if grid is None:
@@ -201,10 +193,6 @@ def extract_constants(app: Apparatus, n: int, grid=None):
     if a21 == 0 or a23 == 0:
         raise ValueError("middle-row entries lack their leading powers "
                          f"{n - 1} and {-n}")
-    if app.exact:
-        for s, top in ((g21, n - 1), (g23, -n)):
-            if any(p > top for p, _ in s.coeffs):
-                raise ValueError(f"unexpected growth above power {top}")
     sign = (-1) ** n
     c_sq = sign * a23 / a21
     eta_sq = 1 / (sign * a21 * a23)
@@ -300,7 +288,9 @@ def jump_residual(app: Apparatus, n: int, w0: float, eps: float,
     for i in range(3):
         for j in range(3):
             pred = sum(gm[i][k] * J[k][j] for k in range(3))
-            worst = max(worst, abs(gp[i][j] - pred))
+            diff = abs(gp[i][j] - pred)
+            guard_precision(diff)       # max would read a nan as no residual
+            worst = max(worst, diff)
     return worst / max(scale, 1.0)
 
 

@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cauchybop import (Atom, DensityMeasure, DiscreteMeasure,
-                       TheoryViolationError, check_total_positivity,
-                       compute_bimoments, discretize, measure_from_strings,
-                       oracle_dn, rank_one_shift_residual)
+                       PrecisionExhaustedError, TheoryViolationError,
+                       check_total_positivity, compute_bimoments, discretize,
+                       measure_from_strings, oracle_dn,
+                       rank_one_shift_residual)
 from cauchybop.bimoment import (BimomentMatrix, TotalPositivityCertificate,
                                 _cauchy_sum, bareiss_det, det, vandermonde)
 from cauchybop.measure import power_sums
@@ -385,3 +386,19 @@ def test_bareiss_matches_naive_expansion():
     assert bareiss_det(rows) == expected
     assert bareiss_det([[F(0), F(1)], [F(1), F(0)]]) == -1
     assert bareiss_det([[F(0), F(0)], [F(1), F(1)]]) == 0
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_float_det_refuses_a_non_finite_entry(bad):
+    with pytest.raises(PrecisionExhaustedError):
+        det([[bad, 1.0], [1.0, 1.0]], False)
+
+
+def test_float_det_refuses_a_determinant_past_the_double_range():
+    with pytest.raises(PrecisionExhaustedError):
+        det([[1e200, 0.0], [0.0, 1e200]], False)
+
+
+def test_float_det_is_the_exact_determinant_rounded_once():
+    rows = [[0.1, 0.7, 1e-3], [2.5, 1 / 3, 0.2], [3.0, 1e8, 7.1]]
+    assert det(rows, False) == float(bareiss_det(rows))

@@ -1178,3 +1178,69 @@ def test_each_density_forms_its_quadrature_rule_once(argv, leggauss_calls,
     code, _ = run(capsys, [argv[0], spec_file(DENSITY), *argv[1:]])
     assert code == 0
     assert leggauss_calls == [96, 96]
+
+
+# Float determinants take the Bareiss route of the exact lane.
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-N", "4", "--suite", "rhp", "--mode", "float"],
+    ["rhp", "-n", "2", "--mode", "float"]])
+def test_float_unit_dets_take_the_bareiss_route(argv, monkeypatch, spec_file,
+                                                capsys):
+    import numpy
+
+    from cauchybop import suites
+    from cauchybop.bimoment import bareiss_det
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg.det called")
+    monkeypatch.setattr(numpy.linalg, "det", refuse)
+    matrices = []
+
+    def recorded(assemble):
+        def wrapper(*args):
+            matrices.append(assemble(*args))
+            return matrices[-1]
+        return wrapper
+    for name in ("assemble_gamma", "assemble_gamma_hat"):
+        monkeypatch.setattr(suites, name, recorded(getattr(suites, name)))
+    code, _ = run(capsys, [argv[0], spec_file(SIX_ATOM), *argv[1:]])
+    assert code == 0
+    assert len(matrices) == (6 if argv[0] == "verify" else 2)
+    for m in matrices:
+        assert type(m.determinant) is float
+        assert m.determinant == float(bareiss_det(m.entries))
+
+
+def test_float_verify_on_discrete_input_leaves_numpy_unloaded(spec_file):
+    import os
+    import subprocess
+
+    import cauchybop
+    argv = ["verify", spec_file(SIX_ATOM), "-N", "4", "--suite", "all",
+            "--mode", "float"]
+    src = os.path.dirname(os.path.dirname(cauchybop.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", NUMPY_PROBE,
+                          json.dumps([argv])], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert json.loads(out) == [False, [0, False]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["rhp", "-n", "2", "--mode", "float", "--eps", "1e-4", "1e-5", "1e-6"],
+    ["verify", "-N", "3", "--suite", "rhp", "--mode", "float"]])
+def test_nan_boundary_value_refused_by_the_jump_study(argv, monkeypatch,
+                                                      spec_file, capsys):
+    # a NaN above the cut must not read as a zero jump residual
+    from cauchybop import rhp
+    transform = rhp.cauchy_transform_density
+    monkeypatch.setattr(rhp, "cauchy_transform_density", lambda dm, g, w: (
+        complex("nan") if complex(w).imag > 0 else transform(dm, g, w)))
+    code = main([argv[0], spec_file(DENSITY), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ("error: precision exhausted: a float value came "
+                            "out nan\n")

@@ -15,7 +15,7 @@ from cauchybop import (Atom, DiscreteMeasure, MarkovFunction,
                        pair, plucker_residual, polynomial_part)
 from cauchybop.cdkernel import _cd_residual
 from cauchybop.nikishin import (MARKOV_TAGS, PointBackend, SeriesBackend,
-                                aux_columns)
+                                aux_columns, f_matrix)
 from cauchybop.measure import power_sums
 from cauchybop.polys import peval
 
@@ -305,6 +305,21 @@ def test_transcription_diagnostic_pins_defective_entries(app6, aux23):
             residual = _cd_residual(app6, 3, w + z, aux.qhat[a], aux.phat[b],
                                     aux.q[a], aux.phat[b], z, literal[a][b])
             assert (residual != 0) == ((a, b) in ((1, 1), (2, 0)))
+
+
+def test_f_hat_is_a_rank_one_update_of_f(app6, six_atom_pair):
+    # FF - FFhat = (w+z)/beta_0 u v^T, u = (1, W_beta(w), W_alpha_star_beta(w))
+    # and v = (0, 1, W_beta_star(z)), entry for entry
+    W = app6.markov
+    beta_0 = power_sums(app6.beta.positions(), app6.beta.weights(), 1)[0]
+    pts = rational_points_off(six_atom_pair, 4)
+    for w, z in ((pts[0], pts[3]), (pts[1], pts[2])):
+        u = (1, W["W_beta"](w), W["W_alpha_star_beta"](w))
+        v = (0, 1, W["W_beta_star"](z))
+        F_, Fhat = f_matrix(app6, w, z), f_hat_matrix(app6, w, z)
+        for i in range(3):
+            for j in range(3):
+                assert F_[i][j] - Fhat[i][j] == (w + z) / beta_0 * u[i] * v[j]
 
 
 def lemma_constructive_residuals(app, n, w, z):
