@@ -34,11 +34,9 @@ from .errors import (CauchybopError, DegenerateMatrixError,
                      TheoryViolationError)
 from .measure import (Atom, DensityMeasure, DiscreteMeasure, discretize,
                       measure_from_strings)
-from .nikishin import (MARKOV_TAGS, AuxVectors, MarkovFunction,
-                       OrderCertificate, PadeSolution, aux_vectors,
-                       duality_check, ecd_hat_residual, ecd_residual,
-                       f_hat_matrix, f_matrix, markov, order_check,
-                       pade_solve, plucker_residual, polynomial_part)
+from .nikishin import (aux_vectors, duality_check, ecd_hat_residual,
+                       ecd_residual, markov, order_check, pade_solve,
+                       plucker_residual, polynomial_part)
 from .recurrence import (BandOperator, HattedFamily, OscillationCertificate,
                          build_A_Ahat, build_hatted, build_L_Lhat, build_XY,
                          four_term_residual, rank_one_XY_residual,
@@ -47,4 +45,7 @@ from .rhp import (RHMatrix, assemble_gamma, assemble_gamma_hat,
                   asymptotic_check, extract_constants, jump_residual,
                   jump_slope_study)
 from .series import PowerTail
+from .transforms import (MARKOV_TAGS, AuxVectors, MarkovFunction,
+                         OrderCertificate, PadeSolution, f_hat_matrix,
+                         f_matrix)
 from .zeros import ZeroReport, charpoly_identity_residual, zeros_of

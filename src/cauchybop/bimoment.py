@@ -48,9 +48,9 @@ from functools import cached_property
 from math import lcm, prod
 from typing import NamedTuple
 
-from .errors import PrecisionExhaustedError, TheoryViolationError
+from .errors import TheoryViolationError
 from .measure import DiscreteMeasure, power_sums
-from .scalars import guard_precision, is_exact
+from .scalars import guard_precision, is_exact, to_float
 
 
 def _cauchy_sum(x, y):
@@ -106,11 +106,7 @@ def det(rows, exact: bool):
         return bareiss_det(rows)
     for v in itertools.chain.from_iterable(rows):
         guard_precision(v)
-    try:
-        return float(bareiss_det(rows))
-    except OverflowError:
-        raise PrecisionExhaustedError(
-            "precision exhausted: a float determinant overflows") from None
+    return to_float(bareiss_det(rows), "a determinant")
 
 
 def vandermonde(xs):

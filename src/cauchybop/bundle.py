@@ -88,7 +88,7 @@ class Apparatus:
                 for tag, W in self.markov.items()}
 
     @cached_property
-    def aux(self) -> dict:      # (side, j) -> nikishin.aux_transforms(...)
+    def aux(self) -> dict:      # (side, j) -> transforms.aux_transforms(...)
         return {}
 
     def require_window(self, n: int, lo: int = 2):

@@ -8,14 +8,15 @@ Two concrete representations:
 * :class:`DensityMeasure` -- a strictly positive density on a compact
   interval [a, b] with 0 <= a < b.  Its one Gauss-Legendre rule, formed
   once, is read by :func:`discretize`, which makes the float atoms, and by
-  the split Cauchy transform ``rhp.cauchy_transform_density``.
+  the split Cauchy transform :func:`cauchy_transform_density`, which
+  ``rhp`` reads near the cuts.
 
 Every power sum -- a measure's moments, the bimoments and the Markov
 moment streams -- comes from one kernel, :func:`power_sums`.
 
 Every measure lives on the positive axis.  The reflected measure dm*
 appears only inside the Markov transforms, whose recipes place its atoms
-at -t (``nikishin.markov``).
+at -t (``transforms._RECIPES``, built by ``nikishin.markov``).
 
 Measures with unbounded support are handled only through a user-supplied
 truncation interval.  The density of polynomials in the associated L2
@@ -23,11 +24,13 @@ spaces is an assumption of the construction and is recorded here, not
 verified.
 
 numpy is imported only by the float work on densities (the quadrature
-rule and the density values), so discrete measures never load it.
+rule, the density values and the split Cauchy transform), so discrete
+measures never load it.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -220,3 +223,45 @@ def measure_from_strings(pairs: Sequence[tuple[str, str]]) -> DiscreteMeasure:
     """Build an exact discrete measure from (position, weight) decimal strings."""
     return DiscreteMeasure(tuple([Atom(parse_exact(x), parse_exact(w))
                                   for x, w in pairs]))
+
+
+# -- near the cut --------------------------------------------------------------
+
+
+#: Central-difference step for f'(x0), in support lengths: about the cube
+#: root of the double epsilon, which balances truncation against rounding.
+_NODE_STEP = 2.0 ** -17
+
+
+def cauchy_transform_density(dm: DensityMeasure, g, w):
+    """integral g(y) density(y) dy / (w - y) on the rule ``dm.rule``,
+    stable arbitrarily close to the cut.
+
+    Off the support the plain quadrature sum is used.  For Re(w) interior
+    and |Im w| at most 0.05 times the support length, the integrand is
+    split at x0 = Re(w): the subtracted part is smooth at the ulp scale of
+    eps and integrates accurately, while F(x0) (log(w-a) - log(w-b))
+    carries the exact near-cut behavior.  A node at x0 (odd orders put one
+    at the midpoint) takes its term's limit, -f'(x0) times its weight, with
+    f = g times the density and f' by a central difference.
+    """
+    import numpy as np
+    a, b = dm.support
+    ys, wts, rho = dm.rule
+    fvals = np.array([g(y) * r for y, r in zip(ys, rho)], dtype=complex)
+    x0 = w.real if isinstance(w, complex) else float(w)
+    imag = w.imag if isinstance(w, complex) else 0.0
+    margin = 0.05 * (b - a)
+    if a + 1e-12 < x0 < b - 1e-12 and abs(imag) <= margin:
+        f0 = g(x0) * dm.density_at(x0)
+        d = x0 - ys
+        at = d == 0
+        terms = wts * (fvals - f0) / np.where(at, 1.0, d)
+        if at.any():
+            h = _NODE_STEP * (b - a)
+            df = (g(x0 + h) * dm.density_at(x0 + h)
+                  - g(x0 - h) * dm.density_at(x0 - h)) / (2 * h)
+            terms[at] = -wts[at] * df
+        sub = np.sum(terms)
+        return complex(sub + f0 * (cmath.log(w - a) - cmath.log(w - b)))
+    return complex(np.sum(wts * fvals / (w - ys)))

@@ -13,7 +13,7 @@ Two matrices are assembled from windows of the auxiliary vectors:
 * Gammahat(z), built from the p-chain windows (p_n, phat_{n-1}, p_{n-1}),
   with diag(z^n, 1, z^-n) asymptotics.
 
-Each matrix has one row combiner, fed by ``nikishin.aux_columns`` with
+Each matrix has one row combiner, fed by ``transforms.aux_columns`` with
 point values, series at infinity or :class:`DensityBackend` values.  The
 expansion at infinity of either matrix, keyed by ``which``, comes from
 :func:`series_at_infinity`; :func:`asymptotic_check` and
@@ -32,9 +32,10 @@ lives in the tests, as the oracle of an exact route-agreement test.
 
 Jump verification on density-backed measures evaluates Gamma(w0 + i eps)
 and Gamma(w0 - i eps) by a singularity-aware Cauchy transform on the
-density's one rule (``DensityMeasure.rule``, which ``discretize`` reads
-too): the integrand is split at x0 = Re w into a subtracted part (smooth,
-handled by the rule) plus the exactly integrated log term F(x0)
+density's one rule (``measure.cauchy_transform_density`` on
+``DensityMeasure.rule``, which ``discretize`` reads too): the integrand
+is split at x0 = Re w into a subtracted part (smooth, handled by the
+rule) plus the exactly integrated log term F(x0)
 (log(w-a) - log(w-b)), whose complex branch carries the principal value
 and the +-i pi density term on the two sides of the cut; the reflected cut
 uses -T(g(-y), -w), so one log branch serves both cuts.
@@ -56,9 +57,9 @@ from typing import NamedTuple
 
 from .bimoment import det
 from .bundle import Apparatus
-from .measure import DensityMeasure
-from .nikishin import PointBackend, SeriesBackend, aux_columns
+from .measure import DensityMeasure, cauchy_transform_density
 from .scalars import guard_precision, is_exact
+from .transforms import PointBackend, SeriesBackend, aux_columns
 
 
 class RHMatrix(NamedTuple):
@@ -200,32 +201,6 @@ def extract_constants(app: Apparatus, n: int, grid=None):
 
 
 # -- boundary values and jumps ----------------------------------------------------
-
-
-def cauchy_transform_density(dm: DensityMeasure, g, w):
-    """integral g(y) density(y) dy / (w - y) on the rule ``dm.rule``,
-    stable arbitrarily close to the cut.
-
-    Off the support the plain quadrature sum is used.  For Re(w) interior
-    and |Im w| at most 0.05 times the support length, the integrand is
-    split at x0 = Re(w): the subtracted part is smooth at the ulp scale of
-    eps and integrates accurately, while F(x0) (log(w-a) - log(w-b))
-    carries the exact near-cut behavior.  A node at x0 (odd orders put one
-    at the midpoint) drops its 0/0 term, which both sides of the cut share.
-    """
-    import numpy as np
-    a, b = dm.support
-    ys, wts, rho = dm.rule
-    fvals = np.array([g(y) * r for y, r in zip(ys, rho)], dtype=complex)
-    x0 = w.real if isinstance(w, complex) else float(w)
-    imag = w.imag if isinstance(w, complex) else 0.0
-    margin = 0.05 * (b - a)
-    if a + 1e-12 < x0 < b - 1e-12 and abs(imag) <= margin:
-        f0 = g(x0) * dm.density_at(x0)
-        d = x0 - ys
-        sub = np.sum(wts * (fvals - f0) / np.where(d == 0, 1.0, d))
-        return complex(sub + f0 * (cmath.log(w - a) - cmath.log(w - b)))
-    return complex(np.sum(wts * fvals / (w - ys)))
 
 
 @dataclass(frozen=True)

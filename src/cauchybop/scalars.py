@@ -100,12 +100,23 @@ def residual(lhs, rhs):
     return abs(lhs - rhs) / max(1, abs(lhs), abs(rhs))
 
 
+def to_float(x, what: str) -> float:
+    """float(x), refused with :class:`PrecisionExhaustedError` when x,
+    described by `what`, lies past the double range (an exact value from
+    atoms as large as 1e400 can)."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise PrecisionExhaustedError(
+            f"precision exhausted: {what} overflows a float") from None
+
+
 def scalar_sqrt(x) -> float:
     """Positive square root as a float (normalized quantities live in the
     float layer only).  The arguments are norms h_n, positive for valid
     input, so a negative one is float rounding noise past the reliable
     degrees."""
-    value = float(x)
+    value = to_float(x, "a norm")
     if value < 0:
         raise PrecisionExhaustedError(
             f"precision exhausted: square root of a negative norm {value!r}")

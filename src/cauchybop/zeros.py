@@ -30,7 +30,7 @@ from .bimoment import det
 from .bundle import Apparatus
 from .errors import OrderUnderflowError, PrecisionExhaustedError
 from .polys import peval
-from .scalars import is_exact
+from .scalars import is_exact, to_float
 
 #: Zeros closer than this fraction of the span are flagged as numerically
 #: coincident: the theory forbids true coincidence, so this marks a
@@ -51,7 +51,8 @@ class ZeroReport:
 
 def _eigs_real_sorted(block):
     import numpy as np
-    m = np.array(block, dtype=float)
+    m = np.array([[to_float(v, "an operator entry") for v in row]
+                  for row in block], dtype=float)
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:   # pragma: no cover - defensive
@@ -78,8 +79,8 @@ def zeros_of(app: Apparatus, which: str, n: int) -> ZeroReport:
     eigs = _eigs_real_sorted(block)
 
     measure = app.alpha if which == "p" else app.beta
-    lo, hi = measure.support_hull()
-    span = float(hi) - float(lo) or 1.0
+    lo, hi = [to_float(v, "a support end") for v in measure.support_hull()]
+    span = hi - lo or 1.0
     gaps = np.diff(eigs)
     min_gap = float(np.min(gaps)) if len(gaps) else float("inf")
 
@@ -93,8 +94,8 @@ def zeros_of(app: Apparatus, which: str, n: int) -> ZeroReport:
         zeros=tuple([float(z) for z in eigs]),
         min_gap=min_gap,
         all_positive=bool(np.all(eigs > 0)),
-        inside_hull=bool(np.all((eigs > float(lo) - 1e-12 * span)
-                                & (eigs < float(hi) + 1e-12 * span))),
+        inside_hull=bool(np.all((eigs > lo - 1e-12 * span)
+                                & (eigs < hi + 1e-12 * span))),
         interlaced_with_previous=prev_interlaced,
         numerically_coincident=bool(min_gap < COINCIDENCE_RTOL * span),
     )

@@ -244,12 +244,12 @@ def test_zeros_command(spec_file, capsys):
 
 def test_zeros_broken_interlacing_exits_1(monkeypatch, spec_file, capsys):
     from dataclasses import replace
-    import cauchybop.cli as cli_mod
-    zeros_of = cli_mod.zeros_of
+    from cauchybop import commands
+    zeros_of = commands.zeros_of
 
     def not_interlaced(app, which, n):
         return replace(zeros_of(app, which, n), interlaced_with_previous=False)
-    monkeypatch.setattr(cli_mod, "zeros_of", not_interlaced)
+    monkeypatch.setattr(commands, "zeros_of", not_interlaced)
     code, payload = run(capsys, ["zeros", spec_file(SIX_ATOM), "-n", "3"])
     assert code == 1
     assert payload["p"]["interlaced_with_previous"] is False
@@ -299,12 +299,12 @@ def test_negative_weight_rejected(spec_file, capsys):
 def test_theory_violation_exit_code(monkeypatch, spec_file, capsys):
     # unreachable with valid input; force it to pin the exit-code contract
     from cauchybop.errors import TheoryViolationError
-    import cauchybop.cli as cli_mod
+    from cauchybop import commands
 
     def boom(*a, **k):
         raise TheoryViolationError("forced")
 
-    monkeypatch.setattr(cli_mod, "compute_bimoments", boom)
+    monkeypatch.setattr(commands, "compute_bimoments", boom)
     assert main(["bimoments", spec_file(TWO_ATOM), "-N", "2"]) == 3
 
 
@@ -614,7 +614,7 @@ def test_rhp_suite_builds_the_gamma_expansion_once(monkeypatch, spec_file,
     # the asymptotic check and the constant recovery read one expansion of
     # Gamma (q side); Gammahat (p side) is expanded once too
     from cauchybop import rhp
-    from cauchybop.nikishin import SeriesBackend
+    from cauchybop.transforms import SeriesBackend
     aux_columns, builds = rhp.aux_columns, []
 
     def counted(app, side, top, backend):
@@ -944,13 +944,13 @@ def test_pade_suite_builds_each_markov_transform_once(monkeypatch, spec_file,
 @pytest.fixture
 def aux_builds(monkeypatch):
     """(apparatus, side, degree) of every build of auxiliary transforms."""
-    from cauchybop import nikishin
-    aux_transforms, builds = nikishin.aux_transforms, []
+    from cauchybop import transforms
+    aux_transforms, builds = transforms.aux_transforms, []
 
     def counted(app, side, j):
         builds.append((app, side, j))
         return aux_transforms(app, side, j)
-    monkeypatch.setattr(nikishin, "aux_transforms", counted)
+    monkeypatch.setattr(transforms, "aux_transforms", counted)
     return builds
 
 
@@ -1097,14 +1097,14 @@ def test_exact_mode_refuses_a_density(argv, spec_file, capsys):
 
 def test_tp_floor_uses_the_clipped_kmax(monkeypatch, spec_file, capsys):
     # -N 3 builds bimoments of order 5, so --kmax 12 certifies 5x5 minors
-    from cauchybop import suites
+    from cauchybop import checks
     seen = []
-    certify = suites.check_total_positivity
+    certify = checks.check_total_positivity
 
     def captured(I, kmax, tol=0.0):
         seen.append((I, kmax, tol))
         return certify(I, kmax, tol=tol)
-    monkeypatch.setattr(suites, "check_total_positivity", captured)
+    monkeypatch.setattr(checks, "check_total_positivity", captured)
     code, _ = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "3",
                            "--kmax", "12", "--suite", "tp", "--mode", "float"])
     assert code == 0
@@ -1190,7 +1190,7 @@ def test_float_unit_dets_take_the_bareiss_route(argv, monkeypatch, spec_file,
                                                 capsys):
     import numpy
 
-    from cauchybop import suites
+    from cauchybop import checks
     from cauchybop.bimoment import bareiss_det
 
     def refuse(*args, **kwargs):
@@ -1204,7 +1204,7 @@ def test_float_unit_dets_take_the_bareiss_route(argv, monkeypatch, spec_file,
             return matrices[-1]
         return wrapper
     for name in ("assemble_gamma", "assemble_gamma_hat"):
-        monkeypatch.setattr(suites, name, recorded(getattr(suites, name)))
+        monkeypatch.setattr(checks, name, recorded(getattr(checks, name)))
     code, _ = run(capsys, [argv[0], spec_file(SIX_ATOM), *argv[1:]])
     assert code == 0
     assert len(matrices) == (6 if argv[0] == "verify" else 2)

@@ -6,7 +6,7 @@ import contextlib
 import io
 import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cauchybop.cli import SUITES, main
@@ -110,8 +110,23 @@ def invocation(draw):
                              for side in ("alpha", "beta")})
 
 
+def _atoms(*pairs):
+    return {"type": "discrete",
+            "atoms": [{"x": x, "w": w} for x, w in pairs]}
+
+
+#: an atom past the double range: exact zeros and bop read an operator
+#: entry, a support end or a norm built from it as a float
+BEYOND_DOUBLE = json.dumps({
+    "alpha": _atoms(("1e400", "1"), ("2", "0.5"), ("3", "0.25")),
+    "beta": _atoms(("0.5", "1"), ("1.5", "2"), ("4", "0.75"))})
+
+
 @settings(max_examples=40, deadline=None)
 @given(invocation())
+@example((["zeros", "SPEC", "-n", "2"], BEYOND_DOUBLE))
+@example((["zeros", "SPEC", "-n", "1"], BEYOND_DOUBLE))
+@example((["bop", "SPEC", "-n", "2"], BEYOND_DOUBLE))
 def test_cli_exits_with_a_documented_code(tmp_path_factory, case):
     argv, text = case
     path = tmp_path_factory.mktemp("fuzz") / "spec.json"

@@ -14,10 +14,10 @@ from cauchybop import (Atom, DiscreteMeasure, MarkovFunction,
                        measure_from_strings, order_check, pade_solve,
                        pair, plucker_residual, polynomial_part)
 from cauchybop.cdkernel import _cd_residual
-from cauchybop.nikishin import (MARKOV_TAGS, PointBackend, SeriesBackend,
-                                aux_columns, f_matrix)
 from cauchybop.measure import power_sums
 from cauchybop.polys import peval
+from cauchybop.transforms import (MARKOV_TAGS, PointBackend, SeriesBackend,
+                                  aux_columns, f_matrix)
 
 from .conftest import (random_rational_measure, rational_points_off,
                        term_by_term_power_sums)

@@ -215,6 +215,21 @@ def two_sided_difference(app, n, w0, eps):
     return max(abs(gp[i][j] - gm[i][j]) for i in range(3) for j in range(3))
 
 
+def test_boundary_matrix_at_a_quadrature_node():
+    # an odd order puts a node at the midpoint 1.5, where the split Cauchy
+    # transform takes the node's term at its limit: Gamma there agrees
+    # with an even order's, which has no node at 1.5
+    def gamma(order):
+        dm = DensityMeasure(support=(1.0, 2.0), potential=[0.0, 1.0],
+                            order=order)
+        return boundary_matrix(build_apparatus(dm, dm, N=3), 2,
+                               1.5 + 1e-5j)
+    even, odd = gamma(96), gamma(97)
+    scale = max(abs(v) for row in even for v in row)
+    assert max(abs(x - y) for r, s in zip(even, odd)
+               for x, y in zip(r, s)) <= 1e-8 * scale
+
+
 def test_analyticity_off_support(appd):
     d5 = two_sided_difference(appd, 2, 3.0, 1e-5)
     d6 = two_sided_difference(appd, 2, 3.0, 1e-6)
