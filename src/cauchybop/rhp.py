@@ -163,7 +163,7 @@ def asymptotic_check(app: Apparatus, n: int, which: str = "gamma",
         col_scale = max(1, *(abs(grid[i][j].coeff(d[j])) for i in range(3)))
         for i in range(3):
             s = grid[i][j]
-            junk = [(p, c) for p, c in s.coeffs if p > d[j] and c != 0]
+            junk = [(p, c) for p, c in s.coeffs if p > d[j]]
             lead = s.coeff(d[j])
             expect = 1 if i == j else 0
             worst = max(worst, abs(lead - expect) / col_scale,

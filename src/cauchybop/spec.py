@@ -39,9 +39,10 @@ def _measure_from_dict(d, float_mode: bool):
             pairs = [(a["x"], a["w"]) for a in d["atoms"]]
             m = measure_from_strings(pairs)
             if float_mode:
-                m = DiscreteMeasure(tuple([Atom(float(a.position),
-                                                float(a.weight))
-                                           for a in m.atoms]))
+                m = DiscreteMeasure(tuple([
+                    Atom(to_float(a.position, "an atom position"),
+                         to_float(a.weight, "an atom weight"))
+                    for a in m.atoms]))
             return m
         if kind == "density":
             pot = d["potential"]

@@ -37,13 +37,8 @@ def _suite_tp(r: Runner, app: Apparatus, kmax, eps_list):
              else "no negative consecutive minor")
     # by Cauchy-Binet, minors past the smaller atom count m vanish
     m = min(len(app.alpha), len(app.beta))
-    cert = None
-
-    def tp():
-        nonlocal cert
-        cert = tp_certificate(app.I, min(kmax or 6, m))
-        return cert.passed
-    r.run(lambda: f"{label} through {cert.kmax}x{cert.kmax}", tp)
+    k = min(kmax or 6, m, app.I.order)
+    r.run(f"{label} through {k}x{k}", lambda: tp_certificate(app.I, k).passed)
     D = app.I.leading_minors()
     # the tuple-sum oracle enumerates C(atoms, n)^2 index pairs, O(n) work
     # each through the closed-form Cauchy determinant, too many past 16 atoms

@@ -447,8 +447,12 @@ MESSAGES = {
     ("bimoments", "-N", "5"): "error: unknown measure type 'lattice'\n",
     ("zeros", "-n", "2"): "error: cannot read spec: [Errno 2] No such file "
         "or directory: '{path}'\n",
-    ("bimoments", "-N", "1", "--mode", "float"): "error: malformed measure "
-        "spec: integer division result too large for a float\n",
+    **dict.fromkeys([("bimoments", "-N", "1", "--mode", "float"),
+                     ("zeros", "-n", "2", "--mode", "float"),
+                     ("bop", "-n", "3", "--mode", "float"),
+                     ("rhp", "-n", "2", "--mode", "float")],
+                    "error: precision exhausted: an atom position "
+                    "overflows a float\n"),
     ("bop", "-n", "1", "--mode", "float"): "error: precision exhausted: "
         "1e+200 ** 2 overflows a float\n",
     ("bimoments", "-N", "6", "--mode", "float"): "error: malformed measure "
@@ -514,8 +518,11 @@ MESSAGES = {
          " [quadrature not an object]"),
         (["bimoments", "-N", "5"], LATTICE, " [unknown measure type]"),
         (["zeros", "-n", "2"], MISSING, " [unreadable spec]"),
-        (["bimoments", "-N", "1", "--mode", "float"], BEYOND_FLOAT,
-         " [atom past the float range]"),
+        *[(argv, BEYOND_FLOAT, " [atom past the float range]") for argv in (
+            ["bimoments", "-N", "1", "--mode", "float"],
+            ["zeros", "-n", "2", "--mode", "float"],
+            ["bop", "-n", "3", "--mode", "float"],
+            ["rhp", "-n", "2", "--mode", "float"])],
         (["bop", "-n", "1", "--mode", "float"], SQUARE_BEYOND_FLOAT,
          " [power past the float range]"),
         (["bimoments", "-N", "6", "--mode", "float"], HUGE_QUADRATURE,

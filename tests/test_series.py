@@ -1,15 +1,16 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cauchybop import PowerTail
+from cauchybop.series import EXACT
 
 
 def test_from_poly_is_exact():
     s = PowerTail.from_poly((F(1), F(0), F(3)))
-    assert s.valid_lo is None
+    assert s.valid_lo == EXACT
     assert s.coeff(2) == 3 and s.coeff(1) == 0 and s.coeff(-100) == 0
 
 
@@ -55,13 +56,13 @@ def test_multiplication_of_two_tails():
 
 def test_exact_times_exact_stays_exact():
     a = PowerTail.from_poly((F(1), F(1)))
-    assert (a * a).valid_lo is None
+    assert (a * a).valid_lo == EXACT
     assert (a * a).coeff(1) == 2
 
 
 def test_pure_error_term_contaminates():
     # a tail with no known nonzero coefficients still carries its O() term
-    silent = PowerTail.zero(valid_lo=-3)             # = O(z^-4)
+    silent = PowerTail.make({}, -3)                  # = O(z^-4)
     poly = PowerTail.from_poly((F(0), F(1)))         # z
     prod = silent * poly
     assert prod.valid_lo == -2                       # O(z^-3)
@@ -91,10 +92,10 @@ def test_leading_and_zero_through():
     s = PowerTail.make({3: F(0), 1: F(5), -1: F(2)}, valid_lo=-2)
     assert s.coeffs[0] == (1, 5)
     assert s._eff_top() == 1              # above the error term at z**-3
-    assert PowerTail.zero(-2)._eff_top() == -3
-    assert PowerTail.zero()._eff_top() is None
+    assert PowerTail.make({}, -2)._eff_top() == -3
+    assert PowerTail.make({})._eff_top() == EXACT
     assert s.max_abs_through(-1) == 5
-    assert PowerTail.make({-3: F(1)}, None).max_abs_through(-2) == 0
+    assert PowerTail.make({-3: F(1)}).max_abs_through(-2) == 0
     with pytest.raises(ValueError):
         s.max_abs_through(-3)             # below the validity horizon
     assert s.max_abs_all() == 5
@@ -109,15 +110,23 @@ def full_product(a: PowerTail, b: PowerTail) -> dict:
     return out
 
 
+def tiny_to_large(min_exponent, max_exponent):
+    """Floats m * 10**e, whose products and quotients can underflow to 0."""
+    return st.builds(lambda m, e: m * 10.0 ** e,
+                     st.floats(min_value=-1e3, max_value=1e3),
+                     st.integers(min_exponent, max_exponent))
+
+
 @st.composite
 def tails(draw):
-    """A PowerTail with powers -8..4, rational or float coefficients, exact
-    or known down to a horizon."""
+    """A PowerTail with powers -8..4, rational or float coefficients (floats
+    down to 1e-200 in magnitude), exact or known down to a horizon."""
     coeff = draw(st.sampled_from((
         st.fractions(min_value=-50, max_value=50, max_denominator=9),
-        st.floats(min_value=-1e3, max_value=1e3))))
+        st.floats(min_value=-1e3, max_value=1e3),
+        tiny_to_large(-200, 0))))
     coeffs = draw(st.dictionaries(st.integers(-8, 4), coeff, max_size=8))
-    return PowerTail.make(coeffs, draw(st.none() | st.integers(-9, 0)))
+    return PowerTail.make(coeffs, draw(st.just(EXACT) | st.integers(-9, 0)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -125,3 +134,21 @@ def tails(draw):
 def test_product_stops_at_horizon_like_full_product_truncated(a, b):
     prod = a * b
     assert prod == PowerTail.make(full_product(a, b), prod.valid_lo)
+
+
+def assert_shape(t: PowerTail):
+    powers = [p for p, _ in t.coeffs]
+    assert all(p > q for p, q in zip(powers, powers[1:])), t
+    assert all(c != 0 for _, c in t.coeffs), t
+    assert all(p >= t.valid_lo for p in powers), t
+
+
+@settings(max_examples=200, deadline=None)
+@given(tails(), tails(),
+       st.fractions(min_value=-50, max_value=50, max_denominator=9)
+       .filter(bool) | tiny_to_large(-200, 200).filter(bool))
+@example(PowerTail.from_moment_stream([1e-200, 2.0]), PowerTail.make({}),
+         1e-200)                          # the scale underflows to 0.0
+def test_every_result_has_descending_nonzero_known_coefficients(a, b, s):
+    for t in (a + b, a - b, -a, a.scale(s), s * a, a / s, a * b):
+        assert_shape(t)
