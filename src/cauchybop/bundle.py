@@ -7,10 +7,10 @@ with its averages, the multiplication operators X, Y, the banded factors
 L, Lhat and A, Ahat; nothing else.  It keeps results, not construction
 scratch: the elimination runs once, after which the exact matrix drops
 its L, U, W tables.  Data only some readers need is built on first read
-and kept: the hatted families (read only by the hatted CD check), the
-float ladder and cap, the Markov transforms and their moment streams, and
-the auxiliary transforms per degree.  B = -A^T and Bhat = -Ahat^T are
-formed from A, Ahat on each read.  An apparatus is safe to share across
+and kept: the hatted families (read only by the benchmark and the
+tests), the float ladder and cap, the Markov transforms and their moment
+streams, and the auxiliary transforms per degree.  B = -A^T and Bhat =
+-Ahat^T are formed from A, Ahat on each read.  An apparatus is safe to share across
 threads: the only possible race builds the same equal entry twice.
 """
 
@@ -65,6 +65,7 @@ class Apparatus:
 
     @cached_property
     def hatted(self) -> HattedFamily:   # build_hatted(family) once
+        # read only by perfbench/ and the tests, like cli.float_degree_cap
         return build_hatted(self.family)
 
     @cached_property

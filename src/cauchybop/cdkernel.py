@@ -22,7 +22,10 @@ evaluator, :func:`_cd_residual`, which returns |lhs - rhs| / max(1, |lhs|,
 |rhs|): zero exactly when the identity holds.  The block is cross-checked
 against a dense commutator formed on the whole stored truncation.  All
 arithmetic happens in the rescaled biorthonormal frame, where both sides
-are rational.
+are rational.  The plain and hatted identities evaluate q*_k(y) and
+p_k(x) by Horner and form qhat_k(y) and phat_k(x) from them by
+``transforms.hatted_combination``, the combination the auxiliary columns
+use; the hatted triangles (``recurrence.build_hatted``) are not read.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 from .bundle import Apparatus
 from .polys import peval
 from .scalars import residual
+from .transforms import hatted_combination
 
 
 def commutator_block(app: Apparatus, n: int, s):
@@ -93,17 +97,20 @@ def _cd_residual(app: Apparatus, n: int, w_plus_z, u, v, q_values,
 
 
 def _point_windows(app: Apparatus, n: int, x, y):
-    """q*_k(y) for k <= n+1 and phat_k(x) for k <= n."""
+    """q*_k(y) for k <= n+1, p_k(x) for k <= n, and eta*_k for k <= n+1,
+    what ``transforms.hatted_combination`` forms the hatted values from."""
     app.require_window(n)
-    return ([peval(app.family.q_star(k), y) for k in range(n + 2)],
-            [peval(app.hatted.p_hat[k], x) for k in range(n + 1)])
+    fam = app.family
+    return ([peval(fam.q_star(k), y) for k in range(n + 2)],
+            [peval(fam.p_monic[k], x) for k in range(n + 1)],
+            [fam.eta_star(k) for k in range(n + 2)])
 
 
 def cd_residual_plain(app: Apparatus, n: int, x, y):
     """Residual of the plain identity at (x, y); exactly zero in exact
     mode."""
-    q_values, phat_values = _point_windows(app, n, x, y)
-    p_values = [peval(app.family.p_monic[j], x) for j in range(n)]
+    q_values, p_values, es = _point_windows(app, n, x, y)
+    phat_values = hatted_combination("p", es, p_values)
     return _cd_residual(app, n, x + y, q_values, p_values, q_values,
                         phat_values, -y, 0)
 
@@ -111,7 +118,7 @@ def cd_residual_plain(app: Apparatus, n: int, x, y):
 def cd_residual_hat(app: Apparatus, n: int, x, y):
     """Residual of the hatted identity at (x, y); same block, evaluated at
     s = x instead of s = -y."""
-    q_values, phat_values = _point_windows(app, n, x, y)
-    qhat_values = [peval(app.hatted.q_hat[j], y) for j in range(n)]
-    return _cd_residual(app, n, x + y, qhat_values, phat_values, q_values,
-                        phat_values, x, 0)
+    q_values, p_values, es = _point_windows(app, n, x, y)
+    phat_values = hatted_combination("p", es, p_values)
+    return _cd_residual(app, n, x + y, hatted_combination("q", es, q_values),
+                        phat_values, q_values, phat_values, x, 0)

@@ -22,7 +22,12 @@ symmetry p_n solves the (alpha, beta*) chain, and p_n(-z) solves the
 switched problem on the original chain.  Remainders are computed by their
 integral representations (never as Q W - P, which cancels catastrophically
 in floats): weighting the measure of F by Q gives R = "F weighted by Q",
-and R3 is G1's measure weighted by the inner remainder R1.
+and R3 is G1's measure weighted by the inner remainder R1.  R1 and R3 are
+thus the degree-n auxiliary transforms of ``transforms``, read off
+``app.aux``: side "p" as they are for problem "p", times h_n for problem
+"q" (side "q" weights by q*_n = q_n/h_n), and reflected for "switched"
+(points negated, and the masses of R3 too: exact negations, so no bit
+moves in floats).  R2 is F2 weighted by Q.
 
 Asymptotic claims are checked as coefficient streams with explicit order
 tracking: O(1/z**k) means "coefficients through z**(-k+1) vanish", which
@@ -70,7 +75,8 @@ from .scalars import residual
 from .series import PowerTail
 from .transforms import (_RECIPES, MARKOV_TAGS, AuxVectors, MarkovFunction,
                          OrderCertificate, PadeSolution, PointBackend,
-                         _placed, aux_columns, f_hat_matrix, f_matrix)
+                         _placed, aux_columns, aux_entry, f_hat_matrix,
+                         f_matrix)
 
 
 def markov(alpha: DiscreteMeasure, beta: DiscreteMeasure, tag: str
@@ -125,7 +131,9 @@ def pade_solve(app: Apparatus, n: int, problem: str = "q") -> PadeSolution:
 
     Q is monic: q_n for the "q" problem, p_n for "p", p_n(-z) for
     "switched" (the solution is unique up to scale, so monic is a
-    convention, not a restriction).
+    convention, not a restriction).  R1 and R3 come off the degree-n
+    auxiliary transforms (``transforms.aux_entry``); R2 is F2 weighted by
+    Q.
     """
     if not 0 <= n <= app.N:
         raise OrderUnderflowError(f"degree {n} outside built range 0..{app.N}")
@@ -138,15 +146,20 @@ def pade_solve(app: Apparatus, n: int, problem: str = "q") -> PadeSolution:
     else:
         raise ValueError(f"unknown problem {problem!r}")
     tags = _CHAINS[problem]
-    F1, F2, G1 = (app.markov[t] for t in tags[:3])
     moments = tuple([app.markov_moments[t] for t in tags])
-    qval = partial(peval, Q)
-    R1 = F1.weighted(qval, "R1")
+    # side "q" weights by q*_n = q_n / h_n; "switched" reflects side "p"
+    h = app.family.h[n] if problem == "q" else 1
+    s = -1 if problem == "switched" else 1
+    _, inner, outer = aux_entry(app, "q" if problem == "q" else "p", n)
+    R1 = MarkovFunction("R1", tuple([s * t for t in inner.points]),
+                        tuple([h * m for m in inner.masses]))
+    R3 = MarkovFunction("R3", tuple([s * t for t in outer.points]),
+                        tuple([s * h * m for m in outer.masses]))
     return PadeSolution(
         n=n, problem=problem, Q=Q,
         P1=polynomial_part(Q, moments[0]), P2=polynomial_part(Q, moments[1]),
-        moments=moments,
-        R1=R1, R2=F2.weighted(qval, "R2"), R3=G1.weighted(R1, "R3"))
+        moments=moments, R1=R1,
+        R2=app.markov[tags[1]].weighted(partial(peval, Q), "R2"), R3=R3)
 
 
 def order_check(sol: PadeSolution) -> OrderCertificate:

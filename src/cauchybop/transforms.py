@@ -19,9 +19,14 @@ measure's at its placed atoms.  :data:`_RECIPES` says how each is built;
 What does not depend on the point is built once per apparatus: the eight
 transforms (``app.markov``), their moment streams (``app.markov_moments``)
 and, per side and degree on its first read, the auxiliary transforms
-(``app.aux``, see :func:`aux_transforms`).  The auxiliary vectors have one
-evaluator, :func:`aux_columns`, which evaluates the latter and forms the
-hatted combinations.  A backend with ``poly(coeffs)`` and ``transform(fn,
+(``app.aux``, built by :func:`aux_transforms` and read through
+:func:`aux_entry`).  They have two readers: ``nikishin.pade_solve``, whose
+remainders R1 and R3 they are up to a scale or a reflection, and the one
+evaluator of the auxiliary vectors, :func:`aux_columns`, which evaluates
+them and forms the hatted combinations.  Those come from
+:func:`hatted_combination`, which also forms the hatted values of the CD
+checks (``cdkernel``) from the family's values, so no reader evaluates
+the hatted triangles.  A backend with ``poly(coeffs)`` and ``transform(fn,
 which, g, reflected)`` says what evaluating means; fn is the kept
 transform of the measure ``which``, its atoms at -t if reflected, each
 weight times g at the placed atom.  :class:`PointBackend` evaluates fn
@@ -166,8 +171,8 @@ def aux_transforms(app: Apparatus, side: str, j: int):
     """The point-independent data of one side's auxiliary columns at
     degree j: (P_j, inner, outer).  Side "q": q*_j, db weighted by q*_j,
     da* weighted by that at its placed atoms; side "p": p_j, da and db*.
-    Both transforms reweight the plain ones of ``app.markov``.  Read as
-    ``app.aux[side, j]``, which :func:`aux_columns` fills."""
+    Both transforms reweight the plain ones of ``app.markov``.  Read
+    through :func:`aux_entry`."""
     first, second = _SIDES[side]
     P = app.family.q_star(j) if side == "q" else app.family.p_monic[j]
     inner = app.markov[f"W_{first}"].weighted(partial(peval, P),
@@ -175,6 +180,27 @@ def aux_transforms(app: Apparatus, side: str, j: int):
     outer = app.markov[f"W_{second}_star"].weighted(inner,
                                                     f"{second}*[weighted]")
     return P, inner, outer
+
+
+def aux_entry(app: Apparatus, side: str, j: int):
+    """``app.aux[side, j]``, built by :func:`aux_transforms` on its first
+    read; the one way :func:`aux_columns` and ``nikishin.pade_solve`` read
+    the auxiliary transforms."""
+    if (side, j) not in app.aux:
+        app.aux[side, j] = aux_transforms(app, side, j)
+    return app.aux[side, j]
+
+
+def hatted_combination(side: str, es, values, shift=0):
+    """The hatted combination of one component's values v_0..v_top of one
+    side, es[j] being eta*_j: side "q", qhat_j = -v_j/eta*_j +
+    v_{j+1}/eta*_{j+1} for j < top; side "p", phat_j = -sum_{i<=j} eta*_i
+    v_i - shift for j <= top."""
+    if side == "q":
+        return tuple([-values[j] / es[j] + values[j + 1] / es[j + 1]
+                      for j in range(len(values) - 1)])
+    return tuple([-acc - shift
+                  for acc in accumulate(e * v for e, v in zip(es, values))])
 
 
 @dataclass(frozen=True)
@@ -205,35 +231,26 @@ def aux_columns(app: Apparatus, side: str, top: int, backend):
     """The three auxiliary columns of one side for degrees 0..top, and
     their hatted form, as values of ``backend``.
 
-    Columns: P_j and the two transforms of ``app.aux[side, j]``, built
-    here on first read.  Hatted, side "q": qhat_j = -q_j/eta*_j +
-    q_{j+1}/eta*_{j+1} for j < top; side "p": phat_j = -sum_{i<=j} eta*_i
-    p_i - (0, 1, W_beta_star) for j <= top.  Returns (cols, hatted), each
-    indexed [component][degree].
+    Columns: P_j and the two transforms of :func:`aux_entry`.  Hatted: the
+    :func:`hatted_combination` of each column, shifted on side "p" by (0,
+    1, W_beta_star).  Returns (cols, hatted), each indexed
+    [component][degree].
     """
-    fam = app.family
     first, second = _SIDES[side]
     cols = ([], [], [])
     for j in range(top + 1):
-        if (side, j) not in app.aux:
-            app.aux[side, j] = aux_transforms(app, side, j)
-        P, inner, outer = app.aux[side, j]
+        P, inner, outer = aux_entry(app, side, j)
         cols[0].append(backend.poly(P))
         cols[1].append(backend.transform(inner, first, partial(peval, P),
                                          False))
         cols[2].append(backend.transform(outer, second, inner, True))
-    es = [fam.eta_star(j) for j in range(top + 1)]
-    if side == "q":
-        hatted = tuple([tuple([-c[j] / es[j] + c[j + 1] / es[j + 1]
-                               for j in range(top)]) for c in cols])
-    else:
-        shifts = (backend.poly(()), backend.poly((1,)),
-                  backend.transform(app.markov["W_beta_star"], "beta",
-                                    lambda t: 1, True))
-        hatted = tuple([tuple([-acc - k for acc in
-                               accumulate(e * v for e, v in zip(es, c))])
-                        for c, k in zip(cols, shifts)])
-    return tuple([*map(tuple, cols)]), hatted
+    es = [app.family.eta_star(j) for j in range(top + 1)]
+    shifts = (0, 0, 0) if side == "q" else (
+        backend.poly(()), backend.poly((1,)),
+        backend.transform(app.markov["W_beta_star"], "beta", lambda t: 1,
+                          True))
+    return tuple([*map(tuple, cols)]), tuple([
+        hatted_combination(side, es, c, k) for c, k in zip(cols, shifts)])
 
 
 # -- constant matrices of the extended identities --------------------------------

@@ -974,6 +974,47 @@ def test_verify_builds_each_side_of_the_aux_transforms_once(aux_builds,
                                          for j in range(6)]
 
 
+def test_pade_suite_alone_builds_each_aux_degree_once_and_no_other_fold(
+        monkeypatch, aux_builds, spec_file, capsys):
+    # problem q reads side q, problems p and switched side p, at n <= 4.  A
+    # fold weights one transform by another; the remainders take theirs off
+    # the auxiliary transforms, so the only folds are app.markov's four and
+    # one outer transform per aux build
+    from cauchybop.transforms import MarkovFunction
+    weighted, weights = MarkovFunction.weighted, []
+
+    def counted(self, fn, tag):
+        weights.append(fn)
+        return weighted(self, fn, tag)
+    monkeypatch.setattr(MarkovFunction, "weighted", counted)
+    code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "5",
+                                 "--suite", "pade"])
+    assert code == 0 and payload["status"] == "pass"
+    assert built_degrees(aux_builds) == [(side, j) for side in "pq"
+                                         for j in range(5)]
+    folds = [fn for fn in weights if isinstance(fn, MarkovFunction)]
+    assert len(folds) == 4 + len(aux_builds)
+
+
+@pytest.mark.parametrize("spec, argv", [
+    (SIX_ATOM, ["-N", "5"]),
+    (DENSITY, ["-N", "8", "--mode", "float"]),
+], ids=["exact", "float"])
+def test_each_suite_alone_reports_what_it_reports_in_all(spec, argv,
+                                                         spec_file, capsys):
+    # the suites share the apparatus's caches; the order they fill them in
+    # changes no result
+    def triples(suite):
+        code, payload = run(capsys, ["verify", spec_file(spec), *argv,
+                                     "--suite", suite])
+        assert code == 0
+        return [(c["name"], c["status"], c["residual"])
+                for c in payload["checks"]]
+    alone = [t for suite in ("tp", "recurrence", "cdi", "pade", "duality",
+                             "rhp") for t in triples(suite)]
+    assert alone == triples("all")
+
+
 TEN_ATOM = {side: {"type": "discrete", "atoms": [
     {"x": str(x + shift), "w": w} for x, w in zip(range(1, 11), weights)]}
     for side, shift, weights in (
@@ -1004,18 +1045,19 @@ def test_float_verify_builds_no_aux_degree_past_the_cap(aux_builds,
                                          for j in range(top + 1)]
 
 
-@pytest.mark.parametrize("argv, builds", [
-    (["verify", "-N", "5", "--suite", "all"], 1),
-    (["bop", "-n", "3"], 0),
-    (["zeros", "-n", "3"], 0),
-    (["recurrence", "-N", "4"], 0),
-    (["rhp", "-n", "2", "--point", "10"], 0),
+@pytest.mark.parametrize("argv", [
+    ["verify", "-N", "5", "--suite", "all"],
+    ["bop", "-n", "3"],
+    ["zeros", "-n", "3"],
+    ["recurrence", "-N", "4"],
+    ["rhp", "-n", "2", "--point", "10"],
 ], ids=["verify", "bop", "zeros", "recurrence", "rhp"])
-def test_only_the_hatted_cd_check_builds_the_hatted_family(
-        argv, builds, hatted_builds, spec_file, capsys):
+def test_no_command_builds_the_hatted_family(argv, hatted_builds, spec_file,
+                                             capsys):
+    # the CD checks form the hatted values by the hatted combination
     code, _ = run(capsys, [argv[0], spec_file(SIX_ATOM), *argv[1:]])
     assert code == 0
-    assert len(hatted_builds) == builds
+    assert hatted_builds == []
 
 
 def test_extended_cd_builds_f_matrix_once_per_window(monkeypatch, spec_file,

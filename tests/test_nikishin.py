@@ -1,6 +1,7 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from functools import partial
 from random import Random
 
 import pytest
@@ -15,9 +16,11 @@ from cauchybop import (Atom, DiscreteMeasure, MarkovFunction,
                        pair, plucker_residual, polynomial_part)
 from cauchybop.cdkernel import _cd_residual
 from cauchybop.measure import power_sums
+from cauchybop.nikishin import _CHAINS
 from cauchybop.polys import peval
+from cauchybop.recurrence import build_hatted
 from cauchybop.transforms import (MARKOV_TAGS, PointBackend, SeriesBackend,
-                                  aux_columns, f_matrix)
+                                  aux_columns, f_matrix, hatted_combination)
 
 from .conftest import (random_rational_measure, rational_points_off,
                        term_by_term_power_sums)
@@ -198,6 +201,65 @@ def test_third_condition_is_biorthogonality(app6):
 
 def test_vacuous_order_zero(app6):
     assert order_check(pade_solve(app6, 0, "q")).passed
+
+
+# -- the remainders against direct weighting ---------------------------------------
+
+
+def direct_remainders(app, sol):
+    """R1, R2, R3 by direct weighting: the chain's F1 and F2 weighted by
+    Q, and its G1 weighted by that R1."""
+    F1, F2, G1 = (app.markov[t] for t in _CHAINS[sol.problem][:3])
+    R1 = F1.weighted(partial(peval, sol.Q), "R1")
+    return R1, F2.weighted(partial(peval, sol.Q), "R2"), G1.weighted(R1, "R3")
+
+
+def assert_remainders_match_direct_weighting(app, problems):
+    for problem in problems:
+        for n in range(app.N + 1):
+            sol = pade_solve(app, n, problem)
+            for got, want in zip((sol.R1, sol.R2, sol.R3),
+                                 direct_remainders(app, sol)):
+                assert (got.points, got.masses) == (want.points, want.masses)
+
+
+def assert_hatted_combination_matches_horner(app, points):
+    fam, hat = app.family, build_hatted(app.family)
+    es = [fam.eta_star(k) for k in range(app.N + 1)]
+    for s in points:
+        p_values = [peval(fam.p_monic[k], s) for k in range(app.N + 1)]
+        q_values = [peval(fam.q_star(k), s) for k in range(app.N + 1)]
+        assert hatted_combination("p", es, p_values) == \
+            tuple(peval(c, s) for c in hat.p_hat)
+        assert hatted_combination("q", es, q_values) == \
+            tuple(peval(c, s) for c in hat.q_hat)
+
+
+def test_remainders_match_direct_weighting(app6, six_atom_pair):
+    assert_remainders_match_direct_weighting(app6, ("q", "p", "switched"))
+    assert_hatted_combination_matches_horner(
+        app6, rational_points_off(six_atom_pair, 6))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(1, 8), st.integers(1, 8))
+def test_remainders_match_direct_weighting_random_pairs(seed, a, b):
+    rng = Random(seed)
+    alpha = random_rational_measure(rng, a)
+    beta = random_rational_measure(rng, b)
+    app = build_apparatus(alpha, beta, N=min(a, b) - 1)
+    assert_remainders_match_direct_weighting(app, ("q", "p", "switched"))
+    assert_hatted_combination_matches_horner(
+        app, rational_points_off([alpha, beta], 3))
+
+
+def test_float_remainders_of_p_and_switched_match_bit_for_bit(six_atom_pair):
+    # side "p" as it is, or reflected by exact negations: no bit moves
+    app = build_apparatus(
+        *(DiscreteMeasure(tuple(Atom(float(a.position), float(a.weight))
+                                for a in m.atoms)) for m in six_atom_pair),
+        N=5)
+    assert_remainders_match_direct_weighting(app, ("p", "switched"))
 
 
 def test_polynomial_part_helper(six_atom_pair):
