@@ -92,10 +92,13 @@ class Apparatus:
     def aux(self) -> dict:      # (side, j) -> transforms.aux_transforms(...)
         return {}
 
-    def require_window(self, n: int, lo: int = 2):
-        if not lo <= n <= self.N - 1:
+    def require_window(self, n: int, lo: int = 2, hi: int | None = None):
+        """The one judge of whether this apparatus answers for degree n:
+        lo <= n <= hi, hi defaulting to N - 1, the identities' top window."""
+        hi = self.N - 1 if hi is None else hi
+        if not lo <= n <= hi:
             raise OrderUnderflowError(
-                f"order underflow: need {lo} <= n <= {self.N - 1}, got {n}")
+                f"order underflow: need {lo} <= n <= {hi}, got {n}")
 
 
 def biorthonormality_defects(app: Apparatus):

@@ -97,20 +97,21 @@ def _cd_residual(app: Apparatus, n: int, w_plus_z, u, v, q_values,
 
 
 def _point_windows(app: Apparatus, n: int, x, y):
-    """q*_k(y) for k <= n+1, p_k(x) for k <= n, and eta*_k for k <= n+1,
-    what ``transforms.hatted_combination`` forms the hatted values from."""
+    """q*_k(y) for k <= n+1, p_k(x) for k <= n, eta*_k for k <= n+1, and
+    phat_k(x) for k <= n, which ``transforms.hatted_combination`` forms
+    from p and eta*."""
     app.require_window(n)
     fam = app.family
-    return ([peval(fam.q_star(k), y) for k in range(n + 2)],
-            [peval(fam.p_monic[k], x) for k in range(n + 1)],
-            [fam.eta_star(k) for k in range(n + 2)])
+    p_values = [peval(fam.p_monic[k], x) for k in range(n + 1)]
+    es = [fam.eta_star(k) for k in range(n + 2)]
+    return ([peval(fam.q_star(k), y) for k in range(n + 2)], p_values, es,
+            hatted_combination("p", es, p_values))
 
 
 def cd_residual_plain(app: Apparatus, n: int, x, y):
     """Residual of the plain identity at (x, y); exactly zero in exact
     mode."""
-    q_values, p_values, es = _point_windows(app, n, x, y)
-    phat_values = hatted_combination("p", es, p_values)
+    q_values, p_values, _, phat_values = _point_windows(app, n, x, y)
     return _cd_residual(app, n, x + y, q_values, p_values, q_values,
                         phat_values, -y, 0)
 
@@ -118,7 +119,6 @@ def cd_residual_plain(app: Apparatus, n: int, x, y):
 def cd_residual_hat(app: Apparatus, n: int, x, y):
     """Residual of the hatted identity at (x, y); same block, evaluated at
     s = x instead of s = -y."""
-    q_values, p_values, es = _point_windows(app, n, x, y)
-    phat_values = hatted_combination("p", es, p_values)
+    q_values, _, es, phat_values = _point_windows(app, n, x, y)
     return _cd_residual(app, n, x + y, hatted_combination("q", es, q_values),
                         phat_values, q_values, phat_values, x, 0)

@@ -23,14 +23,13 @@ truncation interval.  The density of polynomials in the associated L2
 spaces is an assumption of the construction and is recorded here, not
 verified.
 
-numpy is imported only by the float work on densities (the quadrature
-rule, the density values and the split Cauchy transform), so discrete
-measures never load it.
+numpy and cmath are imported only by the float work on densities (the
+quadrature rule, the density values and the split Cauchy transform), so
+discrete measures never load them.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -245,6 +244,7 @@ def cauchy_transform_density(dm: DensityMeasure, g, w):
     at the midpoint) takes its term's limit, -f'(x0) times its weight, with
     f = g times the density and f' by a central difference.
     """
+    import cmath
     import numpy as np
     a, b = dm.support
     ys, wts, rho = dm.rule

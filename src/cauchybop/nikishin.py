@@ -68,7 +68,6 @@ from functools import partial
 
 from .bundle import Apparatus
 from .cdkernel import _cd_residual, _window_terms
-from .errors import OrderUnderflowError
 from .measure import DiscreteMeasure
 from .polys import peval, preflect
 from .scalars import residual
@@ -133,10 +132,9 @@ def pade_solve(app: Apparatus, n: int, problem: str = "q") -> PadeSolution:
     "switched" (the solution is unique up to scale, so monic is a
     convention, not a restriction).  R1 and R3 come off the degree-n
     auxiliary transforms (``transforms.aux_entry``); R2 is F2 weighted by
-    Q.
+    Q.  Needs 0 <= n <= N, judged by ``Apparatus.require_window``.
     """
-    if not 0 <= n <= app.N:
-        raise OrderUnderflowError(f"degree {n} outside built range 0..{app.N}")
+    app.require_window(n, 0, app.N)
     if problem == "q":
         Q = app.family.q_monic[n]
     elif problem == "p":
@@ -212,8 +210,9 @@ def order_check(sol: PadeSolution) -> OrderCertificate:
 
 
 def aux_vectors(app: Apparatus, n: int, w, z) -> AuxVectors:
-    if not 0 <= n <= app.N - 1:
-        raise OrderUnderflowError(f"aux window needs 0 <= n <= {app.N - 1}")
+    """The auxiliary columns of both families through degree n + 1, q at w
+    and p at z; needs 0 <= n <= N - 1."""
+    app.require_window(n, 0)
     q_all, qhat = aux_columns(app, "q", n + 1, PointBackend(w))
     p_all, phat = aux_columns(app, "p", n + 1, PointBackend(z))
     return AuxVectors(q_all, p_all, phat, qhat)

@@ -44,14 +44,14 @@ error, and is expected to fall linearly as eps shrinks.  Its control
 experiment off the cuts, where Gamma_+ - Gamma_- itself shrinks with eps,
 is read from :func:`boundary_matrix` in the tests.
 
-numpy is imported only by the density-backed float code (the split
-Cauchy transform and the slope fit); assembly at a point, in either lane,
-never loads it.
+numpy and cmath are imported only by the density-backed float code (the
+split Cauchy transform and the slope fit); assembly at a point, in either
+lane, never loads them.
 """
 
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -239,9 +239,9 @@ def jump_matrix(app: Apparatus, w0: float, which: str = "gamma"):
                         else (app.alpha_density, app.beta_density))
     J = [[1.0 + 0j, 0j, 0j], [0j, 1.0 + 0j, 0j], [0j, 0j, 1.0 + 0j]]
     if plain.support[0] < w0 < plain.support[1]:
-        J[0][1] = -2j * cmath.pi * plain.density_at(w0)
+        J[0][1] = -2j * math.pi * plain.density_at(w0)
     elif reflected.support[0] < -w0 < reflected.support[1]:
-        J[1][2] = -2j * cmath.pi * reflected.density_at(-w0)
+        J[1][2] = -2j * math.pi * reflected.density_at(-w0)
     else:
         raise ValueError(f"{w0} is not interior to either cut of {which}")
     return J

@@ -121,27 +121,25 @@ def _suite_pade(r: Runner, app: Apparatus, kmax, eps_list):
 
 
 def _suite_duality(r: Runner, app: Apparatus, kmax, eps_list):
+    """Both extended CD identities at windows 2, 3 and the duality pairing
+    at 2..4; F and Fhat, which no window changes, formed at the first."""
     pts = _sample_points([app.alpha, app.beta], 4)
     w, z = pts[0], pts[3]     # not antipodal, as in _suite_cdi
+    F = Fhat = None
     for n in _windows(r, app, (2, 3), "extended CD, n={}"):
         aux = aux_vectors(app, n, w, z)     # read by both identities
-        for label, residual, constants in (
-                ("", ecd_residual, f_matrix),
-                ("hatted ", ecd_hat_residual, f_hat_matrix)):
-
-            def ecd():
-                C = constants(app, w, z)
-                return max(residual(app, a, b, n, w, z, aux, C)
-                           for a in range(3) for b in range(3))
-            r.run(f"{label}extended CD residual, all 9 windows, n={n}", ecd,
-                  n + 2)
+        if F is None:
+            F, Fhat = f_matrix(app, w, z), f_hat_matrix(app, w, z)
+        for label, residual, C in (("", ecd_residual, F),
+                                   ("hatted ", ecd_hat_residual, Fhat)):
+            r.run(f"{label}extended CD residual, all 9 windows, n={n}",
+                  lambda: max(residual(app, a, b, n, w, z, aux, C)
+                              for a in range(3) for b in range(3)), n + 2)
     for n in _windows(r, app, (2, 3, 4), "perfect duality pairing, n={}"):
-
-        def pairing():
-            aux = aux_vectors(app, n, -pts[2], pts[2])
-            return max(duality_check(app, a, b, n, pts[2], aux)
-                       for a in range(3) for b in range(3))
-        r.run(f"perfect duality pairing, n={n}", pairing, n + 2)
+        aux = aux_vectors(app, n, -pts[2], pts[2])
+        r.run(f"perfect duality pairing, n={n}",
+              lambda: max(duality_check(app, a, b, n, pts[2], aux)
+                          for a in range(3) for b in range(3)), n + 2)
 
 
 def _suite_rhp(r: Runner, app: Apparatus, kmax, eps_list):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .bimoment import det
 from .bundle import Apparatus
-from .errors import OrderUnderflowError, PrecisionExhaustedError
+from .errors import PrecisionExhaustedError
 from .polys import peval
 from .scalars import is_exact, to_float
 
@@ -68,9 +68,9 @@ def _eigs_real_sorted(block):
 
 
 def zeros_of(app: Apparatus, which: str, n: int) -> ZeroReport:
-    """Zero report for p_n (which="p") or q_n (which="q"), 0 <= n <= N."""
-    if not 0 <= n <= app.N:
-        raise OrderUnderflowError(f"degree {n} outside built range 0..{app.N}")
+    """Zero report for p_n (which="p") or q_n (which="q"); the degree range
+    0 <= n <= N is judged by ``Apparatus.require_window``."""
+    app.require_window(n, 0, app.N)
     if n == 0:
         return ZeroReport(0, (), float("inf"), True, True, None, False)
     import numpy as np
@@ -110,9 +110,8 @@ def _interlacing_margin(zn, zp):
 def charpoly_identity_residual(app: Apparatus, which: str, n: int, point):
     """p_n(point) - det(point - X[n-1]) in the monic frame (the sqrt
     prefactor of the normalized statement cancels against monic scaling).
-    Exact zero on exact data."""
-    if not 1 <= n <= app.N:
-        raise OrderUnderflowError(f"degree {n} outside 1..{app.N}")
+    Exact zero on exact data; needs 1 <= n <= N."""
+    app.require_window(n, 1, app.N)
     op = app.X if which == "p" else app.Y
     coeffs = (app.family.p_monic if which == "p" else app.family.q_monic)[n]
     exact = app.exact and is_exact(point)

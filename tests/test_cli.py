@@ -1060,8 +1060,8 @@ def test_no_command_builds_the_hatted_family(argv, hatted_builds, spec_file,
     assert hatted_builds == []
 
 
-def test_extended_cd_builds_f_matrix_once_per_window(monkeypatch, spec_file,
-                                                     capsys):
+def test_extended_cd_builds_f_matrix_once_per_run(monkeypatch, spec_file,
+                                                  capsys):
     from cauchybop import nikishin
     calls = []
 
@@ -1083,10 +1083,10 @@ def test_extended_cd_builds_f_matrix_once_per_window(monkeypatch, spec_file,
     hatted = [c for c in payload["checks"]
               if c["name"].startswith("hatted extended CD residual")]
     assert len(windows) == len(hatted) == 2
-    # one F per plain window, one Fhat per hatted window, and the F that
-    # f_hat_matrix reads its hatted matrix off
-    assert calls.count("f_hat_matrix") == len(hatted)
-    assert calls.count("f_matrix") == len(windows) + len(hatted)
+    # F and Fhat do not depend on the window: one of each per run, and the
+    # F that f_hat_matrix reads its hatted matrix off
+    assert calls.count("f_hat_matrix") == 1
+    assert calls.count("f_matrix") == 2
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
