@@ -127,14 +127,14 @@ def biorthonormality_defects(app: Apparatus):
 
 
 def reliable_degree_cap(app: Apparatus) -> int:
-    """Largest window n whose checks only touch degrees with
+    """Largest window n <= N - 1 whose checks only touch degrees with
     biorthonormality defect at most 1e-8 (degree n+1 included, since every
-    identity at window n reaches one degree past it); read as ``app.cap``."""
+    identity at window n reaches one degree past it); N - 1 when exact."""
     if app.exact:
         return app.N - 1
     # the ladder never decreases: its clean degrees k >= 1 are 1..clean
     clean = sum(float(app.ladder[k]) <= 1e-8 for k in range(1, app.N + 1))
-    return max(clean - 1, 1)
+    return min(max(clean - 1, 1), app.N - 1)
 
 
 #: tol(d) = SAFETY * max(ladder[d], FLOOR).  On the float-verify benchmark

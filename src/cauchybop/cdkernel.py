@@ -65,8 +65,8 @@ def dense_commutator(app: Apparatus, n: int, s):
 def verify_block_against_dense(app: Apparatus, n: int, s):
     """Worst disagreement of the 4-entry block with the dense commutator
     (zero off the block) over the block scale, on the rows and columns
-    below ``app.cap + 2``: the whole stored truncation in exact mode, and
-    in float mode the window the defect ladder trusts."""
+    below ``app.cap + 2`` <= N + 1, the window the defect ladder trusts:
+    the whole stored truncation when exact, where the cap is N - 1."""
     block = commutator_block(app, n, s)
     dense = dense_commutator(app, n, s)
     size = app.cap + 2

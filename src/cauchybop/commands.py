@@ -16,8 +16,8 @@ from fractions import Fraction
 from .bimoment import compute_bimoments
 from .bop import evaluate
 from .bundle import Apparatus, build_apparatus
-from .checks import (Runner, check_jump_slope, check_shift, check_unit_dets,
-                     tp_certificate)
+from .checks import (Runner, _sample_points, check_jump_slope, check_shift,
+                     check_unit_dets, tp_certificate)
 from .errors import PrecisionExhaustedError
 from .measure import DensityMeasure, discretize
 from .scalars import format_scalar
@@ -35,7 +35,7 @@ def _emit(payload):
 
 
 def _refuse_past_cap(app: Apparatus, n: int):
-    """Refuse a degree past cap + 1 (never exact, where the cap is N - 1)."""
+    """Refuse a degree past cap + 1 <= N (never exact: the cap is N - 1)."""
     if n > app.cap + 1:
         raise PrecisionExhaustedError(
             f"precision exhausted: degree {n} exceeds the float degree cap "
@@ -164,8 +164,8 @@ def cmd_recurrence(args) -> bool:
 def cmd_rhp(args) -> bool:
     alpha, beta = load_spec(args)
     n = args.degree
-    point = _point("10" if args.point is None else args.point,
-                   args.mode == "float")
+    point = (None if args.point is None
+             else _point(args.point, args.mode == "float"))
     app = build_apparatus(alpha, beta, n + 1)
     _refuse_past_cap(app, n)
     r = Runner(app.ladder)
@@ -175,6 +175,8 @@ def cmd_rhp(args) -> bool:
         payload["jump_study"] = {"w0": w0, "eps": list(args.eps),
                                  "residuals": residuals, "slope": slope}
     else:
+        if point is None:       # the rhp suite's first det Gamma point
+            point = _sample_points([app.alpha, app.beta], 1)[0]
         matrices = check_unit_dets(r, app, n, point)
         payload["point"] = format_scalar(point)
         for key, m in zip(("gamma", "gamma_hat"), matrices):

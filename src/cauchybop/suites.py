@@ -5,10 +5,10 @@ each computation to the runner (``checks.Runner``), which times it and
 judges what it returns.  :data:`SUITES` maps the names ``cauchybop verify
 --suite`` takes to them, in the order ``--suite all`` runs them.
 
-Float degree windows come from the apparatus's one degree cap
-(``app.cap``), and every residual is judged by one rule,
-``bundle.tolerance``, at the highest family degree it reads.  The checks a
-suite shares with a subcommand of ``cli`` are in ``checks``.
+Every degree range reaches the lane only through the apparatus's one
+degree cap (``app.cap``, N - 1 when exact), and every residual is judged
+by one rule, ``bundle.tolerance``, at the highest family degree it reads.
+The checks a suite shares with a subcommand of ``cli`` are in ``checks``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _suite_tp(r: Runner, app: Apparatus, kmax, eps_list):
 
 
 def _suite_recurrence(r: Runner, app: Apparatus, kmax, eps_list):
-    win = min(app.cap + 2, app.N + 1)
+    win = app.cap + 2
 
     def rank_one():
         res = rank_one_XY_residual(app.X, app.Y, app.family)
@@ -112,9 +112,8 @@ def _suite_pade(r: Runner, app: Apparatus, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 10)
     r.run("product identity of the two Nikishin chains",
           lambda: max(plucker_residual(app, z) for z in pts))
-    top = min(4, app.N) if app.exact else app.cap
     for problem in ("q", "p", "switched"):
-        for n in range(0, top + 1):
+        for n in range(0, min(4, app.cap + 1) + 1):
             r.run(f"approximation orders, problem={problem}, n={n}",
                   lambda: order_check(pade_solve(app, n, problem)).residual,
                   n)
@@ -144,7 +143,7 @@ def _suite_duality(r: Runner, app: Apparatus, kmax, eps_list):
 
 def _suite_rhp(r: Runner, app: Apparatus, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 3)
-    n = min(3, app.N - 1) if app.exact else min(2, app.N - 1)
+    n = min(3, app.N - 1, app.cap + 1)
     for w in pts:
         check_unit_dets(r, app, n, w)
     grids = {}      # which -> its expansion at infinity, built once
@@ -165,7 +164,7 @@ def _suite_rhp(r: Runner, app: Apparatus, kmax, eps_list):
     eta_ref = app.family.eta_monic[n - 1] ** 2 / h
     r.run("recovered eta^2 matches family average",
           lambda: (eta_sq - eta_ref) / eta_ref, n)
-    # densities on both sides mean float input, where n <= 2
+    # the jump study needs a density on both sides, so float input
     if app.alpha_density is not None and app.beta_density is not None:
         check_jump_slope(r, app, n, eps_list)
 

@@ -271,6 +271,27 @@ def test_rhp_command_exact_point(spec_file, capsys):
     assert payload["det_gamma_hat"] == "1"
 
 
+# alpha atoms 1, 2, 3, 5 and beta atoms 1/2, 4, 6, 10, unit weights: 10 is
+# a pole of the beta transforms
+BETA_ATOM_AT_10 = {side: {"type": "discrete", "atoms": [
+    {"x": x, "w": "1"} for x in xs]} for side, xs in (
+        ("alpha", ["1", "2", "3", "5"]), ("beta", ["1/2", "4", "6", "10"]))}
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_rhp_evaluates_at_the_rhp_suite_point_by_default(mode, spec_file,
+                                                         capsys):
+    # without --point, rhp evaluates where the rhp suite's first det Gamma
+    # check does, off every pole set, in both lanes
+    path = spec_file(BETA_ATOM_AT_10)
+    code, payload = run(capsys, ["rhp", path, "-n", "2", "--mode", mode])
+    assert code == 0 and payload["point"] == "85/7"
+    code, report = run(capsys, ["verify", path, "-N", "3", "--suite", "rhp",
+                                "--mode", mode])
+    assert code == 0
+    assert report["checks"][0]["name"] == "det Gamma(w=85/7) = 1"
+
+
 def test_rhp_command_jump_table(spec_file, capsys):
     code, payload = run(capsys, ["rhp", spec_file(DENSITY), "-n", "2",
                                  "--eps", "1e-4", "1e-5", "1e-6",
@@ -774,7 +795,7 @@ def test_bimoments_float_shift_is_judged_relative(spec_file, capsys):
 def test_rhp_float_det_within_the_rhp_suite_tolerance(spec_file, capsys):
     # det Gammahat - 1 = 1.9e-11, inside the rhp suite's float tolerance
     code, payload = run(capsys, ["rhp", spec_file(SIX_ATOM), "-n", "3",
-                                 "--mode", "float"])
+                                 "--mode", "float", "--point", "10"])
     assert code == 0
     assert abs(float(payload["det_gamma_hat"]) - 1) > 1e-12
 
@@ -1035,7 +1056,8 @@ def test_exact_verify_builds_no_aux_degree_past_5(aux_builds, spec_file,
 
 def test_float_verify_builds_no_aux_degree_past_the_cap(aux_builds,
                                                         spec_file, capsys):
-    # windows stop at the cap and read one degree past it; rhp reads n = 2
+    # windows stop at the cap and read one degree past it, as the Pade
+    # orders and the rhp suite's level do
     code, payload = run(capsys, ["verify", spec_file(DENSITY), "-N", "8",
                                  "--suite", "all", "--mode", "float"])
     assert code == 0 and payload["status"] == "pass"
@@ -1043,6 +1065,49 @@ def test_float_verify_builds_no_aux_degree_past_the_cap(aux_builds,
     assert top < 8
     assert built_degrees(aux_builds) == [(side, j) for side in "pq"
                                          for j in range(top + 1)]
+
+
+@pytest.mark.parametrize("spec, N", [(SIX_ATOM, 5), (DENSITY, 8),
+                                     (D_SPEC, 8)],
+                         ids=["six -N 5", "density -N 8", "D -N 8"])
+def test_float_pade_and_rhp_read_their_degrees_off_the_cap(
+        spec, N, monkeypatch, spec_file, capsys):
+    # one rule in both lanes: Pade orders at degrees 0..min(4, cap + 1), the
+    # rhp suite at level min(3, N - 1, cap + 1); the caps here are 2, 1, 2
+    from cauchybop import checks
+    assemble_gamma, calls = checks.assemble_gamma, []
+
+    def counted(app, n, point):
+        calls.append((app, n))
+        return assemble_gamma(app, n, point)
+    monkeypatch.setattr(checks, "assemble_gamma", counted)
+    code, payload = run(capsys, ["verify", spec_file(spec), "-N", str(N),
+                                 "--suite", "all", "--mode", "float"])
+    assert code == 0 and payload["status"] == "pass"
+    cap = calls[0][0].cap
+    for problem in ("q", "p", "switched"):
+        prefix = f"approximation orders, problem={problem}, n="
+        assert [int(c["name"][len(prefix):]) for c in payload["checks"]
+                if c["name"].startswith(prefix)] == list(
+                    range(min(4, cap + 1) + 1))
+    assert [n for _, n in calls] == [min(3, N - 1, cap + 1)] * 3
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_float_cap_never_passes_the_top_window(N, spec_file):
+    from cauchybop import build_apparatus
+    from cauchybop.spec import load_spec
+    args = types.SimpleNamespace(spec=spec_file(SIX_ATOM), mode="float")
+    assert build_apparatus(*load_spec(args), N).cap <= N - 1
+
+
+def test_float_pade_suite_at_order_one_keeps_its_seven_checks(spec_file,
+                                                              capsys):
+    # the product identity and three problems at degrees 0 and 1 = cap + 1
+    code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", "1",
+                                 "--suite", "pade", "--mode", "float"])
+    assert code == 0 and payload["status"] == "pass"
+    assert len(payload["checks"]) == 7
 
 
 @pytest.mark.parametrize("argv", [
