@@ -21,8 +21,8 @@ the family and X, Y are built, :meth:`BimomentMatrix.release_tables`
 drops them from an exact matrix, which keeps only its entries and pivots.
 The independent route is :func:`oracle_dn`, the tuple sum
 w_X w_Y Delta(X)**2 Delta(Y)**2 / prod (x_i + y_j) with the Cauchy
-determinant in closed form: it never sees the matrix and never
-eliminates.  Exact inputs make the agreement test literal equality.
+determinant in closed form: it never sees the matrix and never forms I.
+Exact inputs make the agreement test literal equality.
 
 The Cauchy kernel also satisfies a rank-one shift identity: with Lam the
 upper shift matrix and a, b the moment vectors of the two measures,
@@ -266,13 +266,17 @@ def oracle_dn(alpha: DiscreteMeasure, beta: DiscreteMeasure, n: int):
 
         D_n = sum_{X, Y}  w_X w_Y Delta(X)**2 Delta(Y)**2 / prod (x_i + y_j),
 
-    the product running over i in X and j in Y.  This is the sum of
+    the product running over i in X and j in Y: the sum of
     w_X w_Y Delta(X) Delta(Y) det[1/(x_i + y_j)] with the Cauchy
-    determinant in closed form.  No determinant is formed, so the value is
-    independent of the elimination path in
-    :meth:`BimomentMatrix.leading_minors`.
+    determinant in closed form.  Heine's identity (Andreief 1883) sums the
+    Y tuples: for each X their sum is the n x n Hankel determinant
+    det[m_{k+l}] of the power sums m_r = sum_b w_b y_b**r / prod_{i in X}
+    (x_i + y_b).
+    So one determinant of order n is formed per X, O(C(m, n) (m n + n**3))
+    work for m atoms a side, and I is never formed: the value does not
+    depend on the elimination in :meth:`BimomentMatrix.leading_minors`.
 
-    Both lanes sum the terms in tuple order; exact input gives one exact
+    Both lanes sum the X terms in tuple order; exact input gives one exact
     Fraction.  Returns 0 when n exceeds an atom count (a repeated atom
     kills the Vandermonde).
     """
@@ -281,22 +285,15 @@ def oracle_dn(alpha: DiscreteMeasure, beta: DiscreteMeasure, n: int):
         return Fraction(1) if exact else 1.0
     if n > len(alpha) or n > len(beta):
         return Fraction(0) if exact else 0.0
-    xs, ys = alpha.positions(), beta.positions()
-    sums = [[_cauchy_sum(x, y) for y in ys] for x in xs]
-
-    def tuple_factors(pts, ws):
-        # (T, w_T Delta(T)**2) for every increasing n-tuple T of indices
-        return [(T, vandermonde([pts[i] for i in T]) ** 2
-                 * prod(ws[i] for i in T))
-                for T in itertools.combinations(range(len(pts)), n)]
-
-    ys_tuples = tuple_factors(ys, beta.weights())
+    xs, ws = alpha.positions(), alpha.weights()
+    ys, vs = beta.positions(), beta.weights()
     total = 0
-    for rows, a in tuple_factors(xs, alpha.weights()):
-        # column products prod_{i in X} (x_i + y_b) for every beta atom b
-        col = [prod(sums[i][b] for i in rows) for b in range(len(ys))]
-        for cols, b in ys_tuples:
-            total += a * b / prod(col[j] for j in cols)
+    for S in itertools.combinations(range(len(xs)), n):
+        m = power_sums(ys, [v / prod(_cauchy_sum(xs[i], y) for i in S)
+                            for y, v in zip(ys, vs)], 2 * n - 1)
+        total += (vandermonde([xs[i] for i in S]) ** 2
+                  * prod(ws[i] for i in S)
+                  * det([m[k:k + n] for k in range(n)], exact))
     return total
 
 

@@ -40,8 +40,8 @@ def _suite_tp(r: Runner, app: Apparatus, kmax, eps_list):
     k = min(kmax or 6, m, app.I.order)
     r.run(f"{label} through {k}x{k}", lambda: tp_certificate(app.I, k).passed)
     D = app.I.leading_minors()
-    # the tuple-sum oracle enumerates C(atoms, n)^2 index pairs, O(n) work
-    # each through the closed-form Cauchy determinant, too many past 16 atoms
+    # the tuple-sum oracle forms one n x n Hankel determinant per alpha
+    # n-tuple, C(atoms, n) of them: too many past 16 atoms
     many = max(len(app.alpha), len(app.beta)) > 16
     for n in range(1, min(4, m, len(D)) + 1):
         name = f"leading minor D_{n} equals tuple-sum oracle"

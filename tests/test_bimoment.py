@@ -174,6 +174,23 @@ def test_oracle_matches_brute_force(seed, atoms_a, atoms_b, n):
     beta = random_rational_measure(rng, atoms_b)
     value = oracle_dn(alpha, beta, n)
     assert isinstance(value, F) and value == brute_force_dn(alpha, beta, n)
+    # the kernel is symmetric, and the oracle enumerates only alpha tuples
+    assert oracle_dn(beta, alpha, n) == value
+
+
+def test_oracle_forms_one_hankel_determinant_per_alpha_tuple(monkeypatch,
+                                                             six_atom_pair):
+    from cauchybop import bimoment
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return bareiss_det(rows)
+    monkeypatch.setattr(bimoment, "bareiss_det", counted)
+    for n in range(1, 5):
+        calls.clear()
+        oracle_dn(*six_atom_pair, n)
+        assert calls == [n] * math.comb(6, n)
 
 
 def test_float_oracle_matches_exact_on_rationalized_atoms():
@@ -368,8 +385,8 @@ def test_cauchy_determinant_identity(xs, ys):
     ([F(-1, 3), F(2), F(5)], [F(1), F(3, 4), F(6)]),
 ])
 def test_plain_cauchy_determinant_closed_form(xs, ys):
-    # det[1/(x_i + y_j)] = Delta(X) Delta(Y) / prod (x_i + y_j): the form
-    # oracle_dn sums without taking a determinant
+    # det[1/(x_i + y_j)] = Delta(X) Delta(Y) / prod (x_i + y_j): the closed
+    # form in oracle_dn's tuple sum, whose beta tuples Heine's identity sums
     rows = [[1 / (x + y) for y in ys] for x in xs]
     assert bareiss_det(rows) == (vandermonde(xs) * vandermonde(ys)
                                  / math.prod(x + y for x in xs for y in ys))
