@@ -9,9 +9,9 @@ scratch: the elimination runs once, after which the exact matrix drops
 its L, U, W tables.  Data only some readers need is built on first read
 and kept: the hatted families (read only by the benchmark and the
 tests), the float ladder and cap, the Markov transforms and their moment
-streams, and the auxiliary transforms per degree.  B = -A^T and Bhat =
--Ahat^T are formed from A, Ahat on each read.  An apparatus is safe to share across
-threads: the only possible race builds the same equal entry twice.
+streams, the auxiliary transforms per degree and the family values per
+point.  B = -A^T, Bhat = -Ahat^T are formed on each read.  An apparatus
+is safe to share across threads: a race only builds an equal entry twice.
 """
 
 from __future__ import annotations
@@ -30,11 +30,11 @@ from .recurrence import (BandOperator, HattedFamily, build_A_Ahat, build_hatted,
 @dataclass(frozen=True)
 class Apparatus:
     """The apparatus of one pair at degree N.  Its fields are what
-    :func:`build_apparatus` builds.  Its point-independent derived data is
-    computed on first read and kept: the hatted families (``hatted``), the
-    float ``ladder`` and ``cap``, the eight Markov transforms (``markov``)
-    with their moment streams (``markov_moments``), and the auxiliary
-    transforms of the degrees read, keyed by side and degree (``aux``).
+    :func:`build_apparatus` builds.  Its derived data is computed on first
+    read and kept: the hatted families (``hatted``), the float ``ladder``
+    and ``cap``, the eight Markov transforms (``markov``) with their moment
+    streams (``markov_moments``), the auxiliary transforms by side and
+    degree (``aux``) and the family values by point (``point_values``).
     ``B`` and ``Bhat`` are not kept: each read forms them from ``A`` and
     ``Ahat``, so a reader that needs one several times binds it once."""
     alpha: DiscreteMeasure
@@ -90,6 +90,10 @@ class Apparatus:
 
     @cached_property
     def aux(self) -> dict:      # (side, j) -> transforms.aux_transforms(...)
+        return {}
+
+    @cached_property
+    def point_values(self) -> dict:     # cdkernel._family_values, by point
         return {}
 
     def require_window(self, n: int, lo: int = 2, hi: int | None = None):

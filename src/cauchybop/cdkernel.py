@@ -22,10 +22,10 @@ evaluator, :func:`_cd_residual`, which returns |lhs - rhs| / max(1, |lhs|,
 |rhs|): zero exactly when the identity holds.  The block is cross-checked
 against a dense commutator formed on the whole stored truncation.  All
 arithmetic happens in the rescaled biorthonormal frame, where both sides
-are rational.  The plain and hatted identities evaluate q*_k(y) and
-p_k(x) by Horner and form qhat_k(y) and phat_k(x) from them by
-``transforms.hatted_combination``, the combination the auxiliary columns
-use; the hatted triangles (``recurrence.build_hatted``) are not read.
+are rational.  The plain and hatted identities read q*_k(y) and p_k(x),
+kept once per point (``app.point_values``), and form qhat_k(y) and
+phat_k(x) from them by ``transforms.hatted_combination``, as the auxiliary
+columns do; the hatted triangles (``recurrence.build_hatted``) go unread.
 """
 
 from __future__ import annotations
@@ -96,15 +96,24 @@ def _cd_residual(app: Apparatus, n: int, w_plus_z, u, v, q_values,
     return residual(lhs, rhs)
 
 
+def _family_values(app: Apparatus, side: str, point):
+    """p_k (side "p") or q*_k (side "q") at point for k <= N, kept whole."""
+    fam, key = app.family, (side, type(point), point)   # 0.5 == 1/2 as keys
+    if key not in app.point_values:
+        app.point_values[key] = tuple([peval(fam.q_star(k) if side == "q"
+                                             else fam.p_monic[k], point)
+                                       for k in range(app.N + 1)])
+    return app.point_values[key]
+
+
 def _point_windows(app: Apparatus, n: int, x, y):
     """q*_k(y) for k <= n+1, p_k(x) for k <= n, eta*_k for k <= n+1, and
     phat_k(x) for k <= n, which ``transforms.hatted_combination`` forms
     from p and eta*."""
     app.require_window(n)
-    fam = app.family
-    p_values = [peval(fam.p_monic[k], x) for k in range(n + 1)]
-    es = [fam.eta_star(k) for k in range(n + 2)]
-    return ([peval(fam.q_star(k), y) for k in range(n + 2)], p_values, es,
+    p_values = _family_values(app, "p", x)[:n + 1]
+    es = [app.family.eta_star(k) for k in range(n + 2)]
+    return (_family_values(app, "q", y)[:n + 2], p_values, es,
             hatted_combination("p", es, p_values))
 
 

@@ -4,11 +4,11 @@ with the suites.
 :class:`Runner` times each computation a suite or a subcommand hands it
 and judges what it returns: a bool verdict, or a residual within
 ``bundle.tolerance`` at the highest family degree it reads
-(:meth:`Runner.run`).  Float degree windows come from the apparatus's one
-degree cap (``app.cap``, by :func:`_windows`).  The subcommands of ``cli``
-(``commands``) judge the identities they share with a suite of
-``suites`` through the same check functions here: :func:`tp_certificate`,
-:func:`check_shift`, :func:`check_unit_dets` and :func:`check_jump_slope`.
+(:meth:`Runner.run`).  Every suite's degree range comes from one rule,
+:func:`_windows`.  The subcommands of ``cli`` (``commands``) judge the
+identities they share with a suite of ``suites`` through the same check
+functions here: :func:`tp_certificate`, :func:`check_shift`,
+:func:`check_unit_dets` and :func:`check_jump_slope`.
 """
 
 from __future__ import annotations
@@ -57,8 +57,8 @@ class Runner:
         """Time fn() and judge what it returns: a bool verdict, or a
         residual within ``tolerance(ladder, degree)``, degree being the
         highest family degree it reads: 0 (shift, product identity), n (D_n,
-        Pade orders and rhp checks at n), n + 2 (recurrence, commutator, CD
-        and duality at window n) or the window (rank-one, band supports).
+        Pade orders and rhp checks at n), n + 2 (recurrence, cdi and duality
+        at a window n of _windows) or the window (rank-one, band supports).
         A callable name is called once fn has run."""
         t0 = time.perf_counter()
         residual = fn()
@@ -86,13 +86,12 @@ class Runner:
                 "checks": self.checks}
 
 
-def _windows(r: Runner, app: Apparatus, degrees, name: str):
-    """The degrees n a check can run at; past N - 1 or past the float
-    degree cap it is listed as a skip of name.format(n), with the reason."""
-    for n in degrees:
-        if n > app.N - 1:
-            r.skip(name.format(n), f"needs N >= {n + 1}")
-        elif n > app.cap:
+def _windows(r: Runner, app: Apparatus, lo: int, name: str, reach: int = 1):
+    """The one degree rule: each n from lo to N - reach, a check at n reading
+    p and q* through degree n + reach.  An n + reach past the clean degrees
+    (``app.cap + 1``, N when exact) makes n a skip of name.format(n)."""
+    for n in range(lo, app.N - reach + 1):
+        if n + reach > app.cap + 1:
             r.skip(name.format(n), "float conditioning")
         else:
             yield n

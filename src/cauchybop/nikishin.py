@@ -250,7 +250,7 @@ def duality_check(app: Apparatus, a: int, b: int, n: int, z,
 
     The value is independent of both z and n; the (2,2) corner exercises
     the product identity of the two Nikishin chains.  aux, if given, must
-    be ``aux_vectors(app, n, -z, z)``.
+    be ``aux_vectors(app, m, -z, z)`` for some m >= n.
     """
     app.require_window(n)
     aux = aux or aux_vectors(app, n, -z, z)

@@ -5,9 +5,9 @@ each computation to the runner (``checks.Runner``), which times it and
 judges what it returns.  :data:`SUITES` maps the names ``cauchybop verify
 --suite`` takes to them, in the order ``--suite all`` runs them.
 
-Every degree range reaches the lane only through the apparatus's one
-degree cap (``app.cap``, N - 1 when exact), and every residual is judged
-by one rule, ``bundle.tolerance``, at the highest family degree it reads.
+Every degree range comes from one rule, ``checks._windows``, through the
+apparatus's one degree cap (``app.cap``, N - 1 when exact), and every
+residual is judged by ``bundle.tolerance`` at the highest degree it reads.
 The checks a suite shares with a subcommand of ``cli`` are in ``checks``.
 """
 
@@ -37,11 +37,11 @@ def _suite_tp(r: Runner, app: Apparatus, kmax, eps_list):
              else "no negative consecutive minor")
     # by Cauchy-Binet, minors past the smaller atom count m vanish
     m = min(len(app.alpha), len(app.beta))
-    k = min(kmax or 6, m, app.I.order)
+    k = min(kmax or 6, m, app.I.order)  # a new default renames a pinned check
     r.run(f"{label} through {k}x{k}", lambda: tp_certificate(app.I, k).passed)
     D = app.I.leading_minors()
     # the tuple-sum oracle forms one n x n Hankel determinant per alpha
-    # n-tuple, C(atoms, n) of them: too many past 16 atoms
+    # n-tuple, C(atoms, n) of them: too many past 16 atoms or past D_4
     many = max(len(app.alpha), len(app.beta)) > 16
     for n in range(1, min(4, m, len(D)) + 1):
         name = f"leading minor D_{n} equals tuple-sum oracle"
@@ -79,8 +79,7 @@ def _suite_recurrence(r: Runner, app: Apparatus, kmax, eps_list):
                           default=0) / scale, win)
     pts = _sample_points([app.alpha, app.beta], 5)
     Bhat = app.Bhat
-    for n in _windows(r, app, range(1, min(4, app.N - 1) + 1),
-                      "four-term recurrence residual, degree {}"):
+    for n in _windows(r, app, 1, "four-term recurrence residual, degree {}"):
         r.run(f"four-term recurrence residual, degree {n}",
               lambda: max(0, *(v for pt in pts for v in four_term_residual(
                   app.family, app.A, Bhat, n, pt))), n + 2)
@@ -96,8 +95,7 @@ def _suite_cdi(r: Runner, app: Apparatus, kmax, eps_list):
     # not (x, -x): at x + y = 0 both sides vanish, and a float residual is
     # then the window's rounding noise measured against 1
     pairs = list(zip(pts[:3], pts[3:]))
-    for n in _windows(r, app, range(2, min(5, app.N - 1) + 1),
-                      "CD identities, n={}"):
+    for n in _windows(r, app, 2, "CD identities, n={}"):
         r.run(f"commutator block equals dense commutator, n={n}",
               lambda: verify_block_against_dense(app, n, pts[0]), n + 2)
         r.run(f"plain CD identity residual, n={n}",
@@ -113,37 +111,37 @@ def _suite_pade(r: Runner, app: Apparatus, kmax, eps_list):
     r.run("product identity of the two Nikishin chains",
           lambda: max(plucker_residual(app, z) for z in pts))
     for problem in ("q", "p", "switched"):
-        for n in range(0, min(4, app.cap + 1) + 1):
-            r.run(f"approximation orders, problem={problem}, n={n}",
-                  lambda: order_check(pade_solve(app, n, problem)).residual,
-                  n)
+        name = f"approximation orders, problem={problem}, n={{}}"
+        for n in _windows(r, app, 0, name, reach=0):
+            r.run(name.format(n), lambda: order_check(
+                pade_solve(app, n, problem)).residual, n)
 
 
 def _suite_duality(r: Runner, app: Apparatus, kmax, eps_list):
-    """Both extended CD identities at windows 2, 3 and the duality pairing
-    at 2..4; F and Fhat, which no window changes, formed at the first."""
+    """Both extended CD identities and the duality pairing at each window
+    of _windows, from F, Fhat and aux vectors formed once, at the first."""
     pts = _sample_points([app.alpha, app.beta], 4)
     w, z = pts[0], pts[3]     # not antipodal, as in _suite_cdi
-    F = Fhat = None
-    for n in _windows(r, app, (2, 3), "extended CD, n={}"):
-        aux = aux_vectors(app, n, w, z)     # read by both identities
-        if F is None:
+    F = Fhat = pairing = None
+    for n in _windows(r, app, 2, "extended CD, n={}"):
+        if F is None:       # through degree cap + 1, read by every window
+            aux = aux_vectors(app, app.cap, w, z)
             F, Fhat = f_matrix(app, w, z), f_hat_matrix(app, w, z)
         for label, residual, C in (("", ecd_residual, F),
                                    ("hatted ", ecd_hat_residual, Fhat)):
             r.run(f"{label}extended CD residual, all 9 windows, n={n}",
                   lambda: max(residual(app, a, b, n, w, z, aux, C)
                               for a in range(3) for b in range(3)), n + 2)
-    for n in _windows(r, app, (2, 3, 4), "perfect duality pairing, n={}"):
-        aux = aux_vectors(app, n, -pts[2], pts[2])
+    for n in _windows(r, app, 2, "perfect duality pairing, n={}"):
+        pairing = pairing or aux_vectors(app, app.cap, -pts[2], pts[2])
         r.run(f"perfect duality pairing, n={n}",
-              lambda: max(duality_check(app, a, b, n, pts[2], aux)
+              lambda: max(duality_check(app, a, b, n, pts[2], pairing)
                           for a in range(3) for b in range(3)), n + 2)
 
 
 def _suite_rhp(r: Runner, app: Apparatus, kmax, eps_list):
     pts = _sample_points([app.alpha, app.beta], 3)
-    n = min(3, app.N - 1, app.cap + 1)
+    n = min(3, app.N - 1, app.cap + 1)  # the check names carry no level
     for w in pts:
         check_unit_dets(r, app, n, w)
     grids = {}      # which -> its expansion at infinity, built once

@@ -102,6 +102,21 @@ def test_hatted_cd_identity_exact(app6, six_atom_pair, n):
         assert cd_residual_hat(app6, n, x, y) == 0
 
 
+def test_both_cd_identities_evaluate_each_family_value_once(six_atom_pair,
+                                                           monkeypatch):
+    # the apparatus keeps p_k(x) and q*_k(y), k <= N, per point: both
+    # identities at every n read them, and none is evaluated again
+    from cauchybop import build_apparatus, cdkernel
+    app, calls = build_apparatus(*six_atom_pair, N=5), []
+    peval = cdkernel.peval
+    monkeypatch.setattr(cdkernel, "peval",
+                        lambda coeffs, t: calls.append(t) or peval(coeffs, t))
+    x, y = F(1, 3), F(5, 2)
+    assert [cd_residual_plain(app, n, x, y) for n in (2, 3, 4)] == [0] * 3
+    assert [cd_residual_hat(app, n, x, y) for n in (2, 3, 4)] == [0] * 3
+    assert calls == [x] * (app.N + 1) + [y] * (app.N + 1)
+
+
 def test_antidiagonal_specialization(app6):
     # x = -y kills the left side, so the window product itself must vanish
     y = F(9, 8)

@@ -384,15 +384,11 @@ SEVENTEEN_ATOM = {
 
 
 @pytest.mark.parametrize("spec, N, count, skipped", [
-    pytest.param(SIX_ATOM, 3, 44, [
-        "extended CD, n=3 [skipped: needs N >= 4]",
-        "perfect duality pairing, n=3 [skipped: needs N >= 4]",
-        "perfect duality pairing, n=4 [skipped: needs N >= 5]"],
-        id="six atoms N=3"),
-    pytest.param(SEVENTEEN_ATOM, 4, 52, [
-        *(f"leading minor D_{n} equals tuple-sum oracle "
-          "[skipped: more than 16 atoms]" for n in range(1, 5)),
-        "perfect duality pairing, n=4 [skipped: needs N >= 5]"],
+    # every window stops at N - 1, so no window needs a larger N
+    pytest.param(SIX_ATOM, 3, 41, [], id="six atoms N=3"),
+    pytest.param(SEVENTEEN_ATOM, 4, 51, [
+        f"leading minor D_{n} equals tuple-sum oracle "
+        "[skipped: more than 16 atoms]" for n in range(1, 5)],
         id="17 atoms N=4"),
 ])
 def test_dropped_checks_are_reported_as_skips(spec, N, count, skipped,
@@ -997,7 +993,7 @@ def test_verify_builds_each_side_of_the_aux_transforms_once(aux_builds,
 
 def test_pade_suite_alone_builds_each_aux_degree_once_and_no_other_fold(
         monkeypatch, aux_builds, spec_file, capsys):
-    # problem q reads side q, problems p and switched side p, at n <= 4.  A
+    # problem q reads side q, problems p and switched side p, at n <= N.  A
     # fold weights one transform by another; the remainders take theirs off
     # the auxiliary transforms, so the only folds are app.markov's four and
     # one outer transform per aux build
@@ -1012,7 +1008,7 @@ def test_pade_suite_alone_builds_each_aux_degree_once_and_no_other_fold(
                                  "--suite", "pade"])
     assert code == 0 and payload["status"] == "pass"
     assert built_degrees(aux_builds) == [(side, j) for side in "pq"
-                                         for j in range(5)]
+                                         for j in range(6)]
     folds = [fn for fn in weights if isinstance(fn, MarkovFunction)]
     assert len(folds) == 4 + len(aux_builds)
 
@@ -1044,14 +1040,15 @@ TEN_ATOM = {side: {"type": "discrete", "atoms": [
                         "1"]))}
 
 
-def test_exact_verify_builds_no_aux_degree_past_5(aux_builds, spec_file,
+def test_exact_verify_builds_no_aux_degree_past_N(aux_builds, spec_file,
                                                   capsys):
-    # the duality windows read degree n + 1 <= 5 and the rhp suite n = 3
+    # the Pade orders read degree n <= N, the duality windows n + 1 <= N and
+    # the rhp suite n = 3; each degree once
     code, payload = run(capsys, ["verify", spec_file(TEN_ATOM), "-N", "8",
                                  "--suite", "all"])
     assert code == 0 and payload["status"] == "pass"
     assert built_degrees(aux_builds) == [(side, j) for side in "pq"
-                                         for j in range(6)]
+                                         for j in range(9)]
 
 
 def test_float_verify_builds_no_aux_degree_past_the_cap(aux_builds,
@@ -1072,8 +1069,9 @@ def test_float_verify_builds_no_aux_degree_past_the_cap(aux_builds,
                          ids=["six -N 5", "density -N 8", "D -N 8"])
 def test_float_pade_and_rhp_read_their_degrees_off_the_cap(
         spec, N, monkeypatch, spec_file, capsys):
-    # one rule in both lanes: Pade orders at degrees 0..min(4, cap + 1), the
-    # rhp suite at level min(3, N - 1, cap + 1); the caps here are 2, 1, 2
+    # one rule in both lanes: Pade orders judged at degrees 0..cap + 1 and
+    # skipped from there to N, the rhp suite at level min(3, N - 1, cap + 1);
+    # the caps here are 2, 1, 2
     from cauchybop import checks
     assemble_gamma, calls = checks.assemble_gamma, []
 
@@ -1087,10 +1085,65 @@ def test_float_pade_and_rhp_read_their_degrees_off_the_cap(
     cap = calls[0][0].cap
     for problem in ("q", "p", "switched"):
         prefix = f"approximation orders, problem={problem}, n="
-        assert [int(c["name"][len(prefix):]) for c in payload["checks"]
-                if c["name"].startswith(prefix)] == list(
-                    range(min(4, cap + 1) + 1))
+        assert [c["name"] for c in payload["checks"]
+                if c["name"].startswith(prefix)] == [
+            f"{prefix}{n}" for n in range(cap + 2)] + [
+            f"{prefix}{n} [skipped: float conditioning]"
+            for n in range(cap + 2, N + 1)]
     assert [n for _, n in calls] == [min(3, N - 1, cap + 1)] * 3
+
+
+#: each statement verify judges per degree -> (the name its skips carry,
+#: lo, reach): the rule of ``checks._windows`` judges it at every n from lo
+#: to N - reach, and in floats skips the n past the clean degrees
+WINDOWED = {
+    "four-term recurrence residual, degree ": (
+        "four-term recurrence residual, degree ", 1, 1),
+    **{f"{kind} n=": ("CD identities, n=", 2, 1) for kind in (
+        "commutator block equals dense commutator,",
+        "plain CD identity residual,", "hatted CD identity residual,")},
+    **{f"{kind}extended CD residual, all 9 windows, n=": (
+        "extended CD, n=", 2, 1) for kind in ("", "hatted ")},
+    "perfect duality pairing, n=": ("perfect duality pairing, n=", 2, 1),
+    **{f"approximation orders, problem={problem}, n=": (
+        f"approximation orders, problem={problem}, n=", 0, 0)
+       for problem in ("q", "p", "switched")},
+}
+
+
+def degrees(checks, prefix, skipped):
+    """The n of each check named prefix + n, skipped or judged."""
+    return [int(c["name"][len(prefix):].split()[0]) for c in checks
+            if c["name"].startswith(prefix)
+            and (c["status"] == "skip") == skipped]
+
+
+def test_exact_verify_judges_every_statement_at_every_degree(spec_file,
+                                                             capsys):
+    N = 5
+    code, payload = run(capsys, ["verify", spec_file(SIX_ATOM), "-N", str(N),
+                                 "--suite", "all"])
+    assert code == 0 and payload["status"] == "pass"
+    for statement, (_, lo, reach) in WINDOWED.items():
+        assert degrees(payload["checks"], statement, False) == list(
+            range(lo, N - reach + 1)), statement
+    assert not any(c["status"] == "skip" for c in payload["checks"])
+
+
+@pytest.mark.parametrize("spec, N", [(SIX_ATOM, 5), (DENSITY, 8)],
+                         ids=["six -N 5", "density -N 8"])
+def test_float_verify_drops_no_degree_without_a_line(spec, N, spec_file,
+                                                     capsys):
+    code, payload = run(capsys, ["verify", spec_file(spec), "-N", str(N),
+                                 "--suite", "all", "--mode", "float"])
+    assert code == 0
+    checks = payload["checks"]
+    for statement, (skip, lo, reach) in WINDOWED.items():
+        judged, skipped = (degrees(checks, statement, False),
+                           degrees(checks, skip, True))
+        assert skipped, statement       # the caps here are 2 and 1
+        assert sorted(judged + skipped) == list(range(lo, N - reach + 1)), \
+            statement
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -1147,7 +1200,7 @@ def test_extended_cd_builds_f_matrix_once_per_run(monkeypatch, spec_file,
                if c["name"].startswith("extended CD residual")]
     hatted = [c for c in payload["checks"]
               if c["name"].startswith("hatted extended CD residual")]
-    assert len(windows) == len(hatted) == 2
+    assert len(windows) == len(hatted) == 5 - 2     # n = 2..N - 1
     # F and Fhat do not depend on the window: one of each per run, and the
     # F that f_hat_matrix reads its hatted matrix off
     assert calls.count("f_hat_matrix") == 1
