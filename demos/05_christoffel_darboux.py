@@ -3,8 +3,9 @@
 The partial kernel sums of both the plain and hatted families collapse to
 a window product against a four-entry block.  The same block, evaluated
 at s = -y, gives the plain identity; at s = x, the hatted one.  The block
-is cross-checked against a dense commutator formed on the whole stored
-truncation, and both identities are verified as exact rational equalities.
+is cross-checked against the commutator on the whole stored truncation,
+whose entries are formed only where [Pi_n, .] can be nonzero, and both
+identities are verified as exact rational equalities.
 """
 
 from fractions import Fraction as F
@@ -28,7 +29,7 @@ for row in commutator_block(app, n, F(1, 2)):
     print("  ", [str(v) for v in row])
 print("only four entries are nonzero; the middle one is linear in s.")
 
-print("\ndense commutator on the full truncation, worst disagreement:",
+print("\ncommutator on the full truncation, worst disagreement:",
       verify_block_against_dense(app, n, F(1, 2)))
 
 print("\nresiduals of the identities at rational (x, y):")

@@ -27,7 +27,7 @@ from .bimoment import (BimomentMatrix, bareiss_det, check_total_positivity,
 from .bop import PolynomialFamily, averages, build_family, evaluate, pair
 from .bundle import Apparatus, build_apparatus
 from .cdkernel import (cd_residual_hat, cd_residual_plain, commutator_block,
-                       dense_commutator, verify_block_against_dense)
+                       verify_block_against_dense)
 from .errors import (CauchybopError, DegenerateMatrixError,
                      InvalidDensityError, OrderUnderflowError,
                      PoleEvaluationError, PrecisionExhaustedError,

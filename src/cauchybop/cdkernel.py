@@ -20,7 +20,7 @@ exactly zero.  These two and the extended pair in ``nikishin`` all read
 (w+z) sum_{j<n} u_j(w) v_j(z) = q^T(w) B_n(s) phat(z) - C and share one
 evaluator, :func:`_cd_residual`, which returns |lhs - rhs| / max(1, |lhs|,
 |rhs|): zero exactly when the identity holds.  The block is cross-checked
-against a dense commutator formed on the whole stored truncation.  All
+against the commutator, formed only where [Pi_n, .] can be nonzero.  All
 arithmetic happens in the rescaled biorthonormal frame, where both sides
 are rational.  The plain and hatted identities read q*_k(y) and p_k(x),
 kept once per point (``app.point_values``), and form qhat_k(y) and
@@ -50,29 +50,21 @@ def commutator_block(app: Apparatus, n: int, s):
             (zero, -Ah[n + 1, n - 1], zero))
 
 
-def dense_commutator(app: Apparatus, n: int, s):
-    """[Pi_n, (-s - Y^T) Lhat] on the full stored truncation.
-
-    Columns run only to N-1 (one column of the product is eaten by the
-    shift in Lhat); within that window the result is exact.
-    """
-    Y, Lh = app.Y.entries, app.Lhat.entries
-    return tuple([tuple([sum((-s * (i == k) - Y[k][i]) * Lh[k][j]
-                             for k in (j, j + 1)) * ((i < n) - (j < n))
-                         for j in range(app.N)]) for i in range(app.N + 1)])
-
-
 def verify_block_against_dense(app: Apparatus, n: int, s):
-    """Worst disagreement of the 4-entry block with the dense commutator
-    (zero off the block) over the block scale, on the rows and columns
-    below ``app.cap + 2`` <= N + 1, the window the defect ladder trusts:
-    the whole stored truncation when exact, where the cap is N - 1."""
+    """Worst disagreement of the 4-entry block with [Pi_n, (-s - Y^T)
+    Lhat] over the block scale, on the rows and columns below
+    ``app.cap + 2`` <= N + 1, the window the defect ladder trusts: the
+    whole stored truncation when exact.  Both vanish unless exactly one of
+    i, j is below n, so only those crossing entries are formed."""
     block = commutator_block(app, n, s)
-    dense = dense_commutator(app, n, s)
+    Y, Lh = app.Y.entries, app.Lhat.entries
     size = app.cap + 2
+    cols = min(size, app.N)     # the shift in Lhat eats column N
     worst = 0
-    for i, row in enumerate(dense[:size]):
-        for j, v in enumerate(row[:size]):
+    for i in range(size):
+        for j in range(n, cols) if i < n else range(min(n, cols)):
+            v = sum((-s * (i == k) - Y[k][i]) * Lh[k][j]
+                    for k in (j, j + 1)) * ((i < n) - (j < n))
             bi, bj = i - (n - 1), j - (n - 2)
             expected = block[bi][bj] if 0 <= bi < 3 and 0 <= bj < 3 else 0
             worst = max(worst, abs(v - expected))

@@ -104,9 +104,11 @@ def _check_orders(args) -> None:
     """Reject order arguments below their minimum, and an --eps ladder
     that is not positive, too short to fit a slope, or given to rhp with a
     --point the jump study would not read, before anything is built."""
-    # Gamma needs n >= 2, so the rhp level min(3, N - 1, cap + 1) needs N >= 3
+    # Gamma needs n >= 2, so the rhp level min(3, N - 1, cap + 1) needs N >= 3;
+    # the cdi and duality windows start at n = 2 and read degree n + 1 <= N
     low_n = 2 if args.command == "rhp" else 0
-    low_N = 3 if getattr(args, "suite", None) in ("all", "rhp") else 1
+    low_N = 3 if getattr(args, "suite", None) in (
+        "all", "rhp", "cdi", "duality") else 1
     for flag, attr, low in (("-N", "order", low_N), ("-n", "degree", low_n),
                             ("--kmax", "kmax", 1)):
         value = getattr(args, attr, None)

@@ -99,7 +99,7 @@ def cmd_bop(args) -> bool:
     n = args.degree
     point = (None if args.point is None
              else _point(args.point, args.mode == "float"))
-    app = build_apparatus(alpha, beta, max(n, 1))
+    app = build_apparatus(alpha, beta, n)
     _refuse_past_cap(app, n)
     fam = app.family
     payload = {
@@ -121,7 +121,7 @@ def cmd_bop(args) -> bool:
 def cmd_zeros(args) -> bool:
     alpha, beta = load_spec(args)
     n = args.degree
-    app = build_apparatus(alpha, beta, max(n, 1))
+    app = build_apparatus(alpha, beta, n)
     _refuse_past_cap(app, n)
     payload = {"degree": n}
     ok = True

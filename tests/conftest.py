@@ -9,6 +9,7 @@ import pytest
 from cauchybop import (Atom, DegenerateMatrixError, DiscreteMeasure,
                        build_apparatus, measure_from_strings)
 from cauchybop.bimoment import BimomentMatrix, det
+from cauchybop.cdkernel import commutator_block
 from cauchybop.recurrence import build_hatted
 
 
@@ -137,3 +138,31 @@ def shifted(I: BimomentMatrix, di: int, dj: int) -> BimomentMatrix:
     sub = tuple(tuple(I.entries[di + i][dj + j] for j in range(n))
                 for i in range(n))
     return BimomentMatrix(n, sub, I.exact)
+
+
+def dense_commutator(app, n: int, s):
+    """[Pi_n, (-s - Y^T) Lhat] on the full stored truncation, every entry
+    formed: the oracle of ``cdkernel.verify_block_against_dense``.
+
+    Columns run only to N-1 (one column of the product is eaten by the
+    shift in Lhat); within that window the result is exact.
+    """
+    Y, Lh = app.Y.entries, app.Lhat.entries
+    return tuple([tuple([sum((-s * (i == k) - Y[k][i]) * Lh[k][j]
+                             for k in (j, j + 1)) * ((i < n) - (j < n))
+                         for j in range(app.N)]) for i in range(app.N + 1)])
+
+
+def dense_block_residual(app, n: int, s, dense):
+    """Worst disagreement of the 4-entry block with the dense commutator
+    (zero off the block) over the block scale, on the rows and columns
+    below ``app.cap + 2``, every entry of that window read."""
+    block = commutator_block(app, n, s)
+    size = app.cap + 2
+    worst = 0
+    for i, row in enumerate(dense[:size]):
+        for j, v in enumerate(row[:size]):
+            bi, bj = i - (n - 1), j - (n - 2)
+            expected = block[bi][bj] if 0 <= bi < 3 and 0 <= bj < 3 else 0
+            worst = max(worst, abs(v - expected))
+    return worst / max(abs(v) for row in block for v in row)

@@ -1,12 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from cauchybop import (OrderUnderflowError, cd_residual_hat,
-                       cd_residual_plain, commutator_block, dense_commutator,
+                       cd_residual_plain, commutator_block,
                        verify_block_against_dense)
 
-from .conftest import rational_points_off
+from .conftest import dense_commutator, rational_points_off
 
 
 def test_block_entries_against_operator(app6):
@@ -40,6 +41,30 @@ def test_block_linear_in_s(app6):
 def test_block_matches_dense_commutator(app6, n):
     for s in (F(3, 7), F(-1, 2), F(11, 5)):
         assert verify_block_against_dense(app6, n, s) == 0
+
+
+def test_block_check_reads_only_the_crossing_entries(app6):
+    # [Pi_n, .] vanishes unless exactly one of i, j is below n; each entry
+    # it can hold sums two Lhat terms, and no other entry is formed
+    reads = []
+
+    class CountedRow(tuple):
+        def __getitem__(self, j):
+            reads.append(j)
+            return tuple.__getitem__(self, j)
+    Lhat = app6.Lhat
+    app = replace(app6, Lhat=replace(Lhat, entries=tuple(
+        [CountedRow(row) for row in Lhat.entries])))
+    size = app.cap + 2
+    counts = []
+    for n in range(2, app.N):
+        reads.clear()
+        assert verify_block_against_dense(app, n, F(1, 3)) == 0
+        crossing = sum((i < n) != (j < n) for i in range(size)
+                       for j in range(min(size, app.N)))
+        assert len(reads) == 2 * crossing
+        counts.append(len(reads))
+    assert counts == [28, 30, 24]
 
 
 def test_dense_commutator_support(app6):

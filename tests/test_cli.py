@@ -226,6 +226,17 @@ def test_bop_degree_zero(spec_file, capsys):
     assert payload["p_monic"] == ["1"]
 
 
+@pytest.mark.parametrize("command", ["bop", "zeros"])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_degree_zero_on_a_one_atom_pair(command, mode, spec_file, capsys):
+    # p_0 = q_0 = 1 and h_0 = D_1 > 0 need one atom a side, nothing more
+    spec = {side: {"type": "discrete", "atoms": [{"x": x, "w": "1"}]}
+            for side, x in (("alpha", "2"), ("beta", "3"))}
+    code, payload = run(capsys, [command, spec_file(spec), "-n", "0",
+                                 "--mode", mode])
+    assert code == 0 and payload["degree"] == 0
+
+
 def test_bop_degree_one_values(spec_file, capsys):
     code, payload = run(capsys, ["bop", spec_file(TWO_ATOM), "-n", "1",
                                  "--point", "109/77"])
@@ -448,7 +459,10 @@ MESSAGES = {
     ("rhp", "-n", "1"): "error: -n must be at least 2, got 1\n",
     ("rhp", "-n", "2", "--point="): "error: --point must be a decimal or p/q "
         "rational, got ''\n",
-    ("verify", "-N", "2"): "error: -N must be at least 3, got 2\n",
+    **dict.fromkeys([("verify", "-N", "2"),
+                     ("verify", "-N", "2", "--suite", "cdi"),
+                     ("verify", "-N", "2", "--suite", "duality")],
+                    "error: -N must be at least 3, got 2\n"),
     ("rhp", "-n", "2", "--eps", "1e-4", "1e-5"):
         "error: --eps (the jump study) needs density measures on both sides\n",
     ("verify", "-N", "3", "--mode", "float", "--eps", "1e-4"):
@@ -516,6 +530,8 @@ MESSAGES = {
         (["verify", "-N", "3", "--mode", "float", "--eps", "0"], DENSITY, ""),
         (["rhp", "-n", "2", "--mode", "float", "--eps", "0"], DENSITY, ""),
         (["verify", "-N", "2"], SIX_ATOM, ""),
+        (["verify", "-N", "2", "--suite", "cdi"], SIX_ATOM, ""),
+        (["verify", "-N", "2", "--suite", "duality"], SIX_ATOM, ""),
         (["bimoments", "-N", "2"], ZERO_DENOMINATOR, " [weight 1/0]"),
         (["bimoments", "-N", "2", "--mode", "float"], ZERO_HBAR,
          " [hbar 0]"),

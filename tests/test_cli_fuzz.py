@@ -77,9 +77,10 @@ def invocation(draw):
     suite = draw(st.sampled_from(("all",) + tuple(SUITES))) \
         if cmd == "verify" else None
     degree = cmd in ("bop", "zeros", "rhp")
-    # the lowest order each command accepts; Gamma needs n >= 2
-    low = {"rhp": 2, "verify": 3 if suite in ("all", "rhp") else 1}.get(
-        cmd, 0 if degree else 1)
+    # the lowest order each command accepts; Gamma needs n >= 2, and the
+    # cdi and duality windows start at n = 2 and read degree n + 1
+    low_verify = 3 if suite in ("all", "rhp", "cdi", "duality") else 1
+    low = {"rhp": 2, "verify": low_verify}.get(cmd, 0 if degree else 1)
     # -N and -n up to 5; they can still exceed the atom count without a flaw
     order = draw(st.integers(-2, low - 1) if flaw == "order"
                  else st.integers(low, 5))

@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 from cauchybop import (Atom, BandOperator, DensityMeasure, DiscreteMeasure,
                        OrderUnderflowError, build_apparatus, build_family,
                        build_hatted, build_XY, compute_bimoments,
-                       dense_commutator, four_term_residual, pair,
-                       rank_one_XY_residual, tn_oscillatory_certificate)
+                       four_term_residual, pair, rank_one_XY_residual,
+                       tn_oscillatory_certificate,
+                       verify_block_against_dense)
 from cauchybop.bimoment import det
 from cauchybop.measure import power_sums
 from cauchybop.polys import peval
 
-from .conftest import (minor, random_rational_measure, rational_points_off,
-                       shifted)
+from .conftest import (dense_block_residual, minor, random_rational_measure,
+                       rational_points_off, shifted)
 
 
 def test_X_entries_worked_example(two_atom_pair):
@@ -117,11 +118,14 @@ def dense_products(app, s):
     return A, Ahat, commutators
 
 
+def _bit(v):
+    """A value with its type; a float by its bit pattern, so a signed zero
+    counts."""
+    return v.hex() if isinstance(v, float) else (type(v), v)
+
+
 def _bits(M):
-    """Entries with their type; floats by their bit pattern, so a signed
-    zero counts."""
-    return [[v.hex() if isinstance(v, float) else (type(v), v) for v in row]
-            for row in M]
+    return [[_bit(v) for v in row] for row in M]
 
 
 def _assert_products_match_dense(app, s):
@@ -132,7 +136,8 @@ def _assert_products_match_dense(app, s):
     assert app.Bhat.entries == tuple(zip(*(tuple(-v for v in r)
                                            for r in Ahat)))
     for n, dense in zip(range(2, app.N), commutators):
-        assert _bits(dense_commutator(app, n, s)) == _bits(dense)
+        assert (_bit(verify_block_against_dense(app, n, s))
+                == _bit(dense_block_residual(app, n, s, dense)))
 
 
 @settings(max_examples=25, deadline=None)
